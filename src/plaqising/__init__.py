@@ -41,7 +41,6 @@ from .errors import (
     DegenerateLattice,
     DimensionMismatch,
     IndexOutOfRange,
-    InsufficientPlateau,
     InvalidSpec,
     NotConverged,
     NotMappable,
@@ -80,7 +79,6 @@ from .lattice import (
 )
 from .observables import (
     DiagonalSegment,
-    StringMeasurement,
     ground_state_for_measurement,
     local_sx,
     plaquette_pair_expectation_dual,
@@ -101,7 +99,7 @@ __all__ = [
     # errors
     "PlaqIsingError", "InvalidSpec", "DegenerateLattice", "SiteOutOfRange",
     "IndexOutOfRange", "DimensionMismatch", "TooLarge", "NotConverged",
-    "NotMappable", "NumericalFailure", "InsufficientPlateau",
+    "NotMappable", "NumericalFailure",
     # pauli / lattice
     "PauliString", "Boundary", "ChainBoundary", "LatticeSpec", "Plaquette",
     "ChainDecomposition", "enumerate_plaquettes", "chain_decompose",
@@ -121,7 +119,7 @@ __all__ = [
     "continuum_params", "magnetization_x", "zz_correlator", "xx_correlator",
     "disorder_parameter",
     # observables
-    "DiagonalSegment", "StringMeasurement", "segment_sites", "sx_string",
+    "DiagonalSegment", "segment_sites", "sx_string",
     "plaquette_string", "ground_state_for_measurement", "local_sx",
     "sx_string_expectation_ed", "plaquette_string_expectation_ed",
     "sx_string_expectation_dual", "plaquette_string_expectation_dual",

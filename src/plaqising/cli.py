@@ -32,6 +32,7 @@ from pathlib import Path
 
 from . import sweep as sweeplib
 from .errors import (
+    InvalidSpec,
     NotConverged,
     NumericalFailure,
     PlaqIsingError,
@@ -60,7 +61,11 @@ def _coerce(raw: str, annotation: str):
     """Parse an INI string according to a config field's type annotation."""
     ann = annotation.replace(" ", "")
     if ann == "bool":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        word = raw.strip().lower()
+        if word not in states:
+            raise InvalidSpec(f"not a boolean: {raw!r} (use one of {', '.join(states)})")
+        return states[word]
     if ann in ("int", "int|None"):
         return int(raw)
     if ann in ("float", "float|None"):

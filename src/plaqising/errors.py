@@ -48,7 +48,3 @@ class NotMappable(PlaqIsingError):
 
 class NumericalFailure(PlaqIsingError):
     """A linear-algebra sanity check failed beyond tolerance."""
-
-
-class InsufficientPlateau(PlaqIsingError):
-    """A long-distance correlator plateau has not converged within its window."""

@@ -24,6 +24,19 @@ boundary corner on rings): mode energies are the singular values of ``Z``
 and the ground-state Majorana correlator is the orthogonal polar factor
 ``G(i, j) = <B_i A_j> = (U Vh)^T`` from ``Z = U diag(s) Vh``.  The many-body
 ground energy is ``-1/2 sum_k eps_k`` exactly (field constants cancel).
+
+Wick blocks
+-----------
+Every string correlator is a determinant of a block
+``T[a, b] = G(rows[a], cols[b])`` with 0-based site indices, gathered in one
+NumPy indexing step:
+
+* open chains index the materialized block ``G[:m, :m]`` directly; an index
+  outside it (negative ones included) raises :class:`IndexOutOfRange`;
+* rings store one row, ``G(i, i + r) = _gvec[r]`` for ``0 <= r < L``, and
+  wrap any separation as ``j - i = q L + r`` (floor division), so that
+  ``G(i, j) = w**q * _gvec[r]`` with the wrap sign ``w = -1`` on the
+  antiperiodic grid and ``w = +1`` on the periodic grid.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure
 from .lattice import ChainBoundary
@@ -155,15 +169,8 @@ class BdGSolution:
     def corr(self, i: int, j: int) -> float:
         """``<B_i A_j>`` with 0-based indices."""
         if self._gvec is not None:
-            r = j - i
-            L = self.L
-            s = 1.0
-            while r >= L:
-                r -= L
-                s *= self._gvec_wrap_sign
-            while r < 0:
-                r += L
-                s *= self._gvec_wrap_sign
+            q, r = divmod(j - i, self.L)
+            s = 1.0 if q % 2 == 0 else float(self._gvec_wrap_sign)
             return float(s * self._gvec[r])
         if self._G is None:
             raise InvalidSpec("correlator block was not materialized")
@@ -177,12 +184,7 @@ class BdGSolution:
     def G(self) -> np.ndarray:
         if self._G is not None:
             return self._G
-        L = self.L
-        out = np.empty((L, L))
-        for i in range(L):
-            for j in range(L):
-                out[i, j] = self.corr(i, j)
-        return out
+        return _toeplitz_from(self, range(self.L), range(self.L))
 
 
 def _open_Z(L: int, g: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +200,18 @@ def _apply_Zt_open(U: np.ndarray, g: float, h: float) -> np.ndarray:
     out = 2 * h * g * U
     out[:-1] -= 2 * h * U[1:]
     return out
+
+
+def _orthogonality_deviation(G: np.ndarray) -> float:
+    """``max |G G^T - 1|`` over all entries, from the upper triangle alone.
+
+    ``dsyrk`` fills only the upper triangle of the symmetric product (half
+    the flops of ``G @ G.T``) and leaves zeros below it, which cannot raise
+    the maximum.
+    """
+    C = scipy.linalg.blas.dsyrk(1.0, G.T, trans=1)
+    C[np.diag_indices(G.shape[0])] -= 1.0
+    return float(max(C.max(), -C.min()))
 
 
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
@@ -273,7 +287,7 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
                 parity_sector=ParitySector.OPEN_NA,
             )
         G = V @ U.T
-        dev = np.abs(G @ G.T - np.eye(L)).max()
+        dev = _orthogonality_deviation(G)
         if dev > 1e-8:
             raise NumericalFailure(
                 f"Majorana correlator lost orthogonality (deviation {dev:.2e})"
@@ -463,11 +477,25 @@ def continuum_params(g_I: float, h: float, a: float = 1.0) -> ContinuumParams:
 # ground-state correlators (Wick determinants in G)
 # ----------------------------------------------------------------------
 def _toeplitz_from(sol: BdGSolution, row_offsets, col_offsets) -> np.ndarray:
-    out = np.empty((len(row_offsets), len(col_offsets)))
-    for a, i in enumerate(row_offsets):
-        for b, j in enumerate(col_offsets):
-            out[a, b] = sol.corr(i, j)
-    return out
+    """The block ``[sol.corr(i, j)]`` for ``i`` in rows, ``j`` in cols, with
+    the same float64 entries and the same errors, gathered in one step."""
+    rows = np.asarray(row_offsets, dtype=np.intp)
+    cols = np.asarray(col_offsets, dtype=np.intp)
+    if sol._gvec is not None:
+        q, r = np.divmod(cols[None, :] - rows[:, None], sol.L)
+        return np.where(q % 2 == 0, 1.0, float(sol._gvec_wrap_sign)) * sol._gvec[r]
+    if sol._G is None:
+        raise InvalidSpec("correlator block was not materialized")
+    bad_r = (rows < 0) | (rows >= sol._G.shape[0])
+    bad_c = (cols < 0) | (cols >= sol._G.shape[1])
+    if bad_r.any() or bad_c.any():
+        # report the first offending pair in row-major order, as corr() would
+        a = 0 if bad_c.any() else int(np.argmax(bad_r))
+        b = 0 if bad_r[a] else int(np.argmax(bad_c))
+        raise IndexOutOfRange(
+            f"G({rows[a]},{cols[b]}) outside the materialized {sol._G.shape} block"
+        )
+    return sol._G[np.ix_(rows, cols)]
 
 
 def _check_pair(sol: BdGSolution, i: int, j: int) -> None:

@@ -20,7 +20,7 @@ all-``+1`` sector deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "plaquette_string_expectation_dual",
     "plaquette_pair_expectation_dual",
     "local_sx",
-    "StringMeasurement",
 ]
 
 
@@ -310,17 +309,3 @@ def plaquette_pair_expectation_dual(
     sol = _dual_chain_solution(model, ci, cache)
     i, j = sorted((k + 1, l + 1))
     return xx_correlator(sol, i, j)
-
-
-# ----------------------------------------------------------------------
-@dataclass
-class StringMeasurement:
-    """One measured string value with enough context to reproduce it."""
-
-    kind: str                # "sx_string" or "plaquette_string"
-    route: str               # "ed" or "dual"
-    value: float
-    g: float
-    h: float
-    lattice: LatticeSpec
-    details: dict = field(default_factory=dict)

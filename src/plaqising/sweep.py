@@ -336,6 +336,8 @@ class DualityCheckConfig:
 
 
 def run_duality_check(cfg: DualityCheckConfig) -> tuple[list[dict], dict]:
+    if cfg.boundary not in ("periodic", "open"):
+        raise InvalidSpec("boundary must be 'periodic' or 'open'")
     bnd = Boundary.PERIODIC if cfg.boundary == "periodic" else Boundary.OPEN
     hs = HamiltonianSpec(LatticeSpec(cfg.rows, cfg.cols, bnd), cfg.g, cfg.h)
     rep = duality_spectrum_check(hs, tol=cfg.tol,

@@ -27,9 +27,15 @@ from plaqising import (
     xx_correlator,
     zz_correlator,
 )
-from plaqising.errors import IndexOutOfRange
+from plaqising import freefermion
+from plaqising.errors import IndexOutOfRange, NumericalFailure
 from plaqising.ed import dense_matrix_from_terms
-from plaqising.freefermion import ParitySector, chain_terms
+from plaqising.freefermion import (
+    ParitySector,
+    _orthogonality_deviation,
+    _toeplitz_from,
+    chain_terms,
+)
 from plaqising.pauli import PauliString
 
 OPEN = ChainBoundary.OPEN_CHAIN
@@ -220,6 +226,79 @@ def test_truncated_correlator_block():
     bare = bdg_solve(spec, corr_size=0)
     with pytest.raises(InvalidSpec):
         bare.corr(0, 0)
+
+
+# ----------------------------------------------------------------------
+# Wick blocks: one gather must reproduce corr() entry for entry
+# ----------------------------------------------------------------------
+def corr_block(sol, rows, cols) -> np.ndarray:
+    return np.array([[sol.corr(i, j) for j in cols] for i in rows])
+
+
+@pytest.mark.parametrize("twist", [1, -1])
+@pytest.mark.parametrize("g_I", [0.6, 1.0, 1.4])
+def test_ring_wick_block_equals_corr(twist, g_I):
+    L = 12
+    sol = bdg_solve(TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist))
+    # windows inside the ring, across the wrap, and more than a turn away
+    for rows, cols in [
+        (range(0, 5), range(1, 6)),
+        (range(L - 4, L + 6), range(L - 4, L + 6)),
+        (range(-7, 3), range(2 * L - 3, 2 * L + 4)),
+    ]:
+        block = _toeplitz_from(sol, rows, cols)
+        assert np.array_equal(block, corr_block(sol, rows, cols))
+    # the segment determinant sees the identical matrix
+    rows = range(L - 5, L + 5)
+    sign, logdet = np.linalg.slogdet(corr_block(sol, rows, rows))
+    assert disorder_parameter(sol, 10, start=L - 4) == sign * math.exp(logdet)
+    assert np.array_equal(sol.G, corr_block(sol, range(L), range(L)))
+
+
+def test_open_wick_block_equals_corr():
+    sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=10)
+    for rows, cols in [(range(0, 9), range(1, 10)), (range(2, 10), range(0, 10))]:
+        assert np.array_equal(_toeplitz_from(sol, rows, cols),
+                              corr_block(sol, rows, cols))
+
+
+@pytest.mark.parametrize("rows,cols", [
+    ([0, 1], [1, 10]),     # column past the block
+    ([9, 10], [0, 1]),     # row past the block
+    ([-1, 0], [0, 1]),     # negative indices do not wrap
+    ([0, 1], [-2, 0]),
+])
+def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
+    sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=10)
+    with pytest.raises(IndexOutOfRange) as block_err:
+        _toeplitz_from(sol, rows, cols)
+    with pytest.raises(IndexOutOfRange) as corr_err:
+        corr_block(sol, rows, cols)
+    assert str(block_err.value) == str(corr_err.value)
+    bare = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=0)
+    with pytest.raises(InvalidSpec):
+        _toeplitz_from(bare, [0], [0])
+
+
+def test_orthogonality_deviation_matches_full_product():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    G = Q + 1e-9 * rng.standard_normal((40, 40))
+    full = np.abs(G @ G.T - np.eye(40)).max()
+    assert 1e-10 < full < 1e-8
+    assert abs(_orthogonality_deviation(G) - full) < 1e-14
+
+
+def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
+    exact = freefermion.scipy.linalg.eigh_tridiagonal
+
+    def noisy(d, e):
+        w, U = exact(d, e)
+        return w, U + 1e-6 * np.random.default_rng(5).standard_normal(U.shape)
+
+    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    with pytest.raises(NumericalFailure):
+        bdg_solve(TFIMChainSpec(12, OPEN, 1.5, scale=1.0))
 
 
 # ----------------------------------------------------------------------

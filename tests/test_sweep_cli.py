@@ -336,6 +336,24 @@ def test_cli_ini_bool_switches_literal_mode(tmp_path):
         "sector_resolved"] is False
 
 
+def test_cli_ini_misspelled_bool_is_bad_input(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[duality-check]\nsector-resolved = ture\n")
+    code = main(["duality-check", "--config", str(ini), "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "ture" in capsys.readouterr().err
+    assert not (tmp_path / "duality-check.csv").exists()
+
+
+def test_cli_ini_misspelled_boundary_is_bad_input(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[duality-check]\nboundary = periodc\n")
+    code = main(["duality-check", "--config", str(ini), "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "boundary" in capsys.readouterr().err
+    assert not (tmp_path / "duality-check.csv").exists()
+
+
 def test_cli_sweep_writes_parseable_csv(tmp_path):
     code = main(["sweep", "--rows", "3", "--cols", "3", "--steps", "3",
                  "--string-steps", "1", "--out", str(tmp_path)])
