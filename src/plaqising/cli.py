@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=".",
                        help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("sweep", help="string order parameters along g + h = 1")
     common(p)

@@ -39,7 +39,7 @@ from .ed import (
     gap_from_levels,
 )
 from .errors import InvalidSpec, NotMappable, TooLarge
-from .freefermion import TFIMChainSpec, chain_terms
+from .freefermion import TFIMChainSpec, bdg_solve, chain_terms
 from .lattice import (
     Boundary,
     ChainBoundary,
@@ -275,7 +275,6 @@ def map_operator(model: DualModel, ps) -> "PauliString":
             (c2, k2) = model.chain_of_plaquette(adj[1])
             if c1 != c2:
                 raise NotMappable(f"site {s} bridges two chains")
-            ell = model.chains[c1].spec.length
             a, b = offsets[c1] + k1, offsets[c1] + k2
             if a == b:  # doubled bond on a length-2 ring maps to identity
                 images.append(PauliString(()))
@@ -485,17 +484,6 @@ def duality_spectrum_check(
 # ----------------------------------------------------------------------
 # scalable 2D gap on the torus
 # ----------------------------------------------------------------------
-def _grid_energies(ell: int, g_I: float, h: float):
-    k_ap = np.pi * (2 * np.arange(ell) + 1) / ell
-    k_p = 2 * np.pi * np.arange(ell) / ell
-    disp = lambda k: 2 * h * np.sqrt((g_I - np.cos(k)) ** 2 + np.sin(k) ** 2)
-    eps_ap, eps_p = np.sort(disp(k_ap)), np.sort(disp(k_p))
-    evac_ap = -0.5 * float(eps_ap.sum())
-    evac_p = -0.5 * float(eps_p.sum())
-    pvac_p = 1 if g_I >= 1.0 else -1
-    return eps_ap, eps_p, evac_ap, evac_p, pvac_p
-
-
 def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     """Exact torus gap from the dual chains, for any lattice size.
 
@@ -515,9 +503,11 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     d = math.gcd(rows, cols)
     ell = (rows * cols) // d
     g_I = g / h
-    if ell == 1:
-        raise InvalidSpec("degenerate single-site chains")
-    eps_ap, eps_p, evac_ap, evac_p, pvac_p = _grid_energies(ell, g_I, h)
+    # untwisted ring: even grid antiperiodic, odd grid periodic
+    sol = bdg_solve(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN, g_I, h),
+                    corr_size=0)
+    eps_ap, eps_p = sol.eps_even, sol.eps_odd
+    evac_ap, evac_p, pvac_p = sol.evac_even, sol.evac_odd, sol.vacparity_odd_grid
 
     egs = {
         (1, 1): evac_ap,

@@ -78,6 +78,20 @@ def hamiltonian_terms(hs: HamiltonianSpec) -> list[tuple[float, PauliString]]:
 # ----------------------------------------------------------------------
 # matrix-free application
 # ----------------------------------------------------------------------
+def _pauli_kernel(ids: np.ndarray, ps: PauliString):
+    """The one bit kernel: ``P |b> = pref * signs[b] |perm[b]>`` for ``b`` in ``ids``.
+
+    ``perm = ids ^ flip`` and ``signs = (-1)^popcount(ids & sign_mask)``
+    (see :meth:`PauliString.masks`), so ``P v = pref * (signs * v)[perm]``.
+    """
+    flip, sign_mask, pref = ps.masks()
+    perm = ids ^ np.uint64(flip)
+    signs = 1.0 - 2.0 * (
+        np.bitwise_count(ids & np.uint64(sign_mask)) & np.uint64(1)
+    ).astype(np.float64)
+    return perm, signs, pref
+
+
 def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
     """Apply one Pauli string to a state vector (new array, input untouched)."""
     v = np.asarray(v)
@@ -85,18 +99,15 @@ def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise DimensionMismatch(f"state length {dim} is not a power of two")
-    flip, sign_mask, pref = ps.masks()
     if ps.factors and max(s for s, _ in ps.factors) >= n:
         raise SiteOutOfRange(
             f"operator touches site {max(s for s, _ in ps.factors)} "
             f"but the state has only {n} spins"
         )
-    ids = np.arange(dim, dtype=np.uint64)
-    perm = ids ^ np.uint64(flip)
-    signs = 1.0 - 2.0 * (np.bitwise_count(perm & np.uint64(sign_mask)) & np.uint64(1)).astype(np.float64)
+    perm, signs, pref = _pauli_kernel(np.arange(dim, dtype=np.uint64), ps)
     if pref.imag == 0.0 and not np.iscomplexobj(v):
-        return pref.real * signs * v[perm]
-    return pref * signs * v[perm]
+        pref = pref.real
+    return pref * (signs * v)[perm]
 
 
 class HamiltonianOperator:
@@ -127,13 +138,9 @@ class HamiltonianOperator:
         ids = np.arange(self.dim, dtype=np.uint64)
         self._applied: list[tuple[np.ndarray, np.ndarray]] = []
         for coeff, ps in terms:
-            flip, sign_mask, pref = ps.masks()
+            perm, signs, pref = _pauli_kernel(ids, ps)
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
-            perm = ids ^ np.uint64(flip)
-            signs = 1.0 - 2.0 * (
-                np.bitwise_count(ids & np.uint64(sign_mask)) & np.uint64(1)
-            ).astype(np.float64)
             self._applied.append((perm, coeff * pref.real * signs))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -258,8 +265,6 @@ def _lanczos(
         if j + 1 >= max_iter:
             break
         V[j + 1] = w / b
-    else:  # pragma: no cover
-        pass
 
     theta, s = ritz if ritz is not None else scipy.linalg.eigh_tridiagonal(
         np.array(alphas), np.array(betas[: len(alphas) - 1])
@@ -290,11 +295,12 @@ def _lanczos(
 def ground_spectrum(
     hs: HamiltonianSpec, k: int = 2, want_vectors: bool = False
 ) -> SpectrumResult:
-    """Lowest ``k`` eigenvalues (dense below 13 spins, Lanczos up to 20).
+    """The ``k`` lowest levels (dense below 13 spins, Lanczos up to 20).
 
-    The gap is degeneracy-tolerant: levels within 1e-8 of E0 are treated as
-    one ground band (on tori the topological ground multiplet splits only
-    exponentially and must not pollute the gap).
+    See :func:`operator_ground_spectrum` for what "levels" means on each
+    path.  The gap is degeneracy-tolerant: levels within 1e-8 of E0 are
+    treated as one ground band (on tori the topological ground multiplet
+    splits only exponentially and must not pollute the gap).
     """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
@@ -307,7 +313,14 @@ def ground_spectrum(
 def operator_ground_spectrum(
     op: HamiltonianOperator, k: int = 2, want_vectors: bool = False
 ) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs of a precompiled operator (dense or Lanczos)."""
+    """The ``k`` lowest levels of a precompiled operator (dense or Lanczos).
+
+    The dense path (``n <= DENSE_GROUND_SPINS``) returns the lowest ``k``
+    eigenvalues with multiplicity.  The Lanczos path returns the ``k`` lowest
+    distinct Ritz values: one start vector finds one copy of each degenerate
+    level, so multiplicities are lost.  The lowest level and the gap agree
+    on both paths.
+    """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
     if op.n > LANCZOS_MAX_SPINS:
@@ -347,28 +360,13 @@ def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     )
 
 
-# ----------------------------------------------------------------------
-# generic dense helper for arbitrary real Pauli-term Hamiltonians
-# (used by the duality module for the 1D chains)
-# ----------------------------------------------------------------------
 def dense_matrix_from_terms(
     n: int, terms: list[tuple[float, PauliString]]
 ) -> np.ndarray:
-    dim = 1 << n
+    """Dense matrix of an arbitrary real Pauli-term sum (n <= 14 spins)."""
     if n > DENSE_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    H = np.zeros((dim, dim))
-    ids = np.arange(dim, dtype=np.uint64)
-    for coeff, ps in terms:
-        flip, sign_mask, pref = ps.masks()
-        if pref.imag != 0.0:
-            raise InvalidSpec("dense helper expects real terms")
-        perm = ids ^ np.uint64(flip)
-        signs = 1.0 - 2.0 * (
-            np.bitwise_count(ids & np.uint64(sign_mask)) & np.uint64(1)
-        ).astype(np.float64)
-        H[perm, ids] += coeff * pref.real * signs
-    return H
+    return HamiltonianOperator.from_terms(n, terms).dense()
 
 
 def expectation(v: np.ndarray, ps: PauliString) -> complex:

@@ -144,8 +144,9 @@ class BdGSolution:
     ``G(i,j) = <B_i A_j>`` of the corresponding Gaussian vacuum; for long
     open chains solved with ``corr_size = m`` only the leading ``m x m``
     block is materialized.  For periodic chains both grids are retained
-    (``eps_even``/``eps_odd`` with vacuum energies and parities) so many-body
-    levels of both spin-parity blocks can be reconstructed.
+    (``eps_even``/``eps_odd``, sorted, with vacuum energies summed over the
+    sorted grids and vacuum parities) so many-body levels of both spin-parity
+    blocks can be reconstructed.
     """
 
     chain: TFIMChainSpec
@@ -160,6 +161,7 @@ class BdGSolution:
     eps_odd: np.ndarray | None = None    # periodic grid (odd spin parity)
     evac_even: float | None = None
     evac_odd: float | None = None
+    vacparity_even_grid: int | None = None
     vacparity_odd_grid: int | None = None
 
     @property
@@ -217,10 +219,10 @@ def _orthogonality_deviation(G: np.ndarray) -> float:
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
     """Solve one chain: mode energies and ground-sector Majorana correlator.
 
-    ``corr_size``: for open chains, materialize only the leading block
-    ``G[:m, :m]`` (``m = corr_size``); ``0`` skips the correlator entirely
-    (energies only); ``None`` builds the full matrix.  Ignored for periodic
-    chains, whose correlator is a one-dimensional momentum sum anyway.
+    ``corr_size = 0`` skips the correlator entirely (energies only, on open
+    chains and rings alike).  Otherwise open chains materialize the leading
+    block ``G[:m, :m]`` (``m = corr_size``; ``None`` builds the full matrix),
+    and rings store one correlator row from an FFT, whatever ``m``.
     """
     if chain.zero_field:
         raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
@@ -303,60 +305,57 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         )
 
     # periodic chain: antiperiodic grid for the even spin-parity block,
-    # periodic grid for the odd block; a twist swaps the two roles.
+    # periodic grid for the odd block; a twist swaps the two roles.  The
+    # antiperiodic vacuum has parity +1; on the periodic grid the unpaired
+    # k = 0 mode has energy 2h(g - 1), so that vacuum is odd below g = 1.
     k_ap = np.pi * (2 * np.arange(L) + 1) / L
     k_p = 2 * np.pi * np.arange(L) / L
-    disp = lambda k: 2 * h * np.sqrt((g - np.cos(k)) ** 2 + np.sin(k) ** 2)
-    eps_ap, eps_p = disp(k_ap), disp(k_p)
-    evac_ap, evac_p = -0.5 * float(eps_ap.sum()), -0.5 * float(eps_p.sum())
-    pvac_p = 1 if g >= 1.0 else -1  # sign of the unpaired k=0 mode energy
+    (k_even, pv_even), (k_odd, pv_odd) = (k_ap, 1), (k_p, 1 if g >= 1.0 else -1)
+    if chain.twist == -1:
+        (k_even, pv_even), (k_odd, pv_odd) = (k_odd, pv_odd), (k_even, pv_even)
+    modes = lambda k: np.sort(2 * h * np.sqrt((g - np.cos(k)) ** 2 + np.sin(k) ** 2))
+    eps_even, eps_odd = modes(k_even), modes(k_odd)
+    evac_even, evac_odd = -0.5 * float(eps_even.sum()), -0.5 * float(eps_odd.sum())
 
-    if chain.twist == 1:
-        eps_even, evac_even = eps_ap, evac_ap
-        eps_odd, evac_odd, pv_odd = eps_p, evac_p, pvac_p
-        grid_even = k_ap
-    else:
-        eps_even, evac_even = eps_p, evac_p
-        eps_odd, evac_odd, pv_odd = eps_ap, evac_ap, 1
-        grid_even = k_p
-
-    # ground state: even-block vacuum (parity +1 there by construction except
-    # for the twisted/periodic-grid case, where an unpaired negative mode may
-    # make the vacuum odd and the even ground state costs one extra fermion)
-    pvac_even = 1 if chain.twist == 1 else pvac_p
-    e_even_gs = evac_even + (0.0 if pvac_even == 1 else float(np.min(eps_even)))
-    e_odd_gs = evac_odd + (0.0 if pv_odd == -1 else float(np.min(eps_odd)))
+    # ground state of each block: its vacuum if that has the block's parity,
+    # else the vacuum plus the cheapest fermion
+    e_even_gs = evac_even + (0.0 if pv_even == 1 else float(eps_even[0]))
+    e_odd_gs = evac_odd + (0.0 if pv_odd == -1 else float(eps_odd[0]))
     if e_even_gs <= e_odd_gs:
         sector = ParitySector.EVEN
         ground = e_even_gs
     else:
         sector = ParitySector.ODD
         ground = e_odd_gs
+    return BdGSolution(
+        chain=chain,
+        energies=eps_even,
+        ground_energy=ground,
+        parity_sector=sector,
+        _gvec=None if corr_size == 0 else _ring_gvec(g, k_even),
+        _gvec_wrap_sign=(-1 if chain.twist == 1 else 1),
+        eps_even=eps_even,
+        eps_odd=eps_odd,
+        evac_even=evac_even,
+        evac_odd=evac_odd,
+        vacparity_even_grid=pv_even,
+        vacparity_odd_grid=pv_odd,
+    )
 
-    # Majorana correlator of the even-block vacuum via one inverse FFT:
-    # G(i, i+r) = (1/L) sum_k e^{ikr} (g - e^{-ik}) / |g - e^{-ik}|
-    z = g - np.exp(-1j * grid_even)
+
+def _ring_gvec(g: float, k: np.ndarray) -> np.ndarray:
+    """Majorana correlator row ``G(i, i+r)`` of the vacuum on the grid ``k``,
+    via one inverse FFT:
+    ``G(i, i+r) = (1/L) sum_k e^{ikr} (g - e^{-ik}) / |g - e^{-ik}|``."""
+    z = g - np.exp(-1j * k)
     az = np.abs(z)
     if np.any(az < 1e-15):
         f = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
     else:
         f = z / az
     base = np.fft.ifft(f)  # index r: (1/L) sum_m e^{2 pi i m r / L} f_m
-    phase = np.exp(1j * grid_even[0] * np.arange(L))  # grid_even[0] is the k-offset
-    gvec = np.real(phase * base)
-    return BdGSolution(
-        chain=chain,
-        energies=np.sort(eps_even),
-        ground_energy=ground,
-        parity_sector=sector,
-        _gvec=gvec,
-        _gvec_wrap_sign=(-1 if chain.twist == 1 else 1),
-        eps_even=np.sort(eps_even),
-        eps_odd=np.sort(eps_odd),
-        evac_even=evac_even,
-        evac_odd=evac_odd,
-        vacparity_odd_grid=pv_odd,
-    )
+    phase = np.exp(1j * k[0] * np.arange(len(k)))  # k[0] is the grid offset
+    return np.real(phase * base)
 
 
 # ----------------------------------------------------------------------
@@ -390,11 +389,9 @@ def ring_sector_levels(
         return np.array([-hg]) if spin_parity == 1 else np.array([+hg])
     sol = bdg_solve(chain, corr_size=0)
     if spin_parity == 1:
-        eps, evac = sol.eps_even, sol.evac_even
-        pvac = 1 if chain.twist == 1 else (1 if chain.g_I >= 1 else -1)
+        eps, evac, pvac = sol.eps_even, sol.evac_even, sol.vacparity_even_grid
     else:
-        eps, evac = sol.eps_odd, sol.evac_odd
-        pvac = sol.vacparity_odd_grid
+        eps, evac, pvac = sol.eps_odd, sol.evac_odd, sol.vacparity_odd_grid
     even_s, odd_s = _sums_by_count_parity(eps)
     sums = even_s if pvac == spin_parity else odd_s
     return np.sort(evac + sums)
@@ -438,9 +435,8 @@ def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
     if chain.length == 1:
         return 2 * chain.scale * chain.g_I
     sol = bdg_solve(chain, corr_size=0)
-    pv_even = 1 if chain.twist == 1 else (1 if chain.g_I >= 1 else -1)
     levels = np.concatenate([
-        _lowest_block_levels(sol.eps_even, sol.evac_even, pv_even, +1),
+        _lowest_block_levels(sol.eps_even, sol.evac_even, sol.vacparity_even_grid, +1),
         _lowest_block_levels(sol.eps_odd, sol.evac_odd, sol.vacparity_odd_grid, -1),
     ])
     levels = np.sort(levels)

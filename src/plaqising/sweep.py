@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from .freefermion import (
     bdg_solve,
     disorder_parameter,
     magnetization_x,
-    manybody_gap,
     xx_correlator,
     zz_correlator,
 )
@@ -83,14 +81,6 @@ def fit_powerlaw(x: np.ndarray, y: np.ndarray) -> dict:
     }
 
 
-def _parallel(fn, items, threads: int):
-    """Map preserving order; single-threaded when threads <= 1."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # coupling sweep across the phase diagram (torus string observables)
 # ----------------------------------------------------------------------
@@ -104,7 +94,6 @@ class CouplingSweepConfig:
     route: str = "ed"             # "ed" (any coupling) or "dual" (needs h > 0)
     start_row: int | None = None  # string anchors; defaults pick an interior
     start_col: int | None = None  #   diagonal that stays on bond sites
-    threads: int = 1
     bias: float | None = None
     endpoint_tol: float = 1e-8    # exact limits expected at g = 0 and h = 0
 
@@ -147,7 +136,7 @@ def run_coupling_sweep(cfg: CouplingSweepConfig) -> tuple[list[dict], dict]:
         raise InvalidSpec("a sweep needs at least two points")
     if cfg.route not in ("ed", "dual"):
         raise InvalidSpec("route must be 'ed' or 'dual'")
-    rows = _parallel(lambda t: _sweep_point(cfg, t), range(cfg.steps), cfg.threads)
+    rows = [_sweep_point(cfg, t) for t in range(cfg.steps)]
     phi1 = [r["phi1"] for r in rows]
     phi2 = [r["phi2"] for r in rows]
     tol = cfg.endpoint_tol
@@ -185,7 +174,6 @@ class GapScalingConfig:
     g: float = 1.0
     h: float = 1.0
     ed_sizes: tuple[int, ...] = ()   # small tori re-checked by exact diagonalization
-    threads: int = 1
     ed_tol: float = 1e-8             # agreement required from the ED cross-check
     slope_band: float = 0.1          # fitted slope must sit in -1 +- slope_band
 
@@ -276,7 +264,6 @@ class ExponentsConfig:
     disordered_grid: tuple[float, ...] = (1.02, 1.05, 1.09, 1.13, 1.17, 1.21, 1.25)
     string_length: int = 1200       # tx string length on the open chain
     corr_margin: int = 100
-    threads: int = 1
     beta1_tol: float = 0.03         # allowed deviation from the exact 1/4
     beta2_tol: float = 0.02         # allowed deviation from the exact 1/8
 
@@ -300,10 +287,8 @@ def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
         raise InvalidSpec("plateau separation must stay below half the ring")
     if cfg.string_length + cfg.corr_margin > cfg.length:
         raise InvalidSpec("string length plus margin exceeds the chain")
-    ordered = _parallel(lambda g: _ordered_point(cfg, g), cfg.ordered_grid,
-                        cfg.threads)
-    disordered = _parallel(lambda g: _disordered_point(cfg, g),
-                           cfg.disordered_grid, cfg.threads)
+    ordered = [_ordered_point(cfg, g) for g in cfg.ordered_grid]
+    disordered = [_disordered_point(cfg, g) for g in cfg.disordered_grid]
     rows = ordered + disordered
     fit1 = fit_powerlaw([r["abscissa"] for r in ordered],
                         [r["value"] for r in ordered])
@@ -314,6 +299,17 @@ def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
         "beta2": fit2["slope"], "beta2_fit": fit2,
         "beta1_reference": 0.25, "beta2_reference": 0.125,
     }
+    # report only, outside the verdict: each branch against Pfeuty's closed
+    # forms (1 - g^2)^(1/4) and (1 - g^-2)^(1/8), and the slopes fitted
+    # against those exact scaling variables instead of 1 - g and g - 1
+    v1 = np.array([r["value"] for r in ordered])
+    v2 = np.array([r["value"] for r in disordered])
+    x1 = 1.0 - np.array([r["g_I"] for r in ordered]) ** 2
+    x2 = 1.0 - np.array([r["g_I"] for r in disordered]) ** -2.0
+    meta["beta1_closed_form_max_rel_dev"] = float(np.max(np.abs(v1 / x1**0.25 - 1.0)))
+    meta["beta2_closed_form_max_rel_dev"] = float(np.max(np.abs(v2 / x2**0.125 - 1.0)))
+    meta["beta1_exact_variable"] = fit_powerlaw(x1, v1)["slope"]
+    meta["beta2_exact_variable"] = fit_powerlaw(x2, v2)["slope"]
     meta["passed"] = (
         abs(fit1["slope"] - 0.25) <= cfg.beta1_tol
         and abs(fit2["slope"] - 0.125) <= cfg.beta2_tol

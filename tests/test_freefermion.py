@@ -140,15 +140,36 @@ def test_ring_sector_union_is_full_spectrum():
     np.testing.assert_allclose(union, manybody_levels(spec), atol=1e-10)
 
 
-@pytest.mark.parametrize("boundary", [OPEN, RING])
+@pytest.mark.parametrize("boundary,twist", [
+    pytest.param(OPEN, 1, id=str(OPEN)),
+    pytest.param(RING, 1, id=str(RING)),
+    pytest.param(RING, -1, id=f"{RING}-twisted"),
+])
 @pytest.mark.parametrize("g_I", [0.2, 0.9, 1.0, 1.8])
-def test_manybody_gap_matches_dense(boundary, g_I):
-    spec = TFIMChainSpec(7, boundary, g_I, scale=1.0)
+def test_manybody_gap_matches_dense(boundary, twist, g_I):
+    spec = TFIMChainSpec(7, boundary, g_I, scale=1.0, twist=twist)
     levels = dense_levels(spec)
     # collapse the (near-)degenerate ground band the same way the solver does
     above = levels[levels > levels[0] + 1e-8]
     dense_gap = above[0] - levels[0]
     assert abs(manybody_gap(spec) - dense_gap) < 1e-8
+
+
+@pytest.mark.parametrize("twist", [1, -1])
+def test_ring_energies_only_solve(twist):
+    # corr_size = 0 on a ring skips the correlator but keeps every energy
+    spec = TFIMChainSpec(6, RING, 0.7, scale=1.3, twist=twist)
+    full, bare = bdg_solve(spec), bdg_solve(spec, corr_size=0)
+    for name in ("energies", "eps_even", "eps_odd"):
+        np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
+    for name in ("ground_energy", "evac_even", "evac_odd", "parity_sector",
+                 "vacparity_even_grid", "vacparity_odd_grid"):
+        assert getattr(bare, name) == getattr(full, name), name
+    assert abs(bare.ground_energy - dense_levels(spec)[0]) < 1e-10
+    with pytest.raises(InvalidSpec):
+        bare.corr(0, 1)
+    with pytest.raises(InvalidSpec):
+        zz_correlator(bare, 1, 2)
 
 
 def test_single_site_chain():

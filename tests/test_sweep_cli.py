@@ -110,13 +110,6 @@ def test_coupling_sweep_dual_route_matches_ed():
         assert math.isnan(b["energy"])  # no state is built on this route
 
 
-def test_coupling_sweep_threads_preserve_order():
-    kw = dict(rows=3, cols=3, steps=5, string_steps=1, route="dual")
-    serial, _ = run_coupling_sweep(CouplingSweepConfig(**kw))
-    threaded, _ = run_coupling_sweep(CouplingSweepConfig(threads=3, **kw))
-    assert serial == threaded
-
-
 def test_coupling_sweep_validation():
     with pytest.raises(InvalidSpec):
         run_coupling_sweep(CouplingSweepConfig(steps=1))
@@ -191,6 +184,14 @@ def test_exponents_small_chains():
     assert len(ordered) == len(disordered) == 3
     assert all(0 < r["value"] < 1 for r in rows)
     assert all(r["abscissa"] > 0 for r in rows)
+    # report-only closed-form checks: present and finite, outside the verdict
+    for key in ("beta1_closed_form_max_rel_dev", "beta2_closed_form_max_rel_dev",
+                "beta1_exact_variable", "beta2_exact_variable"):
+        assert math.isfinite(meta[key]), key
+    assert 0 <= meta["beta1_closed_form_max_rel_dev"] < 1e-3
+    assert 0 <= meta["beta2_closed_form_max_rel_dev"] < 1e-3
+    assert meta["beta1_exact_variable"] == pytest.approx(0.25, abs=1e-3)
+    assert meta["beta2_exact_variable"] == pytest.approx(0.125, abs=1e-3)
 
 
 def test_exponents_validation():
@@ -251,6 +252,17 @@ def test_cli_bad_input_exit_codes(tmp_path, capsys):
     assert main(["crit-corr", "--config", str(bad),
                  "--out", str(tmp_path)]) == EXIT_BAD_INPUT
     assert "lenght" in capsys.readouterr().err
+
+
+def test_cli_has_no_threads_option(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--threads" not in capsys.readouterr().out
+    ini = tmp_path / "threads.ini"
+    ini.write_text("[sweep]\nthreads = 2\n")
+    assert main(["sweep", "--config", str(ini),
+                 "--out", str(tmp_path)]) == EXIT_BAD_INPUT
+    assert "threads" in capsys.readouterr().err
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):
