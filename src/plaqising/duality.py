@@ -26,7 +26,7 @@ The union over sectors reproduces the full 2D spectrum with multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -87,6 +87,13 @@ class DualModel:
     chains: tuple[DualChain, ...]
     free_sites: tuple[int, ...]
     n_diagonals: int
+    # plaquette base -> (chain index, position), derived from ``chains``
+    _position: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_position", {
+            b: (ci, k) for ci, ch in enumerate(self.chains)
+            for k, b in enumerate(ch.plaquette_bases)})
 
     @property
     def g_I(self) -> float:
@@ -96,10 +103,10 @@ class DualModel:
 
     def chain_of_plaquette(self, base_site: int) -> tuple[int, int]:
         """(chain index, position) of the plaquette based at ``base_site``."""
-        for ci, ch in enumerate(self.chains):
-            if base_site in ch.plaquette_bases:
-                return ci, ch.plaquette_bases.index(base_site)
-        raise InvalidSpec(f"no plaquette based at site {base_site}")
+        try:
+            return self._position[base_site]
+        except KeyError:
+            raise InvalidSpec(f"no plaquette based at site {base_site}") from None
 
 
 def _chain_spec(length: int, boundary: ChainBoundary, g: float, h: float,
@@ -112,9 +119,8 @@ def _chain_spec(length: int, boundary: ChainBoundary, g: float, h: float,
 def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
     """Decompose the 2D model into its dual chains (all-``+1`` sector copy)."""
     spec = hs.lattice
-    plaqs = enumerate_plaquettes(spec)
     decomp = chain_decompose(spec)
-    base_of = [p.base_site for p in plaqs]
+    base_of = [p.base_site for p in decomp.plaquettes]
 
     if spec.boundary is Boundary.PERIODIC:
         d = math.gcd(spec.rows, spec.cols)
@@ -252,7 +258,6 @@ def map_operator(model: DualModel, ps) -> "PauliString":
     only up to conserved chain parities; a generator itself always returns
     its defining image, and composites use a fixed elimination order.
     """
-    from .ed import hamiltonian_terms  # local import to avoid cycles
     from .pauli import PauliString
 
     spec = model.lattice

@@ -91,22 +91,16 @@ def enumerate_plaquettes(spec: LatticeSpec) -> list[Plaquette]:
         raise DegenerateLattice(
             f"periodic {spec.rows}x{spec.cols}: plaquette corners would coincide"
         )
+    n, m = spec.rows, spec.cols
+    if spec.boundary is Boundary.OPEN:
+        n, m = n - 1, m - 1
     out = []
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            if not spec.plaquette_base_exists(r, c):
-                continue
-            corners = (
-                spec.site_index(r, c),
-                spec.site_index(r, c + 1),
-                spec.site_index(r + 1, c + 1),
-                spec.site_index(r + 1, c),
-            )
-            if len(set(corners)) != 4:
-                raise DegenerateLattice(
-                    f"plaquette at ({r},{c}) touches a site twice"
-                )
-            out.append(Plaquette(base_site=corners[0], corner_sites=corners))
+    for r in range(n):
+        row, up = r * spec.cols, ((r + 1) % spec.rows) * spec.cols
+        for c in range(m):
+            c1 = (c + 1) % spec.cols
+            corners = (row + c, row + c1, up + c1, up + c)
+            out.append(Plaquette(base_site=row + c, corner_sites=corners))
     return out
 
 
@@ -129,56 +123,44 @@ class ChainDecomposition:
         return tuple(len(ch) for ch in self.chains)
 
 
-def _step(spec: LatticeSpec, r: int, c: int) -> tuple[int, int]:
-    """One chain step: plaquette base (r,c) -> (r-1, c+1), wrapped if periodic."""
-    if spec.boundary is Boundary.PERIODIC:
-        return (r - 1) % spec.rows, (c + 1) % spec.cols
-    return r - 1, c + 1
-
-
 def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
     """Split the plaquettes into maximal chains along ``e_x - e_y``.
 
     Open lattices: each chain starts at the plaquette with no predecessor
     (its ``(r+1, c-1)`` neighbour is off-lattice) and walks until the step
     leaves the lattice.  Periodic lattices: chains are the wrapped diagonal
-    orbits; there are ``gcd(N, M)`` of them, each of length ``lcm(N, M)``
-    (computed by cycle-walking, not assumed).  Chains are listed by their
-    smallest member base site; determinism is structural.
+    orbits; there are ``d = gcd(N, M)`` of them, each of length
+    ``lcm(N, M)``.  Chain ``a < d`` starts at base ``(0, a)`` and its ``k``-th
+    member is ``((-k) mod N, (a + k) mod M)``; the coverage check below still
+    verifies that the closed form partitions the plaquettes.  Chains are
+    listed by their smallest member base site; determinism is structural.
     """
     plaqs = enumerate_plaquettes(spec)
-    index_of = {p.base_site: k for k, p in enumerate(plaqs)}
     seen: set[int] = set()
     raw_chains: list[list[int]] = []
     boundaries: list[ChainBoundary] = []
 
     if spec.boundary is Boundary.OPEN:
-        for k, p in enumerate(plaqs):
+        index_of = {p.base_site: k for k, p in enumerate(plaqs)}
+        for p in plaqs:
             r, c = spec.site_rc(p.base_site)
             if spec.plaquette_base_exists(r + 1, c - 1):
                 continue  # has a predecessor; not a chain head
             chain = []
             while spec.plaquette_base_exists(r, c):
                 chain.append(index_of[spec.site_index(r, c)])
-                r, c = _step(spec, r, c)
+                r, c = r - 1, c + 1
             raw_chains.append(chain)
             boundaries.append(ChainBoundary.OPEN_CHAIN)
             seen.update(chain)
     else:
-        for k, p in enumerate(plaqs):
-            if k in seen:
-                continue
-            r0, c0 = spec.site_rc(p.base_site)
-            chain = []
-            r, c = r0, c0
-            while True:
-                chain.append(index_of[spec.site_index(r, c)])
-                r, c = _step(spec, r, c)
-                if (r, c) == (r0, c0):
-                    break
-            raw_chains.append(chain)
-            boundaries.append(ChainBoundary.PERIODIC_CHAIN)
-            seen.update(chain)
+        # every site is a base, so plaquette index == base site
+        n, m = spec.rows, spec.cols
+        d = math.gcd(n, m)
+        raw_chains = [[((-k) % n) * m + (a + k) % m for k in range(n * m // d)]
+                      for a in range(d)]
+        boundaries = [ChainBoundary.PERIODIC_CHAIN] * d
+        seen.update(*raw_chains)
 
     if len(seen) != len(plaqs):
         raise InvalidSpec("chain decomposition did not cover every plaquette")
@@ -234,21 +216,24 @@ def site_diagonals(spec: LatticeSpec) -> list[tuple[int, ...]]:
     operator and every sx, so these label conserved sectors.
     """
     n, m = spec.rows, spec.cols
-    if spec.boundary is Boundary.OPEN:
-        diags: list[list[int]] = [[] for _ in range(n + m - 1)]
-        for r in range(n):
-            for c in range(m):
-                diags[r + c].append(spec.site_index(r, c))
-        return [tuple(d) for d in diags]
-    d = math.gcd(n, m)
-    diags = [[] for _ in range(d)]
+    count = expected_chain_count(spec)["site_diagonals"]
+    diags: list[list[int]] = [[] for _ in range(count)]
     for r in range(n):
         for c in range(m):
-            diags[(r + c) % d].append(spec.site_index(r, c))
-    return [tuple(sorted(di)) for di in diags]
+            diags[(r + c) % count].append(r * m + c)  # wraps only on a torus
+    return [tuple(d) for d in diags]
 
 
 def diagonal_loop_operator(spec: LatticeSpec, which: int) -> PauliString:
-    """sx product over one anti-diagonal site family (a conserved loop/line)."""
-    fams = site_diagonals(spec)
-    return PauliString(tuple((s, "X") for s in fams[which]))
+    """sx product over one anti-diagonal site family (a conserved loop/line).
+
+    Same family as ``site_diagonals(spec)[which]``, selected directly:
+    ``(r + c) mod gcd(N, M) == which`` on a torus, ``r + c == which`` on an
+    open lattice, in row-major order.
+    """
+    n, m = spec.rows, spec.cols
+    count = expected_chain_count(spec)["site_diagonals"]
+    if not 0 <= which < count:
+        raise InvalidSpec(f"diagonal {which} outside 0..{count - 1}")
+    return PauliString(tuple((r * m + c, "X") for r in range(n) for c in range(m)
+                             if (r + c) % count == which))

@@ -195,6 +195,15 @@ def local_sx(state: np.ndarray, n_spins: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # dual (free-fermion) route, torus only
 # ----------------------------------------------------------------------
+def _dual_model(hs: HamiltonianSpec, cache: dict | None) -> DualModel:
+    """The dual model of ``hs``, built once per ``cache`` (one sweep point)."""
+    if cache is None:
+        return map_hamiltonian(hs)
+    if "model" not in cache:
+        cache["model"] = map_hamiltonian(hs)
+    return cache["model"]
+
+
 def _dual_chain_solution(model: DualModel, ci: int, cache: dict | None = None) -> BdGSolution:
     if cache is not None and ci in cache:
         return cache[ci]
@@ -255,7 +264,7 @@ def sx_string_expectation_dual(
     """
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
-    model = map_hamiltonian(hs)
+    model = _dual_model(hs, _cache)
     ci, start = _segment_bond_positions(model, seg)
     ell = model.chains[ci].spec.length
     r = seg.n_steps + 1
@@ -275,7 +284,7 @@ def plaquette_string_expectation_dual(
     """Ground-sector ``<prod F>`` via the dual disorder determinant."""
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
-    model = map_hamiltonian(hs)
+    model = _dual_model(hs, _cache)
     spec = hs.lattice
     base = spec.site_index(start_row, start_col)
     ci, k = model.chain_of_plaquette(base)
@@ -296,7 +305,7 @@ def plaquette_pair_expectation_dual(
     of magnetizations (different chains decouple exactly)."""
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual evaluation needs the torus chains")
-    model = map_hamiltonian(hs)
+    model = _dual_model(hs, _cache)
     ci, k = model.chain_of_plaquette(base_p)
     cj, l = model.chain_of_plaquette(base_q)
     cache = _cache if _cache is not None else {}

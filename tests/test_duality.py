@@ -102,10 +102,30 @@ def test_zero_field_map_produces_free_spin_chains():
 
 
 def test_chain_of_plaquette_lookup():
-    model = map_hamiltonian(torus(3, 3))
-    for ci, ch in enumerate(model.chains):
-        for k, base in enumerate(ch.plaquette_bases):
-            assert model.chain_of_plaquette(base) == (ci, k)
+    # 4x6 torus: d = 2 chains; 4x5 open lattice: chains of unequal length
+    for hs in (torus(3, 3), torus(4, 6), open_lat(4, 5)):
+        model = map_hamiltonian(hs)
+        for ci, ch in enumerate(model.chains):
+            for k, base in enumerate(ch.plaquette_bases):
+                assert model.chain_of_plaquette(base) == (ci, k)
+        assert sum(len(ch.plaquette_bases) for ch in model.chains) == \
+            len(enumerate_plaquettes(hs.lattice))
+
+
+def test_chain_of_plaquette_rejects_a_non_base_site():
+    hs = open_lat(4, 5)
+    model = map_hamiltonian(hs)
+    with pytest.raises(InvalidSpec):
+        model.chain_of_plaquette(hs.lattice.site_index(1, 4))  # last column
+
+
+@pytest.mark.parametrize("hs", [torus(4, 6, 0.7, 1.3), open_lat(4, 5, 0.7, 1.3)])
+def test_equal_models_compare_and_hash_equal(hs):
+    a, b = map_hamiltonian(hs), map_hamiltonian(hs)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert "_position" not in repr(a)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plaqising import (
     Boundary,
@@ -18,7 +18,7 @@ from plaqising import (
     site_adjacent_plaquettes,
     site_diagonals,
 )
-from plaqising.pauli import sigma_x
+from plaqising.pauli import PauliString, sigma_x
 
 sizes = st.integers(min_value=2, max_value=6)
 torus_sizes = st.integers(min_value=3, max_value=6)
@@ -153,3 +153,77 @@ def test_site_diagonal_counts():
     }
     torus = LatticeSpec(4, 6, Boundary.PERIODIC)
     assert len(site_diagonals(torus)) == 2
+
+
+# ----------------------------------------------------------------------
+# exact layouts against reference constructions
+# ----------------------------------------------------------------------
+layout_sizes = st.integers(min_value=3, max_value=9)
+
+
+def _reference_torus_chains(n, m):
+    """Cycle walk: from each unseen base in row-major order, step (r-1, c+1)."""
+    seen, chains = set(), []
+    for r0 in range(n):
+        for c0 in range(m):
+            if r0 * m + c0 in seen:
+                continue
+            chain, r, c = [], r0, c0
+            while r * m + c not in seen:
+                seen.add(r * m + c)
+                chain.append(r * m + c)
+                r, c = (r - 1) % n, (c + 1) % m
+            chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def _reference_plaquettes(spec):
+    out = []
+    for r in range(spec.rows):
+        for c in range(spec.cols):
+            if spec.plaquette_base_exists(r, c):
+                corners = (spec.site_index(r, c), spec.site_index(r, c + 1),
+                           spec.site_index(r + 1, c + 1), spec.site_index(r + 1, c))
+                out.append((corners[0], corners))
+    return out
+
+
+@given(layout_sizes, layout_sizes)
+@example(4, 5)  # gcd 1: one ring
+@example(6, 9)  # gcd 3
+@example(8, 8)  # gcd 8: every chain has length 8
+def test_torus_chains_equal_the_reference_cycle_walk(n, m):
+    dec = chain_decompose(LatticeSpec(n, m, Boundary.PERIODIC))
+    assert dec.chains == _reference_torus_chains(n, m)
+    firsts = [ch[0] for ch in dec.chains]
+    assert firsts == [min(ch) for ch in dec.chains] == sorted(firsts)
+
+
+@given(layout_sizes, layout_sizes)
+def test_torus_plaquettes_equal_the_site_index_reference(n, m):
+    spec = LatticeSpec(n, m, Boundary.PERIODIC)
+    got = [(p.base_site, p.corner_sites) for p in enumerate_plaquettes(spec)]
+    assert got == _reference_plaquettes(spec)
+
+
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7))
+def test_open_plaquettes_equal_the_site_index_reference(n, m):
+    spec = LatticeSpec(n, m, Boundary.OPEN)
+    got = [(p.base_site, p.corner_sites) for p in enumerate_plaquettes(spec)]
+    assert got == _reference_plaquettes(spec)
+
+
+@pytest.mark.parametrize(
+    "n,m,boundary",
+    [(3, 3, Boundary.PERIODIC), (4, 6, Boundary.PERIODIC), (6, 4, Boundary.PERIODIC),
+     (3, 5, Boundary.OPEN), (4, 4, Boundary.OPEN)],
+)
+def test_diagonal_loop_operator_selects_one_site_family(n, m, boundary):
+    spec = LatticeSpec(n, m, boundary)
+    fams = site_diagonals(spec)
+    for which, fam in enumerate(fams):
+        assert diagonal_loop_operator(spec, which) == \
+            PauliString(tuple((s, "X") for s in fam))
+    for bad in (-1, len(fams)):
+        with pytest.raises(InvalidSpec):
+            diagonal_loop_operator(spec, bad)

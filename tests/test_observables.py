@@ -233,3 +233,21 @@ def test_whole_ring_sx_segment_is_not_a_two_point_function():
     hs = torus(3, 3)
     with pytest.raises(NotMappable):
         sx_string_expectation_dual(hs, DiagonalSegment(2, 0, 2))
+
+
+def test_dual_sweep_builds_one_model_per_point(monkeypatch):
+    import plaqising.observables as observables
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    calls = []
+
+    def counting(hs):
+        calls.append(hs)
+        return map_hamiltonian(hs)
+
+    monkeypatch.setattr(observables, "map_hamiltonian", counting)
+    cfg = CouplingSweepConfig(rows=6, cols=6, route="dual")
+    run_coupling_sweep(cfg)
+    # the h = 0 endpoint is an exact limit and builds no model
+    assert len(calls) == cfg.steps - 1
+    assert len(set(calls)) == cfg.steps - 1
