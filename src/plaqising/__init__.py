@@ -30,7 +30,6 @@ from .duality import (
 from .ed import (
     HamiltonianSpec,
     SpectrumResult,
-    apply_hamiltonian,
     apply_pauli_string,
     expectation,
     full_spectrum,
@@ -54,9 +53,7 @@ from .freefermion import (
     ParitySector,
     TFIMChainSpec,
     bdg_solve,
-    continuum_params,
     disorder_parameter,
-    dispersion,
     magnetization_x,
     manybody_gap,
     manybody_levels,
@@ -107,7 +104,7 @@ __all__ = [
     "diagonal_loop_operator",
     # ed
     "HamiltonianSpec", "SpectrumResult", "hamiltonian_terms",
-    "apply_pauli_string", "apply_hamiltonian", "expectation",
+    "apply_pauli_string", "expectation",
     "full_spectrum", "ground_spectrum",
     # duality
     "DualModel", "DualityReport", "map_hamiltonian", "map_operator",
@@ -115,8 +112,8 @@ __all__ = [
     "dual_lattice_gap",
     # freefermion
     "TFIMChainSpec", "ParitySector", "BdGSolution", "bdg_solve",
-    "ring_sector_levels", "manybody_levels", "manybody_gap", "dispersion",
-    "continuum_params", "magnetization_x", "zz_correlator", "xx_correlator",
+    "ring_sector_levels", "manybody_levels", "manybody_gap",
+    "magnetization_x", "zz_correlator", "xx_correlator",
     "disorder_parameter",
     # observables
     "DiagonalSegment", "segment_sites", "sx_string",

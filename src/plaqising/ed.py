@@ -115,8 +115,12 @@ class HamiltonianOperator:
 
     Each term is stored as a permutation (XOR by the flip mask) plus a signed
     weight vector, so one matvec is ``sum_k w_k[perm] * v[perm]`` — no
-    complex arithmetic is ever needed for this model.
+    complex arithmetic is ever needed for this model.  With a ``basis`` (a
+    sorted array of basis-state labels closed under every term) the operator
+    acts on that block only: row ``i`` is label ``basis[i]``.
     """
+
+    basis: np.ndarray | None = None  # None: all 2^n labels
 
     def __init__(self, hs: HamiltonianSpec):
         self.spec = hs
@@ -124,29 +128,38 @@ class HamiltonianOperator:
 
     @classmethod
     def from_terms(
-        cls, n: int, terms: list[tuple[float, PauliString]]
+        cls,
+        n: int,
+        terms: list[tuple[float, PauliString]],
+        basis: np.ndarray | None = None,
     ) -> "HamiltonianOperator":
         """Operator for an arbitrary real symmetric Pauli-term sum."""
         op = cls.__new__(cls)
         op.spec = None
+        op.basis = basis
         op._compile(n, terms)
         return op
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
         self.n = n
-        self.dim = 1 << n
-        ids = np.arange(self.dim, dtype=np.uint64)
+        ids = np.arange(1 << n, dtype=np.uint64) if self.basis is None else self.basis
+        self.dim = len(ids)
         self._applied: list[tuple[np.ndarray, np.ndarray]] = []
         for coeff, ps in terms:
             perm, signs, pref = _pauli_kernel(ids, ps)
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
+            if self.basis is not None:
+                rows = np.searchsorted(ids, perm)
+                if np.any(np.take(ids, rows, mode="clip") != perm):
+                    raise InvalidSpec("a term maps a basis label outside the basis")
+                perm = rows
             self._applied.append((perm, coeff * pref.real * signs))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if v.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"state length {v.shape[0]} != 2^{self.n} = {self.dim}"
+                f"state length {v.shape[0]} != operator dimension {self.dim}"
             )
         out = np.zeros_like(v)
         for perm, w in self._applied:
@@ -160,11 +173,6 @@ class HamiltonianOperator:
         for perm, w in self._applied:
             H[perm, ids] += w
         return H
-
-
-def apply_hamiltonian(hs: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
-    """One-shot ``H @ v``; build a :class:`HamiltonianOperator` for loops."""
-    return HamiltonianOperator(hs).matvec(np.asarray(v, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------

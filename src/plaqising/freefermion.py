@@ -446,30 +446,6 @@ def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
 
 
 # ----------------------------------------------------------------------
-# dispersion / continuum parameters
-# ----------------------------------------------------------------------
-def dispersion(g_I: float, h: float, k: float, a: float = 1.0) -> float:
-    """Mode energy ``E_k = 2h sqrt((g_I - cos ka)^2 + sin^2 ka)``."""
-    if h <= 0 or a <= 0:
-        raise InvalidSpec("h and a must be positive")
-    return 2 * h * math.sqrt((g_I - math.cos(k * a)) ** 2 + math.sin(k * a) ** 2)
-
-
-@dataclass(frozen=True)
-class ContinuumParams:
-    m: float
-    c: float
-    a: float
-
-
-def continuum_params(g_I: float, h: float, a: float = 1.0) -> ContinuumParams:
-    """Low-energy mass and velocity: ``m = (g_I - 1)/(2 h a^2)``, ``c = 2 h a``."""
-    if h <= 0 or a <= 0:
-        raise InvalidSpec("h and a must be positive")
-    return ContinuumParams(m=(g_I - 1.0) / (2 * h * a * a), c=2 * h * a, a=a)
-
-
-# ----------------------------------------------------------------------
 # ground-state correlators (Wick determinants in G)
 # ----------------------------------------------------------------------
 def _toeplitz_from(sol: BdGSolution, row_offsets, col_offsets) -> np.ndarray:

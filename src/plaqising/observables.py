@@ -12,10 +12,12 @@ Two families of strings live on the anti-diagonals:
 Both can be evaluated directly on a 2D eigenstate (small lattices) or through
 the free-fermion solution of the dual chain (any size, torus only - the open
 lattice's boundary fields break the quadratic form).  The direct route
-measures in the symmetry-resolved ground state: the conserved diagonal loops
-are added to the Hamiltonian with a small bias so the degenerate endpoint
-cases (``h = 0`` topological multiplet, ``g = 0`` free spins) land in the
-all-``+1`` sector deterministically.
+measures in one loop sector: the Hamiltonian is solved only on the states
+with a fixed eigenvalue of every conserved diagonal loop (all ``+1`` by
+default), which after a Hadamard on every spin is a fixed bit parity per
+site diagonal.  The degenerate endpoint cases (``h = 0`` topological
+multiplet, ``g = 0`` free spins) thus measure in the all-``+1`` sector
+deterministically.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import numpy as np
 
 from .duality import DualModel, map_hamiltonian
 from .ed import (
+    LANCZOS_MAX_SPINS,
     HamiltonianOperator,
     HamiltonianSpec,
     expectation,
     hamiltonian_terms,
     operator_ground_spectrum,
 )
-from .errors import InvalidSpec, NotMappable, NumericalFailure, SiteOutOfRange
+from .errors import InvalidSpec, NotMappable, SiteOutOfRange, TooLarge
 from .freefermion import (
     BdGSolution,
     bdg_solve,
@@ -41,7 +44,7 @@ from .freefermion import (
     xx_correlator,
     zz_correlator,
 )
-from .lattice import Boundary, LatticeSpec, diagonal_loop_operator, site_adjacent_plaquettes
+from .lattice import Boundary, LatticeSpec, site_adjacent_plaquettes, site_diagonals
 from .pauli import PauliString
 
 __all__ = [
@@ -121,46 +124,65 @@ def plaquette_string(
 # ----------------------------------------------------------------------
 # direct (2D exact-diagonalization) route
 # ----------------------------------------------------------------------
-def ground_state_for_measurement(
-    hs: HamiltonianSpec,
-    sector: tuple[int, ...] | None = None,
-    bias: float | None = None,
-) -> np.ndarray:
-    """Ground state of one symmetry sector, as a dense vector.
+def _hadamard_rotated(ps: PauliString) -> PauliString:
+    """``U P U`` for ``U`` the Hadamard on every spin: X -> Z, Y -> -Y, Z -> X."""
+    swap = {"X": "Z", "Y": "Y", "Z": "X"}
+    n_y = sum(ax == "Y" for _, ax in ps.factors)
+    return PauliString(tuple((s, swap[ax]) for s, ax in ps.factors),
+                       ps.phase * (-1) ** n_y)
 
-    The conserved diagonal loops ``W_b`` are appended to the Hamiltonian as
-    ``-bias * w_b * W_b``; within a sector this is a constant shift, so the
-    returned state is an exact eigenstate of the unbiased model, but the bias
-    picks a deterministic sector representative whenever sectors are
-    degenerate (topological multiplets at ``h = 0``, free spins at ``g = 0``).
-    Energies of the biased solve are NOT physical and are discarded.  The
-    result is verified to satisfy ``<W_b> = w_b``.
+
+def _hadamard_all(v: np.ndarray, n: int) -> np.ndarray:
+    """``U v`` by ``n`` butterfly passes, one per spin (bit ``j`` of the label)."""
+    r = np.sqrt(0.5)
+    for j in range(n):
+        v = v.reshape(-1, 2, 1 << j)
+        v = np.stack(((v[:, 0] + v[:, 1]) * r, (v[:, 0] - v[:, 1]) * r), axis=1)
+    return v.reshape(-1)
+
+
+def _sector_labels(spec: LatticeSpec, sector: tuple[int, ...]) -> np.ndarray:
+    """Sorted rotated-frame labels with ``W_b = w_b``: each loop ``W_b`` is
+    ``prod Z`` over its site diagonal there, so ``w_b`` fixes a bit parity."""
+    labels = np.arange(1 << spec.n_sites, dtype=np.uint64)
+    keep = np.ones(labels.shape, dtype=bool)
+    for wb, diag in zip(sector, site_diagonals(spec)):
+        mask = np.uint64(sum(1 << s for s in diag))
+        keep &= (np.bitwise_count(labels & mask) & np.uint64(1)) == (wb == -1)
+    return labels[keep]
+
+
+def ground_state_for_measurement(
+    hs: HamiltonianSpec, sector: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, float]:
+    """Ground state and energy of one loop sector; the state is a dense
+    z-basis vector.
+
+    ``sector`` gives the eigenvalue ``w_b = +-1`` of each conserved diagonal
+    loop ``W_b`` (default all ``+1``, the sector of the global ground state).
+    The Hamiltonian is solved inside that sector only: after a Hadamard on
+    every spin the loops are bit parities, so the sector is a list of basis
+    labels and the rotated terms act within it.  The sector's lowest state
+    is then rotated back.  Where sectors are degenerate (topological
+    multiplets at ``h = 0``, free spins at ``g = 0``) the label alone picks
+    the state.  Returns ``(state, energy)``.
     """
     spec = hs.lattice
-    model = map_hamiltonian(hs)
-    nd = model.n_diagonals
+    nd = len(site_diagonals(spec))
     if sector is None:
         sector = (1,) * nd
     if len(sector) != nd or any(x not in (1, -1) for x in sector):
         raise InvalidSpec(f"sector must be a +-1 tuple of length {nd}")
-    if bias is None:
-        bias = 0.125 * (hs.g + hs.h)
-    loops = [diagonal_loop_operator(spec, b) for b in range(nd)]
-    terms = hamiltonian_terms(hs) + [
-        (-bias * wb, W) for wb, W in zip(sector, loops)
-    ]
-    op = HamiltonianOperator.from_terms(hs.n_spins, terms)
-    res = operator_ground_spectrum(op, k=2, want_vectors=True)
-    state = np.ascontiguousarray(res.eigenvectors[:, 0])
-    for wb, W in zip(sector, loops):
-        val = expectation(state, W).real
-        if abs(val - wb) > 1e-6:
-            raise NumericalFailure(
-                f"sector selection failed: <W> = {val:.8f}, wanted {wb}; "
-                "an excited sector needs a bias larger than its excitation "
-                "energy (the default only resolves degeneracies)"
-            )
-    return state
+    n = hs.n_spins
+    if n > LANCZOS_MAX_SPINS:
+        raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+    labels = _sector_labels(spec, sector)
+    terms = [(c, _hadamard_rotated(ps)) for c, ps in hamiltonian_terms(hs)]
+    op = HamiltonianOperator.from_terms(n, terms, basis=labels)
+    res = operator_ground_spectrum(op, k=1, want_vectors=True)
+    rotated = np.zeros(1 << n)
+    rotated[labels] = res.eigenvectors[:, 0]
+    return _hadamard_all(rotated, n), res.ground_energy
 
 
 def sx_string_expectation_ed(
@@ -168,7 +190,7 @@ def sx_string_expectation_ed(
 ) -> float:
     """``<prod sx>`` on a 2D eigenstate (ground sector by default)."""
     if state is None:
-        state = ground_state_for_measurement(hs)
+        state, _ = ground_state_for_measurement(hs)
     return expectation(state, sx_string(hs.lattice, seg)).real
 
 
@@ -181,7 +203,7 @@ def plaquette_string_expectation_ed(
 ) -> float:
     """``<prod F>`` on a 2D eigenstate (ground sector by default)."""
     if state is None:
-        state = ground_state_for_measurement(hs)
+        state, _ = ground_state_for_measurement(hs)
     return expectation(state, plaquette_string(hs.lattice, start_row, start_col, r)).real
 
 

@@ -17,12 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .duality import dual_lattice_gap, duality_spectrum_check
-from .ed import (
-    HamiltonianSpec,
-    apply_hamiltonian,
-    full_spectrum,
-    ground_spectrum,
-)
+from .ed import HamiltonianSpec, full_spectrum, ground_spectrum
 from .errors import InvalidSpec
 from .freefermion import (
     TFIMChainSpec,
@@ -94,7 +89,6 @@ class CouplingSweepConfig:
     route: str = "ed"             # "ed" (any coupling) or "dual" (needs h > 0)
     start_row: int | None = None  # string anchors; defaults pick an interior
     start_col: int | None = None  #   diagonal that stays on bond sites
-    bias: float | None = None
     endpoint_tol: float = 1e-8    # exact limits expected at g = 0 and h = 0
 
 
@@ -119,10 +113,9 @@ def _sweep_point(cfg: CouplingSweepConfig, t: int) -> dict:
                 hs, sr, sc - 1, cfg.plaquette_count, cache)
         energy = math.nan
     else:
-        state = ground_state_for_measurement(hs, bias=cfg.bias)
+        state, energy = ground_state_for_measurement(hs)
         phi1 = sx_string_expectation_ed(hs, seg, state)
         phi2 = plaquette_string_expectation_ed(hs, sr, sc - 1, cfg.plaquette_count, state)
-        energy = float(state @ apply_hamiltonian(hs, state))
     gap = dual_lattice_gap(cfg.rows, cfg.cols, g, h)
     return {
         "step": t, "g": g, "h": h,

@@ -285,7 +285,7 @@ def test_solver_cross_checks():
     str_dev = 0.0
     for g in (0.5, 2.0):
         hs = _torus33(g)
-        state = ground_state_for_measurement(hs)
+        state, _ = ground_state_for_measurement(hs)
         cache: dict = {}
         seg = DiagonalSegment(2, 0, 1)
         str_dev = max(str_dev, abs(
@@ -295,7 +295,7 @@ def test_solver_cross_checks():
             plaquette_string_expectation_ed(hs, 2, 0, 2, state)
             - plaquette_string_expectation_dual(hs, 2, 0, 2, cache)))
     hs16 = HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 0.6, 1.0)
-    state = ground_state_for_measurement(hs16)
+    state, _ = ground_state_for_measurement(hs16)
     cache = {}
     seg = DiagonalSegment(3, 1, 1)
     str_dev = max(str_dev, abs(

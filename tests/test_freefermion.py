@@ -17,9 +17,7 @@ from plaqising import (
     InvalidSpec,
     TFIMChainSpec,
     bdg_solve,
-    continuum_params,
     disorder_parameter,
-    dispersion,
     magnetization_x,
     manybody_gap,
     manybody_levels,
@@ -353,28 +351,6 @@ def test_ordered_zz_plateau():
     sol = bdg_solve(TFIMChainSpec(4096, RING, g, scale=1.0))
     plateau = (1.0 - g * g) ** 0.25
     assert abs(zz_correlator(sol, 1, 601) - plateau) < 1e-4
-
-
-# ----------------------------------------------------------------------
-# dispersion and continuum parameters
-# ----------------------------------------------------------------------
-def test_dispersion_gap_and_gaplessness():
-    for g_I in (0.5, 1.5):
-        assert dispersion(g_I, 1.0, 0.0) == pytest.approx(2.0 * abs(g_I - 1.0))
-    assert dispersion(1.0, 1.0, 0.0) == pytest.approx(0.0)
-    # small-k expansion: eps ~ sqrt(m^2 c^4 + c^2 k^2)
-    g_I, h = 1.05, 0.7
-    p = continuum_params(g_I, h)
-    k = 1e-3
-    eps = dispersion(g_I, h, k)
-    relativistic = math.sqrt((p.m * p.c**2) ** 2 + (p.c * k) ** 2)
-    assert abs(eps - relativistic) < 1e-5
-
-
-def test_continuum_parameters_scale():
-    p = continuum_params(1.2, 0.5, a=2.0)
-    assert p.c == pytest.approx(2 * 0.5 * 2.0)
-    assert p.m == pytest.approx((1.2 - 1.0) / (2 * 0.5 * 2.0**2))
 
 
 # ----------------------------------------------------------------------

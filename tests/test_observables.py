@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from plaqising.duality import assemble_sector_spectrum, map_hamiltonian
-from plaqising.ed import HamiltonianSpec, apply_hamiltonian, expectation
+from plaqising.ed import (
+    HamiltonianOperator,
+    HamiltonianSpec,
+    expectation,
+    full_spectrum,
+    hamiltonian_terms,
+)
 from plaqising.errors import (
     InvalidSpec,
     NotMappable,
-    NumericalFailure,
     SiteOutOfRange,
+    TooLarge,
 )
 from plaqising.freefermion import magnetization_x, zz_correlator
-from plaqising.lattice import Boundary, LatticeSpec
+from plaqising.lattice import Boundary, LatticeSpec, diagonal_loop_operator
 from plaqising.observables import (
     DiagonalSegment,
     ground_state_for_measurement,
@@ -26,7 +32,7 @@ from plaqising.observables import (
     sx_string_expectation_dual,
     sx_string_expectation_ed,
 )
-from plaqising.observables import _dual_chain_solution
+from plaqising.observables import _dual_chain_solution, _sector_labels
 
 
 def torus(n, m, g=1.0, h=1.0):
@@ -84,27 +90,62 @@ def test_plaquette_string_validation():
 
 
 # ----------------------------------------------------------------------
-# sector-resolved ground states
+# loop-sector ground states
 # ----------------------------------------------------------------------
 def test_measurement_state_is_an_unbiased_eigenstate():
     hs = torus(3, 3, 0.8, 1.1)
-    state = ground_state_for_measurement(hs)
+    state, energy = ground_state_for_measurement(hs)
     assert np.linalg.norm(state) == pytest.approx(1.0)
-    hv = apply_hamiltonian(hs, state)
+    hv = HamiltonianOperator(hs).matvec(state)
     e = float(state @ hv)
     assert np.linalg.norm(hv - e * state) < 1e-7
+    assert energy == pytest.approx(e, abs=1e-10)
     model = map_hamiltonian(hs)
     assert e == pytest.approx(assemble_sector_spectrum(model, (1, 1, 1))[0])
 
 
-def test_excited_sector_needs_a_larger_bias():
+@pytest.mark.parametrize("lattice", [
+    LatticeSpec(3, 3, Boundary.PERIODIC), LatticeSpec(4, 3, Boundary.PERIODIC),
+    LatticeSpec(3, 3, Boundary.OPEN), LatticeSpec(3, 4, Boundary.OPEN),
+], ids=["torus3x3", "torus4x3", "open3x3", "open3x4"])
+@pytest.mark.parametrize("g, h", [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                  (0.0, 1.0), (1.0, 0.0)])
+def test_all_plus_sector_holds_the_global_ground_state(lattice, g, h):
+    hs = HamiltonianSpec(lattice, g, h)
+    _, energy = ground_state_for_measurement(hs)
+    assert abs(energy - full_spectrum(hs).ground_energy) <= 1e-10
+
+
+def test_excited_sector_ground_state():
     hs = torus(3, 3)
-    with pytest.raises(NumericalFailure):
-        ground_state_for_measurement(hs, sector=(-1, 1, 1))
-    state = ground_state_for_measurement(hs, sector=(-1, 1, 1), bias=2.0)
-    e = float(state @ apply_hamiltonian(hs, state))
+    sector = (-1, 1, 1)
+    state, energy = ground_state_for_measurement(hs, sector=sector)
     model = map_hamiltonian(hs)
-    assert e == pytest.approx(assemble_sector_spectrum(model, (-1, 1, 1))[0])
+    assert energy == pytest.approx(assemble_sector_spectrum(model, sector)[0])
+    for b, wb in enumerate(sector):
+        w = expectation(state, diagonal_loop_operator(hs.lattice, b)).real
+        assert abs(w - wb) < 1e-10, b
+
+
+def test_sector_basis_must_be_invariant():
+    # unrotated, every sx flips one bit and so one loop parity: the sector
+    # labels are not closed under the z-basis terms
+    hs = torus(3, 3)
+    labels = _sector_labels(hs.lattice, (1, 1, 1))
+    with pytest.raises(InvalidSpec):
+        HamiltonianOperator.from_terms(hs.n_spins, hamiltonian_terms(hs),
+                                       basis=labels)
+
+
+def test_measurement_state_budget_is_checked_before_allocating(monkeypatch):
+    import plaqising.observables as observables
+
+    def never(*args):
+        raise AssertionError("sector labels allocated past the budget")
+
+    monkeypatch.setattr(observables, "_sector_labels", never)
+    with pytest.raises(TooLarge):
+        ground_state_for_measurement(open_lat(3, 7))
 
 
 def test_sector_label_validation():
@@ -118,7 +159,7 @@ def test_sector_label_validation():
 @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
 def test_sx_string_dual_matches_ed_3x3(g):
     hs = torus(3, 3, g, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     cache = {}
     for n in (0, 1):
         seg = DiagonalSegment(2, 0, n)
@@ -130,7 +171,7 @@ def test_sx_string_dual_matches_ed_3x3(g):
 @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
 def test_plaquette_string_dual_matches_ed_3x3(g):
     hs = torus(3, 3, g, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     cache = {}
     for r in (1, 2, 3):  # r = 3 is the whole ring: the chain parity, exactly 1
         ed = plaquette_string_expectation_ed(hs, 2, 0, r, state=state)
@@ -142,7 +183,7 @@ def test_plaquette_string_dual_matches_ed_3x3(g):
 def test_strings_on_the_single_chain_torus():
     # gcd(4,3) = 1: one wrapped ring of length 12
     hs = torus(4, 3, 1.0, 0.7)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     cache = {}
     for n in (2, 5):
         seg = DiagonalSegment(3, 0, n)
@@ -156,7 +197,7 @@ def test_strings_on_the_single_chain_torus():
 
 def test_strings_on_the_4x4_torus():
     hs = torus(4, 4, 1.0, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     seg = DiagonalSegment(3, 1, 1)
     ed = sx_string_expectation_ed(hs, seg, state=state)
     du = sx_string_expectation_dual(hs, seg)
@@ -168,7 +209,7 @@ def test_strings_on_the_4x4_torus():
 
 def test_plaquette_pair_dual_matches_ed():
     hs = torus(3, 3, 0.9, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     model = map_hamiltonian(hs)
     from plaqising.lattice import enumerate_plaquettes
 
@@ -188,7 +229,7 @@ def test_plaquette_pair_dual_matches_ed():
 
 def test_local_sx_is_uniform_and_matches_the_dual_bond():
     hs = torus(3, 3, 1.3, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     prof = local_sx(state, hs.n_spins)
     assert np.ptp(prof) < 1e-8
     model = map_hamiltonian(hs)
@@ -201,7 +242,7 @@ def test_local_sx_is_uniform_and_matches_the_dual_bond():
 # ----------------------------------------------------------------------
 def test_h_zero_endpoint_via_ed():
     hs = torus(3, 3, 1.0, 0.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     phi1 = sx_string_expectation_ed(hs, DiagonalSegment(2, 0, 1), state=state)
     phi2 = plaquette_string_expectation_ed(hs, 2, 0, 2, state=state)
     assert abs(phi1) < 1e-8
@@ -212,7 +253,7 @@ def test_h_zero_endpoint_via_ed():
 
 def test_g_zero_endpoint_via_ed():
     hs = torus(3, 3, 0.0, 1.0)
-    state = ground_state_for_measurement(hs)
+    state, _ = ground_state_for_measurement(hs)
     phi1 = sx_string_expectation_ed(hs, DiagonalSegment(2, 0, 1), state=state)
     phi2 = plaquette_string_expectation_ed(hs, 2, 0, 2, state=state)
     assert phi1 == pytest.approx(1.0, abs=1e-8)
@@ -251,3 +292,17 @@ def test_dual_sweep_builds_one_model_per_point(monkeypatch):
     # the h = 0 endpoint is an exact limit and builds no model
     assert len(calls) == cfg.steps - 1
     assert len(set(calls)) == cfg.steps - 1
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_ed_sweep_is_self_dual(s):
+    # Kramers-Wannier on the dual chains: swapping g and h maps row t of the
+    # symmetric grid to row T - t, an s-site sx string to s plaquettes, and
+    # leaves the ground energy unchanged
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    rows, _ = run_coupling_sweep(CouplingSweepConfig(
+        string_steps=s - 1, plaquette_count=s))
+    for row, mirror in zip(rows, reversed(rows)):
+        assert abs(row["energy"] - mirror["energy"]) <= 1e-12, row["step"]
+        assert abs(row["phi1"] - mirror["phi2"]) <= 1e-10, row["step"]

@@ -265,6 +265,17 @@ def test_cli_has_no_threads_option(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_cli_sweep_has_no_bias_option(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--bias" not in capsys.readouterr().out
+    ini = tmp_path / "bias.ini"
+    ini.write_text("[sweep]\nbias = 0.1\n")
+    assert main(["sweep", "--config", str(ini),
+                 "--out", str(tmp_path)]) == EXIT_BAD_INPUT
+    assert "bias" in capsys.readouterr().err
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     args = ["duality-check", "--rows", "3", "--cols", "3", "--g", "0.7",
             "--h", "1.3"]
