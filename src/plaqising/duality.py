@@ -32,7 +32,6 @@ from itertools import product as iproduct
 import numpy as np
 
 from .ed import (
-    DEGENERACY_TOL,
     HamiltonianSpec,
     dense_matrix_from_terms,
     full_spectrum,

@@ -1,4 +1,4 @@
-"""Exact diagonalization of Pauli-string Hamiltonians on up to ~20 spins.
+"""Exact diagonalization of Pauli-string Hamiltonians on up to 20 spins.
 
 The Hamiltonian of the plaquette model is
 
@@ -9,15 +9,23 @@ Both term families are real in the z basis (each plaquette string carries two
 Y factors, so its prefactor is i^2 = -1 times a sign pattern), hence all
 state vectors and spectra here are real float64.
 
+Each diagonal loop ``W_b`` (``prod sx`` over a site diagonal) commutes with
+``H``.  After a Hadamard on every spin it is a bit parity, so a loop sector
+is a list of labels closed under the rotated terms.  Every spectrum is the
+union over the ``2^d`` sector blocks that :func:`sector_operator` builds
+(symmetry-block ED, Sandvik arXiv:1101.3281).
+
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
-whole state vector.  The iterative path is a Lanczos recursion with full
-reorthogonalization and a deterministic start vector.
+whole block.  Blocks of up to ``DENSE_GROUND_STATES`` states are solved
+dense; larger ones by a Lanczos recursion with full reorthogonalization and a
+deterministic start vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -29,11 +37,11 @@ from .errors import (
     SiteOutOfRange,
     TooLarge,
 )
-from .lattice import LatticeSpec, enumerate_plaquettes
+from .lattice import LatticeSpec, enumerate_plaquettes, site_diagonals
 from .pauli import PauliString, sigma_x
 
 DENSE_MAX_SPINS = 14       # full_spectrum budget
-DENSE_GROUND_SPINS = 12    # ground_spectrum switches to Lanczos above this
+DENSE_GROUND_STATES = 512  # operator_ground_spectrum uses Lanczos above this
 LANCZOS_MAX_SPINS = 20
 DEGENERACY_TOL = 1e-8      # eigenvalues this close to E0 count as ground space
 LANCZOS_RESIDUAL_TOL = 1e-10
@@ -123,7 +131,6 @@ class HamiltonianOperator:
     basis: np.ndarray | None = None  # None: all 2^n labels
 
     def __init__(self, hs: HamiltonianSpec):
-        self.spec = hs
         self._compile(hs.n_spins, hamiltonian_terms(hs))
 
     @classmethod
@@ -135,13 +142,13 @@ class HamiltonianOperator:
     ) -> "HamiltonianOperator":
         """Operator for an arbitrary real symmetric Pauli-term sum."""
         op = cls.__new__(cls)
-        op.spec = None
         op.basis = basis
         op._compile(n, terms)
         return op
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
-        self.n = n
+        if n > LANCZOS_MAX_SPINS:
+            raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
         ids = np.arange(1 << n, dtype=np.uint64) if self.basis is None else self.basis
         self.dim = len(ids)
         self._applied: list[tuple[np.ndarray, np.ndarray]] = []
@@ -176,15 +183,56 @@ class HamiltonianOperator:
 
 
 # ----------------------------------------------------------------------
+# loop sectors
+# ----------------------------------------------------------------------
+def _hadamard_rotated(ps: PauliString) -> PauliString:
+    """``U P U`` for ``U`` the Hadamard on every spin: X -> Z, Y -> -Y, Z -> X."""
+    swap = {"X": "Z", "Y": "Y", "Z": "X"}
+    n_y = sum(ax == "Y" for _, ax in ps.factors)
+    return PauliString(tuple((s, swap[ax]) for s, ax in ps.factors),
+                       ps.phase * (-1) ** n_y)
+
+
+def _sector_labels(spec: LatticeSpec, sector: tuple[int, ...]) -> np.ndarray:
+    """Sorted rotated-frame labels with ``W_b = w_b``: each loop ``W_b`` is
+    ``prod Z`` over its site diagonal there, so ``w_b`` fixes a bit parity."""
+    labels = np.arange(1 << spec.n_sites, dtype=np.uint64)
+    keep = np.ones(labels.shape, dtype=bool)
+    for wb, diag in zip(sector, site_diagonals(spec)):
+        mask = np.uint64(sum(1 << s for s in diag))
+        keep &= (np.bitwise_count(labels & mask) & np.uint64(1)) == (wb == -1)
+    return labels[keep]
+
+
+def _sectors(spec: LatticeSpec):
+    """Every ``+-1`` label tuple, one entry per site diagonal."""
+    return product((1, -1), repeat=len(site_diagonals(spec)))
+
+
+def sector_operator(hs: HamiltonianSpec, sector: tuple[int, ...]) -> HamiltonianOperator:
+    """``H`` on one loop sector, in the Hadamard frame: row ``i`` is the
+    rotated label ``op.basis[i]``."""
+    if hs.n_spins > LANCZOS_MAX_SPINS:
+        raise TooLarge(f"{hs.n_spins} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+    labels = _sector_labels(hs.lattice, sector)
+    terms = [(c, _hadamard_rotated(ps)) for c, ps in hamiltonian_terms(hs)]
+    return HamiltonianOperator.from_terms(hs.n_spins, terms, basis=labels)
+
+
+# ----------------------------------------------------------------------
 # spectra
 # ----------------------------------------------------------------------
 @dataclass
 class SpectrumResult:
-    eigenvalues: np.ndarray
-    ground_energy: float
-    gap: float
+    eigenvalues: np.ndarray                 # sorted ascending
+    ground_energy: float = field(init=False)
+    gap: float = field(init=False)          # see gap_from_levels
     eigenvectors: np.ndarray | None = None  # columns match eigenvalues
     info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.ground_energy = float(self.eigenvalues[0])
+        self.gap = gap_from_levels(self.eigenvalues)
 
 
 def gap_from_levels(levels: np.ndarray, tol: float = DEGENERACY_TOL) -> float:
@@ -203,11 +251,10 @@ def gap_from_levels(levels: np.ndarray, tol: float = DEGENERACY_TOL) -> float:
 def _lanczos_seed(dim: int) -> np.ndarray:
     """Deterministic start vector: uniform plus a small fixed-stream noise.
 
-    A plain uniform vector is an exact eigenvector of every conserved
-    sx-product of the model and floating-point matvecs keep it exactly inside
-    that symmetry sector, which hides all sector-crossing levels (including
-    the physical gap on tori).  The fixed-stream perturbation gives the seed
-    weight in every sector while keeping runs bit-reproducible.
+    Every loop is fixed inside a block, but lattice translations still act
+    there: a uniform vector stays in one momentum sector and hides the levels
+    of all others.  The fixed-stream noise breaks the lattice symmetry while
+    keeping runs bit-reproducible.
     """
     rng = np.random.Generator(np.random.PCG64(_SEED_STREAM))
     v = np.ones(dim) + _SEED_NOISE * rng.standard_normal(dim)
@@ -300,22 +347,20 @@ def _lanczos(
     return vals, vecs, info
 
 
-def ground_spectrum(
-    hs: HamiltonianSpec, k: int = 2, want_vectors: bool = False
-) -> SpectrumResult:
-    """The ``k`` lowest levels (dense below 13 spins, Lanczos up to 20).
+def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
+    """The ``k`` lowest levels of the union of every block's lowest ``k``.
 
-    See :func:`operator_ground_spectrum` for what "levels" means on each
-    path.  The gap is degeneracy-tolerant: levels within 1e-8 of E0 are
-    treated as one ground band (on tori the topological ground multiplet
-    splits only exponentially and must not pollute the gap).
+    A level degenerate across loop sectors counts once per sector, but
+    inside one Lanczos block only distinct values are found (4x4 torus,
+    ``g = 0``, ``k = 10``: ``-14 h`` comes back 4 times, once per block that
+    holds it; the full space holds it 16 times).  The gap is
+    degeneracy-tolerant, so the topological ground multiplet of a torus,
+    split only exponentially, does not pollute it.
     """
-    if k < 1:
-        raise InvalidSpec("k must be >= 1")
-    n = hs.n_spins
-    if n > LANCZOS_MAX_SPINS:
-        raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-    return operator_ground_spectrum(HamiltonianOperator(hs), k, want_vectors)
+    ops = (sector_operator(hs, sector) for sector in _sectors(hs.lattice))
+    parts = [operator_ground_spectrum(op, min(k, op.dim)) for op in ops]
+    vals = np.sort(np.concatenate([r.eigenvalues for r in parts]))[:k]
+    return SpectrumResult(vals, info={"blocks": [r.info for r in parts]})
 
 
 def operator_ground_spectrum(
@@ -323,49 +368,36 @@ def operator_ground_spectrum(
 ) -> SpectrumResult:
     """The ``k`` lowest levels of a precompiled operator (dense or Lanczos).
 
-    The dense path (``n <= DENSE_GROUND_SPINS``) returns the lowest ``k``
-    eigenvalues with multiplicity.  The Lanczos path returns the ``k`` lowest
-    distinct Ritz values: one start vector finds one copy of each degenerate
-    level, so multiplicities are lost.  The lowest level and the gap agree
-    on both paths.
+    Blocks of up to ``DENSE_GROUND_STATES`` (512) states are solved dense and
+    return the lowest ``k`` eigenvalues with multiplicity.  Larger ones go to
+    Lanczos, which returns the ``k`` lowest distinct Ritz values: one start
+    vector finds one copy of each degenerate level.  The lowest level and
+    the gap agree on both paths.
     """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
-    if op.n > LANCZOS_MAX_SPINS:
-        raise TooLarge(f"{op.n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-    if op.n <= DENSE_GROUND_SPINS:
-        H = op.dense()
+    if op.dim <= DENSE_GROUND_STATES:
         if want_vectors:
-            vals, vecs = scipy.linalg.eigh(H)
+            vals, vecs = scipy.linalg.eigh(op.dense())
             vals, vecs = vals[:k], vecs[:, :k]
         else:
-            vals = scipy.linalg.eigh(H, eigvals_only=True)[:k]
-            vecs = None
+            vals, vecs = scipy.linalg.eigh(op.dense(), eigvals_only=True)[:k], None
         info = {"method": "dense"}
     else:
         vals, vecs, info = _lanczos(op, k, want_vectors)
-    return SpectrumResult(
-        eigenvalues=np.asarray(vals),
-        ground_energy=float(vals[0]),
-        gap=gap_from_levels(vals),
-        eigenvectors=vecs,
-        info=info,
-    )
+    return SpectrumResult(np.asarray(vals), eigenvectors=vecs, info=info)
 
 
 def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
-    """All 2^n eigenvalues by a dense solve (n <= 14)."""
-    n = hs.n_spins
-    if n > DENSE_MAX_SPINS:
-        raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    H = HamiltonianOperator(hs).dense()
-    vals = scipy.linalg.eigh(H, eigvals_only=True)
-    return SpectrumResult(
-        eigenvalues=vals,
-        ground_energy=float(vals[0]),
-        gap=gap_from_levels(vals),
-        info={"method": "dense"},
-    )
+    """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: the union
+    of a dense solve of every loop-sector block."""
+    if hs.n_spins > DENSE_MAX_SPINS:
+        raise TooLarge(f"{hs.n_spins} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
+    vals = np.sort(np.concatenate([
+        scipy.linalg.eigh(sector_operator(hs, sector).dense(), eigvals_only=True)
+        for sector in _sectors(hs.lattice)
+    ]))
+    return SpectrumResult(vals, info={"method": "dense"})
 
 
 def dense_matrix_from_terms(

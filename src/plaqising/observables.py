@@ -28,14 +28,12 @@ import numpy as np
 
 from .duality import DualModel, map_hamiltonian
 from .ed import (
-    LANCZOS_MAX_SPINS,
-    HamiltonianOperator,
     HamiltonianSpec,
     expectation,
-    hamiltonian_terms,
     operator_ground_spectrum,
+    sector_operator,
 )
-from .errors import InvalidSpec, NotMappable, SiteOutOfRange, TooLarge
+from .errors import InvalidSpec, NotMappable, SiteOutOfRange
 from .freefermion import (
     BdGSolution,
     bdg_solve,
@@ -124,14 +122,6 @@ def plaquette_string(
 # ----------------------------------------------------------------------
 # direct (2D exact-diagonalization) route
 # ----------------------------------------------------------------------
-def _hadamard_rotated(ps: PauliString) -> PauliString:
-    """``U P U`` for ``U`` the Hadamard on every spin: X -> Z, Y -> -Y, Z -> X."""
-    swap = {"X": "Z", "Y": "Y", "Z": "X"}
-    n_y = sum(ax == "Y" for _, ax in ps.factors)
-    return PauliString(tuple((s, swap[ax]) for s, ax in ps.factors),
-                       ps.phase * (-1) ** n_y)
-
-
 def _hadamard_all(v: np.ndarray, n: int) -> np.ndarray:
     """``U v`` by ``n`` butterfly passes, one per spin (bit ``j`` of the label)."""
     r = np.sqrt(0.5)
@@ -141,48 +131,27 @@ def _hadamard_all(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(-1)
 
 
-def _sector_labels(spec: LatticeSpec, sector: tuple[int, ...]) -> np.ndarray:
-    """Sorted rotated-frame labels with ``W_b = w_b``: each loop ``W_b`` is
-    ``prod Z`` over its site diagonal there, so ``w_b`` fixes a bit parity."""
-    labels = np.arange(1 << spec.n_sites, dtype=np.uint64)
-    keep = np.ones(labels.shape, dtype=bool)
-    for wb, diag in zip(sector, site_diagonals(spec)):
-        mask = np.uint64(sum(1 << s for s in diag))
-        keep &= (np.bitwise_count(labels & mask) & np.uint64(1)) == (wb == -1)
-    return labels[keep]
-
-
 def ground_state_for_measurement(
     hs: HamiltonianSpec, sector: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, float]:
-    """Ground state and energy of one loop sector; the state is a dense
-    z-basis vector.
+    """``(state, energy)`` of the lowest level of one loop sector, the state
+    rotated back to a dense z-basis vector.
 
     ``sector`` gives the eigenvalue ``w_b = +-1`` of each conserved diagonal
     loop ``W_b`` (default all ``+1``, the sector of the global ground state).
-    The Hamiltonian is solved inside that sector only: after a Hadamard on
-    every spin the loops are bit parities, so the sector is a list of basis
-    labels and the rotated terms act within it.  The sector's lowest state
-    is then rotated back.  Where sectors are degenerate (topological
-    multiplets at ``h = 0``, free spins at ``g = 0``) the label alone picks
-    the state.  Returns ``(state, energy)``.
+    Where sectors are degenerate (topological multiplets at ``h = 0``, free
+    spins at ``g = 0``) the label alone picks the state.
     """
-    spec = hs.lattice
-    nd = len(site_diagonals(spec))
+    nd = len(site_diagonals(hs.lattice))
     if sector is None:
         sector = (1,) * nd
     if len(sector) != nd or any(x not in (1, -1) for x in sector):
         raise InvalidSpec(f"sector must be a +-1 tuple of length {nd}")
-    n = hs.n_spins
-    if n > LANCZOS_MAX_SPINS:
-        raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-    labels = _sector_labels(spec, sector)
-    terms = [(c, _hadamard_rotated(ps)) for c, ps in hamiltonian_terms(hs)]
-    op = HamiltonianOperator.from_terms(n, terms, basis=labels)
+    op = sector_operator(hs, sector)
     res = operator_ground_spectrum(op, k=1, want_vectors=True)
-    rotated = np.zeros(1 << n)
-    rotated[labels] = res.eigenvectors[:, 0]
-    return _hadamard_all(rotated, n), res.ground_energy
+    rotated = np.zeros(1 << hs.n_spins)
+    rotated[op.basis] = res.eigenvectors[:, 0]
+    return _hadamard_all(rotated, hs.n_spins), res.ground_energy
 
 
 def sx_string_expectation_ed(

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .duality import dual_lattice_gap, duality_spectrum_check
-from .ed import HamiltonianSpec, full_spectrum, ground_spectrum
+from .ed import DENSE_MAX_SPINS, HamiltonianSpec, full_spectrum, ground_spectrum
 from .errors import InvalidSpec
 from .freefermion import (
     TFIMChainSpec,
@@ -173,7 +173,7 @@ class GapScalingConfig:
 
 def _ed_torus_gap(n: int, g: float, h: float) -> float:
     hs = HamiltonianSpec(LatticeSpec(n, n, Boundary.PERIODIC), g, h)
-    if hs.n_spins <= 14:
+    if hs.n_spins <= DENSE_MAX_SPINS:
         return full_spectrum(hs).gap
     return ground_spectrum(hs, k=5).gap
 

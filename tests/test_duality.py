@@ -346,8 +346,12 @@ def test_dual_gap_matches_dense_ed(n, m, g, h):
 
 
 def test_dual_gap_matches_lanczos_on_4x4():
-    ed_gap = ground_spectrum(torus(4, 4, 1.0, 1.0), k=5).gap
-    assert dual_lattice_gap(4, 4, 1.0, 1.0) == pytest.approx(ed_gap, abs=1e-7)
+    hs = torus(4, 4, 1.0, 1.0)
+    res = ground_spectrum(hs, k=5)
+    assert dual_lattice_gap(4, 4, 1.0, 1.0) == pytest.approx(res.gap, abs=1e-7)
+    # the lowest five with multiplicity: -20.109 is doubly degenerate
+    dual = full_dual_spectrum(map_hamiltonian(hs))[:5]
+    np.testing.assert_allclose(res.eigenvalues, dual, rtol=0, atol=1e-10)
 
 
 def test_dual_gap_limits_and_validation():

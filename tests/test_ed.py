@@ -6,6 +6,7 @@ to 1e-10; spectral comparisons against independent constructions to 1e-8.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from plaqising import (
@@ -27,9 +28,11 @@ from plaqising.ed import (
     dense_matrix_from_terms,
     gap_from_levels,
     operator_ground_spectrum,
+    sector_operator,
 )
 from plaqising.errors import InvalidSpec
 from plaqising.lattice import site_diagonals
+from plaqising.pauli import sigma_x
 
 
 def torus33(g=1.0, h=1.0):
@@ -145,12 +148,41 @@ def test_plaquette_only_spectrum_on_open_lattice():
     })
 
 
+def _full_space_levels(hs):
+    """Every level from one dense solve of the whole 2^n space."""
+    return scipy.linalg.eigvalsh(HamiltonianOperator(hs).dense())
+
+
+@pytest.mark.parametrize("hs", [
+    *(HamiltonianSpec(LatticeSpec(3, 3, b), g, h)
+      for b in (Boundary.PERIODIC, Boundary.OPEN)
+      for g, h in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (1.0, 0.0))),
+    HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 1.0, 1.0),
+    HamiltonianSpec(LatticeSpec(3, 4, Boundary.OPEN), 1.0, 1.0),
+], ids=lambda hs: f"{hs.lattice.boundary.name}{hs.lattice.rows}x{hs.lattice.cols}"
+                  f"-g{hs.g}-h{hs.h}")
+def test_full_spectrum_is_the_full_space_spectrum(hs):
+    np.testing.assert_allclose(full_spectrum(hs).eigenvalues, _full_space_levels(hs),
+                               rtol=0, atol=1e-12)
+
+
 def test_ground_spectrum_matches_dense_head():
+    # 12 levels from 8 blocks: some block must supply more than one
     hs = torus33(0.9, 1.0)
-    res_full = full_spectrum(hs)
-    res = ground_spectrum(hs, k=3)
-    np.testing.assert_allclose(res.eigenvalues[0], res_full.eigenvalues[0], atol=1e-9)
-    assert abs(res.gap - res_full.gap) < 1e-8
+    levels = _full_space_levels(hs)
+    res = ground_spectrum(hs, k=12)
+    np.testing.assert_allclose(res.eigenvalues, levels[:12], rtol=0, atol=1e-9)
+    assert abs(res.gap - gap_from_levels(levels)) < 1e-8
+
+
+def test_solver_switch_counts_states():
+    # the 4x3 torus sector holds 2048 states (Lanczos), the 3x3 one 64 (dense)
+    for rows, n_states, method in ((4, 2048, "lanczos"), (3, 64, "dense")):
+        lattice = LatticeSpec(rows, 3, Boundary.PERIODIC)
+        hs = HamiltonianSpec(lattice, 1.0, 1.0)
+        op = sector_operator(hs, (1,) * len(site_diagonals(lattice)))
+        assert op.dim == n_states
+        assert operator_ground_spectrum(op, k=1).info["method"] == method
 
 
 def test_lanczos_branch_agrees_with_dense():
@@ -173,6 +205,11 @@ def test_budget_guards():
     huge = HamiltonianSpec(LatticeSpec(7, 4, Boundary.PERIODIC), 1.0, 1.0)
     with pytest.raises(TooLarge):
         ground_spectrum(huge)
+
+
+def test_compile_budget_is_checked_before_allocating():
+    with pytest.raises(TooLarge):
+        HamiltonianOperator.from_terms(21, [(1.0, sigma_x(0))])
 
 
 def test_gap_from_levels_collapses_degeneracy():

@@ -353,6 +353,18 @@ def test_ordered_zz_plateau():
     assert abs(zz_correlator(sol, 1, 601) - plateau) < 1e-4
 
 
+@pytest.mark.parametrize("L", [12, 64, 257])
+@pytest.mark.parametrize("g", [0.5, 0.9, 1.0, 1.3, 2.5])
+def test_kramers_wannier_ring_identity(L, g):
+    # the open-string / closed-string self-duality on the dual ring: r
+    # consecutive tx at g_I equal tz tz at separation r at 1 / g_I
+    disordered = bdg_solve(TFIMChainSpec(L, RING, g, scale=1.0))
+    ordered = bdg_solve(TFIMChainSpec(L, RING, 1.0 / g, scale=1.0))
+    for r in range(1, (L + 1) // 2):
+        dev = disorder_parameter(disordered, r) - zz_correlator(ordered, 1, 1 + r)
+        assert abs(dev) <= 1e-10, r
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------

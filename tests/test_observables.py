@@ -32,7 +32,8 @@ from plaqising.observables import (
     sx_string_expectation_dual,
     sx_string_expectation_ed,
 )
-from plaqising.observables import _dual_chain_solution, _sector_labels
+from plaqising.ed import _sector_labels
+from plaqising.observables import _dual_chain_solution
 
 
 def torus(n, m, g=1.0, h=1.0):
@@ -138,12 +139,12 @@ def test_sector_basis_must_be_invariant():
 
 
 def test_measurement_state_budget_is_checked_before_allocating(monkeypatch):
-    import plaqising.observables as observables
+    import plaqising.ed as ed
 
     def never(*args):
         raise AssertionError("sector labels allocated past the budget")
 
-    monkeypatch.setattr(observables, "_sector_labels", never)
+    monkeypatch.setattr(ed, "_sector_labels", never)
     with pytest.raises(TooLarge):
         ground_state_for_measurement(open_lat(3, 7))
 
