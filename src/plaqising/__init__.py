@@ -66,11 +66,11 @@ from .lattice import (
     ChainBoundary,
     ChainDecomposition,
     LatticeSpec,
-    Plaquette,
     chain_decompose,
     diagonal_loop_operator,
     enumerate_plaquettes,
     expected_chain_count,
+    plaquette_operator,
     site_adjacent_plaquettes,
     site_diagonals,
 )
@@ -98,8 +98,9 @@ __all__ = [
     "IndexOutOfRange", "DimensionMismatch", "TooLarge", "NotConverged",
     "NotMappable", "NumericalFailure",
     # pauli / lattice
-    "PauliString", "Boundary", "ChainBoundary", "LatticeSpec", "Plaquette",
-    "ChainDecomposition", "enumerate_plaquettes", "chain_decompose",
+    "PauliString", "Boundary", "ChainBoundary", "LatticeSpec",
+    "ChainDecomposition", "enumerate_plaquettes", "plaquette_operator",
+    "chain_decompose",
     "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
     "diagonal_loop_operator",
     # ed

@@ -37,7 +37,7 @@ from .ed import (
     full_spectrum,
     gap_from_levels,
 )
-from .errors import InvalidSpec, NotMappable, TooLarge
+from .errors import InvalidSpec, NotMappable
 from .freefermion import TFIMChainSpec, bdg_solve, chain_terms
 from .lattice import (
     Boundary,
@@ -45,6 +45,7 @@ from .lattice import (
     LatticeSpec,
     chain_decompose,
     enumerate_plaquettes,
+    plaquette_operator,
     site_adjacent_plaquettes,
 )
 
@@ -119,13 +120,11 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
     """Decompose the 2D model into its dual chains (all-``+1`` sector copy)."""
     spec = hs.lattice
     decomp = chain_decompose(spec)
-    base_of = [p.base_site for p in decomp.plaquettes]
 
     if spec.boundary is Boundary.PERIODIC:
         d = math.gcd(spec.rows, spec.cols)
         chains = []
-        for members in decomp.chains:
-            bases = tuple(base_of[i] for i in members)
+        for bases in decomp.chains:
             r, c = spec.site_rc(bases[0])
             chains.append(
                 DualChain(
@@ -142,9 +141,9 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
 
     # open lattice
     pos_of: dict[int, tuple[int, int]] = {}
-    for ci, members in enumerate(decomp.chains):
-        for k, i in enumerate(members):
-            pos_of[base_of[i]] = (ci, k)
+    for ci, bases in enumerate(decomp.chains):
+        for k, b in enumerate(bases):
+            pos_of[b] = (ci, k)
     edge_fields: dict[int, list[tuple[int, float]]] = {
         ci: [] for ci in range(len(decomp.chains))
     }
@@ -165,8 +164,7 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
                     f"site {s}: adjacent plaquettes not consecutive in one chain"
                 )
     chains = []
-    for ci, members in enumerate(decomp.chains):
-        bases = tuple(base_of[i] for i in members)
+    for ci, bases in enumerate(decomp.chains):
         r, c = spec.site_rc(bases[0])
         ef = tuple(sorted(edge_fields[ci]))
         chains.append(
@@ -285,9 +283,9 @@ def map_operator(model: DualModel, ps) -> "PauliString":
             else:
                 images.append(PauliString(((min(a, b), "Z"), (max(a, b), "Z"))))
     # plaquette generators
-    for p in enumerate_plaquettes(spec):
-        generators.append(p.operator())
-        ci, k = model.chain_of_plaquette(p.base_site)
+    for base in enumerate_plaquettes(spec):
+        generators.append(plaquette_operator(spec, base))
+        ci, k = model.chain_of_plaquette(base)
         images.append(PauliString(((offsets[ci] + k, "X"),)))
 
     for gen, img in zip(generators, images):
@@ -364,11 +362,10 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
     The parity blocks use the pair basis ``(e_b + parity * e_{flip b}) / sqrt 2``
     over representatives ``b < flip b``; since the Hamiltonian commutes with
     the global spin flip, the block matrix is just
-    ``H[rep, rep] + parity * H[rep, flip rep]``.
+    ``H[rep, rep] + parity * H[rep, flip rep]``.  ``dense_matrix_from_terms``
+    raises ``TooLarge`` above its spin budget before anything is allocated.
     """
     L = sp.length
-    if L > 14:
-        raise TooLarge(f"dense chain diagonalization capped at 14 spins, got {L}")
     H = dense_matrix_from_terms(L, chain_terms(sp))
     if parity == 0:
         return np.linalg.eigvalsh(H)

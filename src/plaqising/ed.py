@@ -37,7 +37,12 @@ from .errors import (
     SiteOutOfRange,
     TooLarge,
 )
-from .lattice import LatticeSpec, enumerate_plaquettes, site_diagonals
+from .lattice import (
+    LatticeSpec,
+    enumerate_plaquettes,
+    plaquette_operator,
+    site_diagonals,
+)
 from .pauli import PauliString, sigma_x
 
 DENSE_MAX_SPINS = 14       # full_spectrum budget
@@ -75,8 +80,8 @@ def hamiltonian_terms(hs: HamiltonianSpec) -> list[tuple[float, PauliString]]:
     """``H = sum_k coeff_k * P_k`` with real coefficients and real strings."""
     terms: list[tuple[float, PauliString]] = []
     if hs.g != 0.0:
-        for p in enumerate_plaquettes(hs.lattice):
-            terms.append((-hs.g, p.operator()))
+        for base in enumerate_plaquettes(hs.lattice):
+            terms.append((-hs.g, plaquette_operator(hs.lattice, base)))
     if hs.h != 0.0:
         for j in range(hs.lattice.n_sites):
             terms.append((-hs.h, sigma_x(j)))

@@ -5,14 +5,15 @@ Conventions
 * ``LatticeSpec(rows=N, cols=M, boundary)``; sites are indexed row-major,
   ``site = r * M + c`` with ``r`` in ``0..N-1``, ``c`` in ``0..M-1``.
 * The unit steps are ``e_x = +1 column`` and ``e_y = +1 row``.
-* A plaquette based at site ``i`` has corners
+* A plaquette is its base site ``i``: its corners are
   ``(i, i+e_x, i+e_x+e_y, i+e_y)`` carrying the fixed axis pattern
-  ``(X, Y, X, Y)``; its operator is
+  ``(X, Y, X, Y)``, and :func:`plaquette_operator` builds
   ``F_i = sx(i) sy(i+e_x) sx(i+e_x+e_y) sy(i+e_y)``.
 * Chains run along the anti-diagonal direction ``e_x - e_y``
   (column +1, row -1): two plaquettes ``p`` and ``p + (e_x - e_y)`` are
   commutation-adjacent because the transverse operator at the shared site
-  ``p + e_x`` anticommutes with both plaquette operators.
+  ``p + e_x`` anticommutes with both plaquette operators.  Chains hold
+  plaquette base sites.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateLattice, InvalidSpec
+from .errors import DegenerateLattice, InvalidSpec, SiteOutOfRange
 from .pauli import PauliString
 
 
@@ -71,52 +72,46 @@ class LatticeSpec:
         return 0 <= r < self.rows - 1 and 0 <= c < self.cols - 1
 
 
-@dataclass(frozen=True)
-class Plaquette:
-    base_site: int
-    corner_sites: tuple[int, int, int, int]
-    axes: tuple[str, str, str, str] = ("X", "Y", "X", "Y")
+def enumerate_plaquettes(spec: LatticeSpec) -> list[int]:
+    """Base sites of all plaquettes, ascending.
 
-    def operator(self) -> PauliString:
-        return PauliString(tuple(zip(self.corner_sites, self.axes)))
-
-
-def enumerate_plaquettes(spec: LatticeSpec) -> list[Plaquette]:
-    """All plaquettes of the lattice, ordered by base site.
-
-    Periodic lattices need N, M >= 3; otherwise opposite corners of one
-    plaquette would wrap onto the same site.
+    Periodic lattices need N, M >= 3: on a torus two rows (or columns) wide
+    the plaquettes based at ``(0, c)`` and ``(1, c)`` (or ``(r, 0)`` and
+    ``(r, 1)``) would cover the same four sites.
     """
-    if spec.boundary is Boundary.PERIODIC and (spec.rows < 3 or spec.cols < 3):
-        raise DegenerateLattice(
-            f"periodic {spec.rows}x{spec.cols}: plaquette corners would coincide"
-        )
     n, m = spec.rows, spec.cols
-    if spec.boundary is Boundary.OPEN:
-        n, m = n - 1, m - 1
-    out = []
-    for r in range(n):
-        row, up = r * spec.cols, ((r + 1) % spec.rows) * spec.cols
-        for c in range(m):
-            c1 = (c + 1) % spec.cols
-            corners = (row + c, row + c1, up + c1, up + c)
-            out.append(Plaquette(base_site=row + c, corner_sites=corners))
-    return out
+    if spec.boundary is Boundary.PERIODIC:
+        if n < 3 or m < 3:
+            raise DegenerateLattice(
+                f"periodic {n}x{m}: two plaquettes would cover the same four sites"
+            )
+        return list(range(n * m))
+    return [r * m + c for r in range(n - 1) for c in range(m - 1)]
+
+
+def plaquette_operator(spec: LatticeSpec, base: int) -> PauliString:
+    """``F_p = sx(p) sy(p+e_x) sx(p+e_x+e_y) sy(p+e_y)`` for the plaquette
+    based at site ``p = base``."""
+    r, c = spec.site_rc(base)
+    if not spec.plaquette_base_exists(r, c):
+        raise SiteOutOfRange(f"no plaquette based at ({r},{c})")
+    return PauliString(((base, "X"), (spec.site_index(r, c + 1), "Y"),
+                        (spec.site_index(r + 1, c + 1), "X"),
+                        (spec.site_index(r + 1, c), "Y")))
 
 
 @dataclass(frozen=True)
 class ChainDecomposition:
     """Partition of the plaquettes into anti-diagonal chains.
 
-    ``chains[a]`` is the ordered tuple of plaquette indices (positions in the
-    ``enumerate_plaquettes`` list) of chain ``a``; consecutive entries differ
-    by one ``e_x - e_y`` step.  ``chain_boundary[a]`` says whether the chain
-    closes on itself (wrapped diagonal orbit) or terminates.
+    ``chains[a]`` is the ordered tuple of plaquette base sites of chain
+    ``a``; consecutive entries differ by one ``e_x - e_y`` step.
+    ``chain_boundary[a]`` says whether the chain closes on itself (wrapped
+    diagonal orbit) or terminates.
     """
 
     chains: tuple[tuple[int, ...], ...]
     chain_boundary: tuple[ChainBoundary, ...]
-    plaquettes: tuple[Plaquette, ...]
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -124,7 +119,7 @@ class ChainDecomposition:
 
 
 def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
-    """Split the plaquettes into maximal chains along ``e_x - e_y``.
+    """Split the plaquettes into maximal chains of base sites along ``e_x - e_y``.
 
     Open lattices: each chain starts at the plaquette with no predecessor
     (its ``(r+1, c-1)`` neighbour is off-lattice) and walks until the step
@@ -135,40 +130,34 @@ def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
     verifies that the closed form partitions the plaquettes.  Chains are
     listed by their smallest member base site; determinism is structural.
     """
-    plaqs = enumerate_plaquettes(spec)
-    seen: set[int] = set()
+    bases = enumerate_plaquettes(spec)
     raw_chains: list[list[int]] = []
     boundaries: list[ChainBoundary] = []
 
     if spec.boundary is Boundary.OPEN:
-        index_of = {p.base_site: k for k, p in enumerate(plaqs)}
-        for p in plaqs:
-            r, c = spec.site_rc(p.base_site)
+        for base in bases:
+            r, c = spec.site_rc(base)
             if spec.plaquette_base_exists(r + 1, c - 1):
                 continue  # has a predecessor; not a chain head
             chain = []
             while spec.plaquette_base_exists(r, c):
-                chain.append(index_of[spec.site_index(r, c)])
+                chain.append(spec.site_index(r, c))
                 r, c = r - 1, c + 1
             raw_chains.append(chain)
             boundaries.append(ChainBoundary.OPEN_CHAIN)
-            seen.update(chain)
     else:
-        # every site is a base, so plaquette index == base site
         n, m = spec.rows, spec.cols
         d = math.gcd(n, m)
         raw_chains = [[((-k) % n) * m + (a + k) % m for k in range(n * m // d)]
                       for a in range(d)]
         boundaries = [ChainBoundary.PERIODIC_CHAIN] * d
-        seen.update(*raw_chains)
 
-    if len(seen) != len(plaqs):
+    if sorted(b for chain in raw_chains for b in chain) != bases:
         raise InvalidSpec("chain decomposition did not cover every plaquette")
     order = sorted(range(len(raw_chains)), key=lambda a: min(raw_chains[a]))
     return ChainDecomposition(
         chains=tuple(tuple(raw_chains[a]) for a in order),
         chain_boundary=tuple(boundaries[a] for a in order),
-        plaquettes=tuple(plaqs),
     )
 
 

@@ -42,7 +42,13 @@ from .freefermion import (
     xx_correlator,
     zz_correlator,
 )
-from .lattice import Boundary, LatticeSpec, site_adjacent_plaquettes, site_diagonals
+from .lattice import (
+    Boundary,
+    LatticeSpec,
+    plaquette_operator,
+    site_adjacent_plaquettes,
+    site_diagonals,
+)
 from .pauli import PauliString
 
 __all__ = [
@@ -106,15 +112,7 @@ def plaquette_string(
             rr, cc = rr % spec.rows, cc % spec.cols
         if not spec.plaquette_base_exists(rr, cc):
             raise SiteOutOfRange(f"no plaquette based at ({rr},{cc})")
-        corners = (
-            spec.site_index(rr, cc),
-            spec.site_index(rr, cc + 1),
-            spec.site_index(rr + 1, cc + 1),
-            spec.site_index(rr + 1, cc),
-        )
-        ps = ps * PauliString(
-            ((corners[0], "X"), (corners[1], "Y"), (corners[2], "X"), (corners[3], "Y"))
-        )
+        ps = ps * plaquette_operator(spec, rr * spec.cols + cc)
         rr, cc = rr - 1, cc + 1
     return ps
 

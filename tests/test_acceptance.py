@@ -37,6 +37,7 @@ from plaqising import (
     magnetization_x,
     manybody_gap,
     manybody_levels,
+    plaquette_operator,
     xx_correlator,
     zz_correlator,
 )
@@ -269,7 +270,7 @@ def test_solver_cross_checks():
     lat = hs.lattice
     H = HamiltonianOperator(hs).dense()
     ed_dev = float(np.abs(H - H.T).max())
-    plaqs = [p.operator() for p in enumerate_plaquettes(lat)]
+    plaqs = [plaquette_operator(lat, b) for b in enumerate_plaquettes(lat)]
     loops = [diagonal_loop_operator(lat, b)
              for b in range(len(site_diagonals(lat)))]
     alg_ok = all((op * op).is_identity and (op * op).phase == 1

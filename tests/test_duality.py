@@ -25,13 +25,15 @@ from plaqising.ed import (
     ground_spectrum,
     hamiltonian_terms,
 )
-from plaqising.errors import InvalidSpec, NotMappable
+from plaqising.errors import InvalidSpec, NotMappable, TooLarge
+from plaqising.freefermion import TFIMChainSpec
 from plaqising.lattice import (
     Boundary,
     ChainBoundary,
     LatticeSpec,
     diagonal_loop_operator,
     enumerate_plaquettes,
+    plaquette_operator,
 )
 from plaqising.pauli import PauliString
 
@@ -152,13 +154,20 @@ def test_dual_register_spectrum_matches_chain_tensor_sum(hs):
     )
 
 
+@pytest.mark.parametrize("parity", [0, 1, -1])
+def test_dense_chain_levels_refuse_a_chain_over_the_dense_budget(parity):
+    sp = TFIMChainSpec(15, ChainBoundary.PERIODIC_CHAIN, 1.0, 1.0)
+    with pytest.raises(TooLarge):
+        _dense_chain_levels(sp, parity)
+
+
 def test_plaquette_maps_to_transverse_field():
     hs = torus(3, 3)
     model = map_hamiltonian(hs)
     offsets, _ = dual_site_offsets(model)
-    for p in enumerate_plaquettes(hs.lattice):
-        img = map_operator(model, p.operator())
-        ci, k = model.chain_of_plaquette(p.base_site)
+    for b in enumerate_plaquettes(hs.lattice):
+        img = map_operator(model, plaquette_operator(hs.lattice, b))
+        ci, k = model.chain_of_plaquette(b)
         assert img.factors == ((offsets[ci] + k, "X"),)
         assert img.phase == 1.0
 
@@ -193,10 +202,11 @@ def test_operator_map_is_a_homomorphism():
     # products (including anticommutation signs) must be preserved
     hs = torus(3, 3)
     model = map_hamiltonian(hs)
-    plaqs = enumerate_plaquettes(hs.lattice)
-    f0 = plaqs[0].operator()
-    x_corner = PauliString(((plaqs[0].base_site + 1, "X"),))  # a Y corner of f0
-    for a, b in [(f0, x_corner), (x_corner, f0), (f0, plaqs[3].operator())]:
+    bases = enumerate_plaquettes(hs.lattice)
+    f0 = plaquette_operator(hs.lattice, bases[0])
+    x_corner = PauliString(((bases[0] + 1, "X"),))  # a Y corner of f0
+    f3 = plaquette_operator(hs.lattice, bases[3])
+    for a, b in [(f0, x_corner), (x_corner, f0), (f0, f3)]:
         lhs = map_operator(model, a * b)
         rhs = map_operator(model, a) * map_operator(model, b)
         assert lhs.factors == rhs.factors

@@ -22,6 +22,7 @@ from plaqising import (
     full_spectrum,
     ground_spectrum,
     hamiltonian_terms,
+    plaquette_operator,
 )
 from plaqising.ed import (
     HamiltonianOperator,
@@ -60,14 +61,14 @@ def test_hamiltonian_matrix_is_real_and_symmetric():
 
 def test_plaquette_operators_are_real_in_z_basis():
     spec = LatticeSpec(3, 3, Boundary.PERIODIC)
-    for p in enumerate_plaquettes(spec):
-        _, _, pref = p.operator().masks()
+    for b in enumerate_plaquettes(spec):
+        _, _, pref = plaquette_operator(spec, b).masks()
         assert abs(pref.imag) < 1e-14
 
 
 def test_involutions_and_commutation():
     spec = LatticeSpec(3, 3, Boundary.PERIODIC)
-    plaqs = [p.operator() for p in enumerate_plaquettes(spec)]
+    plaqs = [plaquette_operator(spec, b) for b in enumerate_plaquettes(spec)]
     loops = [diagonal_loop_operator(spec, b) for b in range(len(site_diagonals(spec)))]
     for op in plaqs + loops:
         sq = op * op

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plaqising import (
-    BdGSolution,
     ChainBoundary,
     InvalidSpec,
     TFIMChainSpec,

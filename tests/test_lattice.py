@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from plaqising import (
     Boundary,
@@ -11,10 +11,12 @@ from plaqising import (
     DegenerateLattice,
     InvalidSpec,
     LatticeSpec,
+    SiteOutOfRange,
     chain_decompose,
     diagonal_loop_operator,
     enumerate_plaquettes,
     expected_chain_count,
+    plaquette_operator,
     site_adjacent_plaquettes,
     site_diagonals,
 )
@@ -63,17 +65,26 @@ def test_small_torus_is_degenerate():
 
 def test_plaquette_axes_pattern():
     spec = LatticeSpec(3, 3, Boundary.PERIODIC)
-    p = enumerate_plaquettes(spec)[0]
-    assert p.axes == ("X", "Y", "X", "Y")
-    assert len(set(p.corner_sites)) == 4
-    # corners are base, base+ex, base+ex+ey, base+ey
-    r, c = spec.site_rc(p.base_site)
-    assert p.corner_sites == (
+    base = enumerate_plaquettes(spec)[0]
+    op = plaquette_operator(spec, base)
+    assert len(op.factors) == 4 and op.phase == 1
+    # corners are base, base+ex, base+ex+ey, base+ey with axes X, Y, X, Y
+    r, c = spec.site_rc(base)
+    corners = (
         spec.site_index(r, c),
         spec.site_index(r, c + 1),
         spec.site_index(r + 1, c + 1),
         spec.site_index(r + 1, c),
     )
+    assert dict(op.factors) == dict(zip(corners, ("X", "Y", "X", "Y")))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 5)])
+def test_plaquette_operator_rejects_the_last_row_and_column_of_an_open_lattice(n, m):
+    spec = LatticeSpec(n, m, Boundary.OPEN)
+    for r, c in [(n - 1, 0), (n - 1, m - 2), (0, m - 1), (n - 2, m - 1), (n - 1, m - 1)]:
+        with pytest.raises(SiteOutOfRange):
+            plaquette_operator(spec, spec.site_index(r, c))
 
 
 @given(torus_sizes, torus_sizes)
@@ -97,15 +108,18 @@ def test_open_chain_structure(n, m):
     assert all(b is ChainBoundary.OPEN_CHAIN for b in dec.chain_boundary)
 
 
-@given(torus_sizes, torus_sizes)
-def test_chain_steps_follow_the_antidiagonal(n, m):
-    spec = LatticeSpec(n, m, Boundary.PERIODIC)
+@given(sizes, sizes, st.sampled_from(list(Boundary)))
+def test_chain_steps_follow_the_antidiagonal(n, m, boundary):
+    assume(boundary is Boundary.OPEN or min(n, m) >= 3)
+    spec = LatticeSpec(n, m, boundary)
     dec = chain_decompose(spec)
+    wrap = boundary is Boundary.PERIODIC
     for ch in dec.chains:
-        for a, b in zip(ch, ch[1:] + ch[:1]):
-            ra, ca = spec.site_rc(dec.plaquettes[a].base_site)
-            rb, cb = spec.site_rc(dec.plaquettes[b].base_site)
-            assert (rb, cb) == ((ra - 1) % n, (ca + 1) % m)
+        for a, b in zip(ch, ch[1:] + ch[:1] if wrap else ch[1:]):
+            ra, ca = spec.site_rc(a)
+            step = ((ra - 1) % n, (ca + 1) % m) if wrap else (ra - 1, ca + 1)
+            assert spec.site_rc(b) == step
+    assert {b for ch in dec.chains for b in ch} == set(enumerate_plaquettes(spec))
 
 
 @pytest.mark.parametrize(
@@ -115,7 +129,7 @@ def test_chain_steps_follow_the_antidiagonal(n, m):
 )
 def test_transverse_term_anticommutes_exactly_with_adjacent_plaquettes(n, m, boundary):
     spec = LatticeSpec(n, m, boundary)
-    plaqs = {p.base_site: p.operator() for p in enumerate_plaquettes(spec)}
+    plaqs = {b: plaquette_operator(spec, b) for b in enumerate_plaquettes(spec)}
     for site in range(spec.n_sites):
         adj = set(site_adjacent_plaquettes(spec, site))
         sx = sigma_x(site)
@@ -139,8 +153,8 @@ def test_diagonal_loops_are_conserved(n, m, boundary):
     for b in range(len(fams)):
         W = diagonal_loop_operator(spec, b)
         assert W.is_hermitian
-        for p in enumerate_plaquettes(spec):
-            assert W.commutes_with(p.operator())
+        for b in enumerate_plaquettes(spec):
+            assert W.commutes_with(plaquette_operator(spec, b))
         for site in range(spec.n_sites):
             assert W.commutes_with(sigma_x(site))
 
@@ -188,6 +202,20 @@ def _reference_plaquettes(spec):
     return out
 
 
+def _corner_axes(spec):
+    """(base, corner -> axis map, phase) of every plaquette operator."""
+    out = []
+    for b in enumerate_plaquettes(spec):
+        op = plaquette_operator(spec, b)
+        out.append((b, dict(op.factors), op.phase))
+    return out
+
+
+def _reference_corner_axes(spec):
+    return [(base, dict(zip(corners, ("X", "Y", "X", "Y"))), 1)
+            for base, corners in _reference_plaquettes(spec)]
+
+
 @given(layout_sizes, layout_sizes)
 @example(4, 5)  # gcd 1: one ring
 @example(6, 9)  # gcd 3
@@ -202,15 +230,13 @@ def test_torus_chains_equal_the_reference_cycle_walk(n, m):
 @given(layout_sizes, layout_sizes)
 def test_torus_plaquettes_equal_the_site_index_reference(n, m):
     spec = LatticeSpec(n, m, Boundary.PERIODIC)
-    got = [(p.base_site, p.corner_sites) for p in enumerate_plaquettes(spec)]
-    assert got == _reference_plaquettes(spec)
+    assert _corner_axes(spec) == _reference_corner_axes(spec)
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7))
 def test_open_plaquettes_equal_the_site_index_reference(n, m):
     spec = LatticeSpec(n, m, Boundary.OPEN)
-    got = [(p.base_site, p.corner_sites) for p in enumerate_plaquettes(spec)]
-    assert got == _reference_plaquettes(spec)
+    assert _corner_axes(spec) == _reference_corner_axes(spec)
 
 
 @pytest.mark.parametrize(

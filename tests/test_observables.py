@@ -17,8 +17,14 @@ from plaqising.errors import (
     SiteOutOfRange,
     TooLarge,
 )
-from plaqising.freefermion import magnetization_x, zz_correlator
-from plaqising.lattice import Boundary, LatticeSpec, diagonal_loop_operator
+from plaqising.freefermion import zz_correlator
+from plaqising.lattice import (
+    Boundary,
+    LatticeSpec,
+    diagonal_loop_operator,
+    enumerate_plaquettes,
+    plaquette_operator,
+)
 from plaqising.observables import (
     DiagonalSegment,
     ground_state_for_measurement,
@@ -73,9 +79,7 @@ def test_sx_string_structure():
 
 def test_plaquette_string_is_the_operator_product():
     spec = LatticeSpec(3, 3, Boundary.PERIODIC)
-    from plaqising.lattice import enumerate_plaquettes
-
-    ops = {p.base_site: p.operator() for p in enumerate_plaquettes(spec)}
+    ops = {b: plaquette_operator(spec, b) for b in enumerate_plaquettes(spec)}
     ps = plaquette_string(spec, 2, 0, 2)
     ref = ops[spec.site_index(2, 0)] * ops[spec.site_index(1, 1)]
     assert ps.factors == ref.factors
@@ -212,10 +216,8 @@ def test_plaquette_pair_dual_matches_ed():
     hs = torus(3, 3, 0.9, 1.0)
     state, _ = ground_state_for_measurement(hs)
     model = map_hamiltonian(hs)
-    from plaqising.lattice import enumerate_plaquettes
-
-    ops = {p.base_site: p.operator() for p in enumerate_plaquettes(hs.lattice)}
     spec = hs.lattice
+    ops = {b: plaquette_operator(spec, b) for b in enumerate_plaquettes(spec)}
     same_chain = (spec.site_index(0, 0), spec.site_index(2, 1))
     cross_chain = (spec.site_index(0, 0), spec.site_index(0, 1))
     for p, q in (same_chain, cross_chain):
