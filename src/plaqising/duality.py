@@ -357,24 +357,17 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
 
 
 def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
-    """Exact levels of one chain (optionally one spin-parity block).
+    """Exact levels of one chain, or of its spin-flip block ``prod tx = parity``.
 
-    The parity blocks use the pair basis ``(e_b + parity * e_{flip b}) / sqrt 2``
-    over representatives ``b < flip b``; since the Hamiltonian commutes with
-    the global spin flip, the block matrix is just
-    ``H[rep, rep] + parity * H[rep, flip rep]``.  ``dense_matrix_from_terms``
-    raises ``TooLarge`` above its spin budget before anything is allocated.
+    The flip is ``prod tx`` over all ``L`` sites, so a parity block is the
+    ``parity_block`` of the single mask ``2^L - 1``, with ``2^(L-1)`` states;
+    ``parity = 0`` densifies the whole ``2^L`` space.
+    ``dense_matrix_from_terms`` raises ``TooLarge`` above its spin budget
+    before anything is allocated.
     """
-    L = sp.length
-    H = dense_matrix_from_terms(L, chain_terms(sp))
-    if parity == 0:
-        return np.linalg.eigvalsh(H)
-    dim = 1 << L
-    full = dim - 1
-    rep = np.array([b for b in range(dim) if b < b ^ full])
-    comp = rep ^ full
-    block = H[np.ix_(rep, rep)] + parity * H[np.ix_(rep, comp)]
-    return np.linalg.eigvalsh(block)
+    masks, signs = (((1 << sp.length) - 1,), (parity,)) if parity else ((), ())
+    return np.linalg.eigvalsh(dense_matrix_from_terms(sp.length, chain_terms(sp),
+                                                      masks, signs))
 
 
 def _tensor_sum(parts: list[np.ndarray]) -> np.ndarray:
@@ -519,36 +512,28 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     delta = {tv: e - egs[(1, 1)] for tv, e in egs.items()}
     pair = float(eps_ap[0] + eps_ap[1])
 
-    if d == 1:
-        switch = delta[(-1, 1)]
-    elif d == 2:
-        # v_a = w_a * w_a = +1 always; twists are (w_1, w_0)
-        switch = min(
-            delta[(-1, 1)],                      # one loop flipped
-            2 * delta[(-1, 1)],                  # both flipped
-        )
-    else:
-        inf = math.inf
-        switch = inf
-        for w0 in (1, -1):
-            for w1 in (1, -1):
-                dp = {(w0, w1, w0 == -1 or w1 == -1): 0.0}
-                for a in range(d):
-                    ndp: dict[tuple[int, int, bool], float] = {}
-                    for (wa, wa1, dirty), cost in dp.items():
-                        if a <= d - 3:
-                            choices = ((1, False), (-1, True))
-                        elif a == d - 2:
-                            choices = ((w0, False),)
-                        else:
-                            choices = ((w1, False),)
-                        for wn, dflag in choices:
-                            c2 = cost + delta[(wa1, wa * wn)]
-                            key = (wa1, wn, dirty or dflag)
-                            if c2 < ndp.get(key, inf):
-                                ndp[key] = c2
-                    dp = ndp
-                for (wa, wa1, dirty), cost in dp.items():
-                    if dirty and cost < switch:
-                        switch = cost
+    inf = math.inf
+    switch = inf
+    for w0, w1 in iproduct((1, -1), repeat=2):
+        if d == 1 and w1 != w0:
+            continue  # a single loop: w_1 is w_0
+        dp = {(w0, w1, w0 == -1 or w1 == -1): 0.0}
+        for a in range(d):
+            ndp: dict[tuple[int, int, bool], float] = {}
+            for (wa, wa1, dirty), cost in dp.items():
+                if a <= d - 3:
+                    choices = ((1, False), (-1, True))
+                elif a == d - 2:
+                    choices = ((w0, False),)
+                else:
+                    choices = ((w1, False),)
+                for wn, dflag in choices:
+                    c2 = cost + delta[(wa1, wa * wn)]
+                    key = (wa1, wn, dirty or dflag)
+                    if c2 < ndp.get(key, inf):
+                        ndp[key] = c2
+            dp = ndp
+        for (wa, wa1, dirty), cost in dp.items():
+            if dirty and cost < switch:
+                switch = cost
     return float(min(pair, switch))

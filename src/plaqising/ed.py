@@ -10,10 +10,11 @@ Y factors, so its prefactor is i^2 = -1 times a sign pattern), hence all
 state vectors and spectra here are real float64.
 
 Each diagonal loop ``W_b`` (``prod sx`` over a site diagonal) commutes with
-``H``.  After a Hadamard on every spin it is a bit parity, so a loop sector
-is a list of labels closed under the rotated terms.  Every spectrum is the
-union over the ``2^d`` sector blocks that :func:`sector_operator` builds
-(symmetry-block ED, Sandvik arXiv:1101.3281).
+``H``.  After a Hadamard on every spin a product of ``sx`` is a bit parity,
+so a Z2 block is a list of labels closed under the rotated terms.
+:func:`parity_block` builds both the ``2^d`` loop sectors of every 2D spectrum
+and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
+arXiv:1101.3281).
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
@@ -124,32 +125,19 @@ def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
 
 
 class HamiltonianOperator:
-    """Precompiled matrix-free ``H`` for repeated matvecs.
+    """Precompiled matrix-free real Pauli-term sum on ``n`` spins, for matvecs.
 
     Each term is stored as a permutation (XOR by the flip mask) plus a signed
     weight vector, so one matvec is ``sum_k w_k[perm] * v[perm]`` — no
     complex arithmetic is ever needed for this model.  With a ``basis`` (a
     sorted array of basis-state labels closed under every term) the operator
-    acts on that block only: row ``i`` is label ``basis[i]``.
+    acts on that block only: row ``i`` is label ``basis[i]`` (``None``: all
+    ``2^n`` labels).
     """
 
-    basis: np.ndarray | None = None  # None: all 2^n labels
-
-    def __init__(self, hs: HamiltonianSpec):
-        self._compile(hs.n_spins, hamiltonian_terms(hs))
-
-    @classmethod
-    def from_terms(
-        cls,
-        n: int,
-        terms: list[tuple[float, PauliString]],
-        basis: np.ndarray | None = None,
-    ) -> "HamiltonianOperator":
-        """Operator for an arbitrary real symmetric Pauli-term sum."""
-        op = cls.__new__(cls)
-        op.basis = basis
-        op._compile(n, terms)
-        return op
+    def __init__(self, n: int, terms, basis: np.ndarray | None = None):
+        self.basis = basis
+        self._compile(n, terms)
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
         if n > LANCZOS_MAX_SPINS:
@@ -188,7 +176,7 @@ class HamiltonianOperator:
 
 
 # ----------------------------------------------------------------------
-# loop sectors
+# Z2 parity blocks
 # ----------------------------------------------------------------------
 def _hadamard_rotated(ps: PauliString) -> PauliString:
     """``U P U`` for ``U`` the Hadamard on every spin: X -> Z, Y -> -Y, Z -> X."""
@@ -198,15 +186,32 @@ def _hadamard_rotated(ps: PauliString) -> PauliString:
                        ps.phase * (-1) ** n_y)
 
 
-def _sector_labels(spec: LatticeSpec, sector: tuple[int, ...]) -> np.ndarray:
-    """Sorted rotated-frame labels with ``W_b = w_b``: each loop ``W_b`` is
-    ``prod Z`` over its site diagonal there, so ``w_b`` fixes a bit parity."""
-    labels = np.arange(1 << spec.n_sites, dtype=np.uint64)
+def _parity_labels(n: int, masks, signs) -> np.ndarray:
+    """Sorted labels ``b < 2^n`` with ``(-1)^popcount(b & mask) = sign`` for
+    each pair; the ``2^n`` temporaries are freed before the block compiles."""
+    labels = np.arange(1 << n, dtype=np.uint64)
     keep = np.ones(labels.shape, dtype=bool)
-    for wb, diag in zip(sector, site_diagonals(spec)):
-        mask = np.uint64(sum(1 << s for s in diag))
-        keep &= (np.bitwise_count(labels & mask) & np.uint64(1)) == (wb == -1)
+    for mask, sign in zip(masks, signs):
+        odd = np.bitwise_count(labels & np.uint64(mask)) & np.uint64(1)
+        keep &= odd == (sign == -1)
     return labels[keep]
+
+
+def parity_block(n: int, terms, masks, signs) -> HamiltonianOperator:
+    """``sum c P`` on the block where ``prod sx`` over the sites of each
+    ``masks[i]`` is ``signs[i] = +-1``, in the Hadamard frame: row ``i`` is the
+    rotated label ``op.basis[i]``.  A term that breaks a block raises
+    ``InvalidSpec``."""
+    if n > LANCZOS_MAX_SPINS:
+        raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+    labels = _parity_labels(n, masks, signs)
+    rotated = [(c, _hadamard_rotated(ps)) for c, ps in terms]
+    return HamiltonianOperator(n, rotated, labels)
+
+
+def _loop_masks(spec: LatticeSpec) -> list[int]:
+    """Bit mask of each site diagonal: the sites of loop ``W_b``."""
+    return [sum(1 << s for s in diag) for diag in site_diagonals(spec)]
 
 
 def _sectors(spec: LatticeSpec):
@@ -215,13 +220,9 @@ def _sectors(spec: LatticeSpec):
 
 
 def sector_operator(hs: HamiltonianSpec, sector: tuple[int, ...]) -> HamiltonianOperator:
-    """``H`` on one loop sector, in the Hadamard frame: row ``i`` is the
-    rotated label ``op.basis[i]``."""
-    if hs.n_spins > LANCZOS_MAX_SPINS:
-        raise TooLarge(f"{hs.n_spins} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-    labels = _sector_labels(hs.lattice, sector)
-    terms = [(c, _hadamard_rotated(ps)) for c, ps in hamiltonian_terms(hs)]
-    return HamiltonianOperator.from_terms(hs.n_spins, terms, basis=labels)
+    """``H`` on the loop sector ``W_b = sector[b]``, in the Hadamard frame:
+    row ``i`` is the rotated label ``op.basis[i]``."""
+    return parity_block(hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice), sector)
 
 
 # ----------------------------------------------------------------------
@@ -396,22 +397,27 @@ def operator_ground_spectrum(
 def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: the union
     of a dense solve of every loop-sector block."""
-    if hs.n_spins > DENSE_MAX_SPINS:
-        raise TooLarge(f"{hs.n_spins} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    vals = np.sort(np.concatenate([
-        scipy.linalg.eigh(sector_operator(hs, sector).dense(), eigvals_only=True)
-        for sector in _sectors(hs.lattice)
-    ]))
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    blocks = (dense_matrix_from_terms(hs.n_spins, terms, masks, w)
+              for w in _sectors(hs.lattice))
+    vals = np.sort(np.concatenate([scipy.linalg.eigh(H, eigvals_only=True)
+                                   for H in blocks]))
     return SpectrumResult(vals, info={"method": "dense"})
 
 
 def dense_matrix_from_terms(
-    n: int, terms: list[tuple[float, PauliString]]
+    n: int, terms: list[tuple[float, PauliString]], masks=(), signs=()
 ) -> np.ndarray:
-    """Dense matrix of an arbitrary real Pauli-term sum (n <= 14 spins)."""
+    """Dense matrix of a real Pauli-term sum (n <= 14 spins).
+
+    With no ``masks`` it is the whole ``2^n`` space in the z basis; with
+    them, the :func:`parity_block` that ``masks`` and ``signs`` select, in
+    the Hadamard frame.  ``TooLarge`` comes before any allocation.
+    """
     if n > DENSE_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    return HamiltonianOperator.from_terms(n, terms).dense()
+    op = parity_block(n, terms, masks, signs) if masks else HamiltonianOperator(n, terms)
+    return op.dense()
 
 
 def expectation(v: np.ndarray, ps: PauliString) -> complex:

@@ -256,7 +256,6 @@ class ExponentsConfig:
     separation: int = 600           # zz plateau distance on the ring
     disordered_grid: tuple[float, ...] = (1.02, 1.05, 1.09, 1.13, 1.17, 1.21, 1.25)
     string_length: int = 1200       # tx string length on the open chain
-    corr_margin: int = 100
     beta1_tol: float = 0.03         # allowed deviation from the exact 1/4
     beta2_tol: float = 0.02         # allowed deviation from the exact 1/8
 
@@ -270,7 +269,7 @@ def _ordered_point(cfg: ExponentsConfig, g: float) -> dict:
 
 def _disordered_point(cfg: ExponentsConfig, g: float) -> dict:
     chain = TFIMChainSpec(cfg.length, ChainBoundary.OPEN_CHAIN, g, 1.0)
-    sol = bdg_solve(chain, corr_size=cfg.string_length + cfg.corr_margin)
+    sol = bdg_solve(chain, corr_size=cfg.string_length)
     val = disorder_parameter(sol, cfg.string_length)
     return {"branch": "disordered", "g_I": g, "abscissa": g - 1.0, "value": val}
 
@@ -278,8 +277,8 @@ def _disordered_point(cfg: ExponentsConfig, g: float) -> dict:
 def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
     if cfg.separation >= cfg.length // 2:
         raise InvalidSpec("plateau separation must stay below half the ring")
-    if cfg.string_length + cfg.corr_margin > cfg.length:
-        raise InvalidSpec("string length plus margin exceeds the chain")
+    if cfg.string_length > cfg.length:
+        raise InvalidSpec("string length exceeds the chain")
     ordered = [_ordered_point(cfg, g) for g in cfg.ordered_grid]
     disordered = [_disordered_point(cfg, g) for g in cfg.disordered_grid]
     rows = ordered + disordered

@@ -42,7 +42,11 @@ from plaqising import (
     zz_correlator,
 )
 from plaqising.duality import duality_spectrum_check
-from plaqising.ed import HamiltonianOperator, dense_matrix_from_terms
+from plaqising.ed import (
+    HamiltonianOperator,
+    dense_matrix_from_terms,
+    hamiltonian_terms,
+)
 from plaqising.freefermion import chain_terms
 from plaqising.lattice import site_diagonals
 from plaqising.observables import (
@@ -268,7 +272,7 @@ def test_solver_cross_checks():
     # algebraic invariants of the 2D operator machinery
     hs = _torus33(0.8)
     lat = hs.lattice
-    H = HamiltonianOperator(hs).dense()
+    H = HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs)).dense()
     ed_dev = float(np.abs(H - H.T).max())
     plaqs = [plaquette_operator(lat, b) for b in enumerate_plaquettes(lat)]
     loops = [diagonal_loop_operator(lat, b)

@@ -1,5 +1,6 @@
 """Chain decomposition, operator mapping, and sector-resolved spectra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from plaqising.ed import (
     hamiltonian_terms,
 )
 from plaqising.errors import InvalidSpec, NotMappable, TooLarge
-from plaqising.freefermion import TFIMChainSpec
+from plaqising.freefermion import TFIMChainSpec, ring_sector_levels
 from plaqising.lattice import (
     Boundary,
     ChainBoundary,
@@ -152,6 +153,26 @@ def test_dual_register_spectrum_matches_chain_tensor_sum(hs):
     np.testing.assert_allclose(
         np.linalg.eigvalsh(H), np.sort(_tensor_sum(parts)), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_dense_chain_levels_densify_only_the_parity_block(monkeypatch, parity):
+    import plaqising.ed as ed
+
+    shapes = []
+    dense = ed.HamiltonianOperator.dense
+
+    def recording(self):
+        H = dense(self)
+        shapes.append(H.shape)
+        return H
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "dense", recording)
+    sp = TFIMChainSpec(10, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0)
+    levels = _dense_chain_levels(sp, parity)
+    assert shapes == [(512, 512)]
+    np.testing.assert_allclose(levels, ring_sector_levels(sp, parity),
+                               rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("parity", [0, 1, -1])
@@ -353,6 +374,24 @@ def test_dual_gap_frozen_values():
 def test_dual_gap_matches_dense_ed(n, m, g, h):
     ed_gap = full_spectrum(torus(n, m, g, h)).gap
     assert dual_lattice_gap(n, m, g, h) == pytest.approx(ed_gap, abs=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (3, 5), (4, 6), (6, 4), (3, 6),
+                                 (4, 8), (8, 4), (5, 5), (6, 6)])
+def test_dual_gap_is_the_brute_force_sector_minimum(n, m):
+    # every one of the 2^d sectors solved on its own: the cheapest switch
+    # out of the all-plus sector, or the cheapest excitation inside it
+    for g, h in ((0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (1.3, 1.0), (2.0, 0.7)):
+        model = map_hamiltonian(torus(n, m, g, h))
+        e0 = {}
+        for w in itertools.product((1, -1), repeat=model.n_diagonals):
+            specs, parities, _ = sector_chain_specs(model, w)
+            e0[w] = sum(ring_sector_levels(sp, p)[0] for sp, p in zip(specs, parities))
+        plus = (1,) * model.n_diagonals
+        switch = min(e - e0[plus] for w, e in e0.items() if w != plus)
+        levels = ring_sector_levels(model.chains[0].spec, 1)
+        brute = min(switch, levels[1] - levels[0])
+        assert abs(dual_lattice_gap(n, m, g, h) - brute) < 1e-12, (g, h)
 
 
 def test_dual_gap_matches_lanczos_on_4x4():

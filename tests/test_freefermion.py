@@ -95,8 +95,9 @@ def test_edge_field_chains_are_dense_only():
 
 @pytest.mark.parametrize("twist", [1, -1])
 def test_dense_parity_gather_matches_penalty_projection(twist):
-    # two independent constructions of one spin-parity block: the flip-pair
-    # basis gather versus a penalty-shifted projector
+    # two independent constructions of one spin-parity block: the label
+    # block of ``ed.parity_block`` in the Hadamard frame versus a
+    # penalty-shifted projector in the z basis
     from plaqising.duality import _dense_chain_levels
 
     spec = TFIMChainSpec(5, RING, 0.7, scale=1.0, twist=twist)

@@ -1,9 +1,15 @@
-"""Every imported name in the package modules and the tests is read somewhere.
+"""Every imported name in the package modules and the tests is read somewhere,
+and so is every private module-level name of the package.
 
-The check is by name per file: an import binding counts as used if the same
-name is loaded anywhere in the file or listed in its ``__all__``.
+The import check is by name per file: an import binding counts as used if the
+same name is loaded anywhere in the file or listed in its ``__all__``.
 ``__future__`` imports are exempt, and so is ``plaqising/__init__.py``, whose
 imports are the package's exports.
+
+The private check is by name across the package: a module-level ``_name``
+function, class or constant of ``src/plaqising`` must be loaded, as a name or
+an attribute, in some package module.  A helper that only tests call is an
+orphan.
 """
 
 import ast
@@ -12,9 +18,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "plaqising").glob("*.py"))
 FILES = sorted(
-    [p for p in (ROOT / "src" / "plaqising").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [p for p in SRC if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
 
 
@@ -49,3 +55,40 @@ def test_the_check_sees_an_unused_import():
     src = "from __future__ import annotations\nimport os, sys as system\n" \
           "from a.b import c, d as e\n__all__ = ['c']\nprint(os.sep)\n"
     assert _unused_imports(src) == ["line 3: e", "line 2: system"]
+
+
+def _orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no source in ``sources`` loads."""
+    read: set[str] = set()
+    defined: list[tuple[str, int, str]] = []
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(fname, node.lineno, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+    return [f"{fname} line {line}: {name}" for fname, line, name in defined
+            if name not in read]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    assert _orphaned_privates({p.name: p.read_text() for p in SRC}) == []
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    a = ("_LIMIT = 3\n_T: int = 1\n"
+         "def _used():\n    return _LIMIT\ndef _orphan():\n    pass\n")
+    b = "import a\nclass _Box:\n    pass\nprint(a._used(), a._T)\n"
+    assert _orphaned_privates({"a.py": a, "b.py": b}) == [
+        "a.py line 5: _orphan", "b.py line 2: _Box"]

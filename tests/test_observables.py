@@ -38,7 +38,7 @@ from plaqising.observables import (
     sx_string_expectation_dual,
     sx_string_expectation_ed,
 )
-from plaqising.ed import _sector_labels
+from plaqising.ed import _loop_masks, _parity_labels
 from plaqising.observables import _dual_chain_solution
 
 
@@ -101,7 +101,7 @@ def test_measurement_state_is_an_unbiased_eigenstate():
     hs = torus(3, 3, 0.8, 1.1)
     state, energy = ground_state_for_measurement(hs)
     assert np.linalg.norm(state) == pytest.approx(1.0)
-    hv = HamiltonianOperator(hs).matvec(state)
+    hv = HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs)).matvec(state)
     e = float(state @ hv)
     assert np.linalg.norm(hv - e * state) < 1e-7
     assert energy == pytest.approx(e, abs=1e-10)
@@ -136,10 +136,9 @@ def test_sector_basis_must_be_invariant():
     # unrotated, every sx flips one bit and so one loop parity: the sector
     # labels are not closed under the z-basis terms
     hs = torus(3, 3)
-    labels = _sector_labels(hs.lattice, (1, 1, 1))
+    labels = _parity_labels(hs.n_spins, _loop_masks(hs.lattice), (1, 1, 1))
     with pytest.raises(InvalidSpec):
-        HamiltonianOperator.from_terms(hs.n_spins, hamiltonian_terms(hs),
-                                       basis=labels)
+        HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs), basis=labels)
 
 
 def test_measurement_state_budget_is_checked_before_allocating(monkeypatch):
@@ -148,9 +147,11 @@ def test_measurement_state_budget_is_checked_before_allocating(monkeypatch):
     def never(*args):
         raise AssertionError("sector labels allocated past the budget")
 
-    monkeypatch.setattr(ed, "_sector_labels", never)
+    monkeypatch.setattr(ed, "_parity_labels", never)
     with pytest.raises(TooLarge):
         ground_state_for_measurement(open_lat(3, 7))
+    with pytest.raises(TooLarge):  # 15 spins: over the dense budget
+        full_spectrum(torus(5, 3))
 
 
 def test_sector_label_validation():

@@ -40,7 +40,6 @@ SMALL_EXPONENTS = ExponentsConfig(
     separation=100,
     disordered_grid=(1.02, 1.13, 1.25),
     string_length=150,
-    corr_margin=50,
 )
 
 
@@ -198,8 +197,8 @@ def test_exponents_validation():
     with pytest.raises(InvalidSpec):
         run_exponents(ExponentsConfig(length=512, separation=256))
     with pytest.raises(InvalidSpec):
-        run_exponents(ExponentsConfig(length=512, string_length=500,
-                                      corr_margin=50))
+        run_exponents(ExponentsConfig(length=512, separation=100,
+                                      string_length=513))
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +332,6 @@ def test_cli_ini_tuple_and_float_grids(tmp_path):
         "separation = 100\n"
         "disordered-grid = 1.02 1.13 1.25\n"
         "string-length = 150\n"
-        "corr-margin = 50\n"
     )
     assert main(["gap-scaling", "--config", str(ini),
                  "--out", str(tmp_path)]) == EXIT_OK
