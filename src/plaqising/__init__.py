@@ -50,7 +50,6 @@ from .errors import (
 )
 from .freefermion import (
     BdGSolution,
-    ParitySector,
     TFIMChainSpec,
     bdg_solve,
     disorder_parameter,
@@ -77,7 +76,6 @@ from .lattice import (
 from .observables import (
     DiagonalSegment,
     ground_state_for_measurement,
-    local_sx,
     plaquette_pair_expectation_dual,
     plaquette_string,
     plaquette_string_expectation_dual,
@@ -112,13 +110,13 @@ __all__ = [
     "sector_chain_specs", "full_dual_spectrum", "duality_spectrum_check",
     "dual_lattice_gap",
     # freefermion
-    "TFIMChainSpec", "ParitySector", "BdGSolution", "bdg_solve",
+    "TFIMChainSpec", "BdGSolution", "bdg_solve",
     "ring_sector_levels", "manybody_levels", "manybody_gap",
     "magnetization_x", "zz_correlator", "xx_correlator",
     "disorder_parameter",
     # observables
     "DiagonalSegment", "segment_sites", "sx_string",
-    "plaquette_string", "ground_state_for_measurement", "local_sx",
+    "plaquette_string", "ground_state_for_measurement",
     "sx_string_expectation_ed", "plaquette_string_expectation_ed",
     "sx_string_expectation_dual", "plaquette_string_expectation_dual",
     "plaquette_pair_expectation_dual",

@@ -26,6 +26,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -169,6 +170,11 @@ def _resolve_config(args: argparse.Namespace):
             values[name] = tuple(cli_val) if isinstance(cli_val, list) else cli_val
     if args.command == "duality-check" and args.literal:
         values["sector_resolved"] = False
+    for name, val in values.items():
+        # a nan or inf coupling or tolerance is bad input, not a physics verdict
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, tuple) else (val,))):
+            raise InvalidSpec(f"{name} must be finite, got {val!r}")
     return cfg_cls(**values), runner
 
 

@@ -38,7 +38,7 @@ from .ed import (
     gap_from_levels,
 )
 from .errors import InvalidSpec, NotMappable
-from .freefermion import TFIMChainSpec, bdg_solve, chain_terms
+from .freefermion import TFIMChainSpec, chain_terms, ring_block
 from .lattice import (
     Boundary,
     ChainBoundary,
@@ -481,9 +481,12 @@ def duality_spectrum_check(
 def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     """Exact torus gap from the dual chains, for any lattice size.
 
-    Cheapest of (a) a two-fermion excitation inside the ground sector and
-    (b) the cheapest sector switch, minimized by dynamic programming over
-    the cyclic twist/parity constraints.  Away from ``g = h`` the sector
+    The torus has ``d = gcd(rows, cols)`` dual rings of one length; a sector
+    puts each ring in a (twist, spin parity) block, whose lowest level comes
+    from :func:`~plaqising.freefermion.ring_block`.  The gap is the cheapest of
+    (a) a two-fermion excitation inside the ground sector (untwisted, even)
+    and (b) the cheapest sector switch, minimized by dynamic programming
+    over the cyclic twist/parity constraints.  Away from ``g = h`` the sector
     splittings are exponentially small in the chain length - the reported
     gap is then the topological ground-space splitting, not a bulk gap.
     """
@@ -497,20 +500,12 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     d = math.gcd(rows, cols)
     ell = (rows * cols) // d
     g_I = g / h
-    # untwisted ring: even grid antiperiodic, odd grid periodic
-    sol = bdg_solve(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN, g_I, h),
-                    corr_size=0)
-    eps_ap, eps_p = sol.eps_even, sol.eps_odd
-    evac_ap, evac_p, pvac_p = sol.evac_even, sol.evac_odd, sol.vacparity_odd_grid
-
-    egs = {
-        (1, 1): evac_ap,
-        (1, -1): evac_p + (eps_p[0] if pvac_p == 1 else 0.0),
-        (-1, 1): evac_p + (0.0 if pvac_p == 1 else eps_p[0]),
-        (-1, -1): evac_ap + eps_ap[0],
-    }
-    delta = {tv: e - egs[(1, 1)] for tv, e in egs.items()}
-    pair = float(eps_ap[0] + eps_ap[1])
+    blocks = {(w, p): ring_block(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN,
+                                              g_I, h, twist=w), p)
+              for w, p in iproduct((1, -1), repeat=2)}
+    delta = {wp: b.level - blocks[(1, 1)].level for wp, b in blocks.items()}
+    eps = blocks[(1, 1)].eps
+    pair = float(eps[0] + eps[1])
 
     inf = math.inf
     switch = inf

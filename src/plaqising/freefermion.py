@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -62,12 +62,6 @@ def _sv_noise_floor(L: int, eps_max: float) -> float:
     floor is replaced by the analytic edge mode.
     """
     return 32.0 * L * np.finfo(float).eps * max(eps_max, 1e-300)
-
-
-class ParitySector(Enum):
-    EVEN = "Even"
-    ODD = "Odd"
-    OPEN_NA = "OpenNA"
 
 
 @dataclass(frozen=True)
@@ -137,32 +131,23 @@ def chain_terms(spec: TFIMChainSpec) -> list[tuple[float, PauliString]]:
 # ----------------------------------------------------------------------
 @dataclass
 class BdGSolution:
-    """Single-particle solution of one chain in its ground parity sector.
+    """Single-particle solution of one chain: what its correlators read.
 
-    ``energies`` are the mode energies of the ground-sector momentum grid
-    (all of them, ascending).  ``G`` is the Majorana correlator
-    ``G(i,j) = <B_i A_j>`` of the corresponding Gaussian vacuum; for long
-    open chains solved with ``corr_size = m`` only the leading ``m x m``
-    block is materialized.  For periodic chains both grids are retained
-    (``eps_even``/``eps_odd``, sorted, with vacuum energies summed over the
-    sorted grids and vacuum parities) so many-body levels of both spin-parity
-    blocks can be reconstructed.
+    ``energies`` are the ascending mode energies: every mode of an open
+    chain, and on a ring those of the even spin-parity (correlator) grid.
+    ``ground_energy`` is the many-body ground energy (on a ring, the lower
+    of the two spin-parity blocks' lowest levels).  ``G`` is the Majorana
+    correlator ``G(i,j) = <B_i A_j>`` of the Gaussian vacuum; for long open
+    chains solved with ``corr_size = m`` only the leading ``m x m`` block is
+    materialized, and a ring stores one row of it from its even grid.
     """
 
     chain: TFIMChainSpec
     energies: np.ndarray
     ground_energy: float
-    parity_sector: ParitySector
     _G: np.ndarray | None = None
     _gvec: np.ndarray | None = None  # periodic: G(i, i+r) = _gvec[r mod L] up to wrap sign
     _gvec_wrap_sign: int = -1  # -1 antiperiodic grid, +1 periodic grid
-    # periodic bookkeeping (None for open chains)
-    eps_even: np.ndarray | None = None   # antiperiodic grid (even spin parity)
-    eps_odd: np.ndarray | None = None    # periodic grid (odd spin parity)
-    evac_even: float | None = None
-    evac_odd: float | None = None
-    vacparity_even_grid: int | None = None
-    vacparity_odd_grid: int | None = None
 
     @property
     def L(self) -> int:
@@ -217,12 +202,13 @@ def _orthogonality_deviation(G: np.ndarray) -> float:
 
 
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
-    """Solve one chain: mode energies and ground-sector Majorana correlator.
+    """Solve one chain: mode energies and ground-state Majorana correlator.
 
-    ``corr_size = 0`` skips the correlator entirely (energies only, on open
-    chains and rings alike).  Otherwise open chains materialize the leading
-    block ``G[:m, :m]`` (``m = corr_size``; ``None`` builds the full matrix),
-    and rings store one correlator row from an FFT, whatever ``m``.
+    ``corr_size`` affects open chains only: ``0`` skips the correlator
+    (energies only), ``m`` materializes the leading block ``G[:m, :m]`` and
+    ``None`` the full matrix.  A ring always stores one correlator row, an
+    FFT on the grid of its even spin-parity block (:func:`ring_block`); its
+    ground energy is the lower of the two blocks' lowest levels.
     """
     if chain.zero_field:
         raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
@@ -236,11 +222,6 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
             chain=chain,
             energies=np.array([2 * h * g]),
             ground_energy=-h * g,
-            parity_sector=(
-                ParitySector.OPEN_NA
-                if chain.boundary is ChainBoundary.OPEN_CHAIN
-                else ParitySector.EVEN
-            ),
             _G=np.array([[1.0]]),
         )
 
@@ -286,7 +267,6 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
                 chain=chain,
                 energies=np.sort(eps),
                 ground_energy=-0.5 * float(eps.sum()),
-                parity_sector=ParitySector.OPEN_NA,
             )
         G = V @ U.T
         dev = _orthogonality_deviation(G)
@@ -300,47 +280,57 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
             chain=chain,
             energies=np.sort(eps),
             ground_energy=-0.5 * float(eps.sum()),
-            parity_sector=ParitySector.OPEN_NA,
             _G=G,
         )
 
-    # periodic chain: antiperiodic grid for the even spin-parity block,
-    # periodic grid for the odd block; a twist swaps the two roles.  The
-    # antiperiodic vacuum has parity +1; on the periodic grid the unpaired
-    # k = 0 mode has energy 2h(g - 1), so that vacuum is odd below g = 1.
-    k_ap = np.pi * (2 * np.arange(L) + 1) / L
-    k_p = 2 * np.pi * np.arange(L) / L
-    (k_even, pv_even), (k_odd, pv_odd) = (k_ap, 1), (k_p, 1 if g >= 1.0 else -1)
-    if chain.twist == -1:
-        (k_even, pv_even), (k_odd, pv_odd) = (k_odd, pv_odd), (k_even, pv_even)
-    modes = lambda k: np.sort(2 * h * np.sqrt((g - np.cos(k)) ** 2 + np.sin(k) ** 2))
-    eps_even, eps_odd = modes(k_even), modes(k_odd)
-    evac_even, evac_odd = -0.5 * float(eps_even.sum()), -0.5 * float(eps_odd.sum())
-
-    # ground state of each block: its vacuum if that has the block's parity,
-    # else the vacuum plus the cheapest fermion
-    e_even_gs = evac_even + (0.0 if pv_even == 1 else float(eps_even[0]))
-    e_odd_gs = evac_odd + (0.0 if pv_odd == -1 else float(eps_odd[0]))
-    if e_even_gs <= e_odd_gs:
-        sector = ParitySector.EVEN
-        ground = e_even_gs
-    else:
-        sector = ParitySector.ODD
-        ground = e_odd_gs
+    even, odd = ring_block(chain, 1), ring_block(chain, -1)
     return BdGSolution(
         chain=chain,
-        energies=eps_even,
-        ground_energy=ground,
-        parity_sector=sector,
-        _gvec=None if corr_size == 0 else _ring_gvec(g, k_even),
-        _gvec_wrap_sign=(-1 if chain.twist == 1 else 1),
-        eps_even=eps_even,
-        eps_odd=eps_odd,
-        evac_even=evac_even,
-        evac_odd=evac_odd,
-        vacparity_even_grid=pv_even,
-        vacparity_odd_grid=pv_odd,
+        energies=even.eps,
+        ground_energy=min(even.level, odd.level),
+        _gvec=_ring_gvec(g, even.k),
+        _gvec_wrap_sign=1 if even.k[0] == 0.0 else -1,
     )
+
+
+class RingBlock(NamedTuple):
+    """One spin-parity block of a ring (see :func:`ring_block`)."""
+
+    k: np.ndarray    # fermion momentum grid
+    eps: np.ndarray  # mode energies on ``k``, ascending
+    evac: float      # energy of the grid's Gaussian vacuum
+    pvac: int        # spin parity of that vacuum
+    level: float     # lowest level of the block
+
+
+def ring_block(chain: TFIMChainSpec, spin_parity: int) -> RingBlock:
+    """The fermion grid and lowest level of one spin-parity block of a ring.
+
+    Even spin parity lives on the antiperiodic grid (momenta
+    ``(2m+1) pi / L``) and odd parity on the periodic grid (``2 pi m / L``);
+    a bond twist swaps the two.  The antiperiodic vacuum is even; on the
+    periodic grid the unpaired ``k = 0`` mode has energy ``2h(g - 1)``, so
+    that vacuum is odd below ``g = 1``.  A state with occupied mode set ``S``
+    has spin parity ``pvac * (-1)^|S|``, so the block's lowest level is the
+    vacuum if its parity matches, else the vacuum plus the cheapest mode.  A
+    lone spin (``L = 1``) has no closing bond: levels ``-h g`` (even) and
+    ``+h g`` (odd).
+    """
+    if chain.boundary is not ChainBoundary.PERIODIC_CHAIN:
+        raise InvalidSpec("spin-parity blocks are defined for ring chains")
+    if chain.zero_field:
+        raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
+    g, h, L = chain.g_I, chain.scale, chain.length
+    periodic = (spin_parity == 1) == (chain.twist == -1)
+    k = np.pi * (2 * np.arange(L) + (0 if periodic else 1)) / L
+    if L == 1:
+        eps, pvac = np.array([2 * h * g]), 1
+    else:
+        eps = np.sort(2 * h * np.sqrt((g - np.cos(k)) ** 2 + np.sin(k) ** 2))
+        pvac = -1 if periodic and g < 1.0 else 1
+    evac = -0.5 * float(eps.sum())
+    level = evac + (0.0 if pvac == spin_parity else float(eps[0]))
+    return RingBlock(k, eps, evac, pvac, level)
 
 
 def _ring_gvec(g: float, k: np.ndarray) -> np.ndarray:
@@ -376,25 +366,12 @@ def _sums_by_count_parity(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def ring_sector_levels(
     chain: TFIMChainSpec, spin_parity: int
 ) -> np.ndarray:
-    """Every many-body level of one spin-parity block of a ring chain.
-
-    Even spin parity lives on the antiperiodic grid (twist +1) or periodic
-    grid (twist -1); odd parity on the other.  Within a grid, a state with
-    occupied set S has spin parity ``p_vac * (-1)^{|S|}``.
-    """
-    if chain.boundary is not ChainBoundary.PERIODIC_CHAIN:
-        raise InvalidSpec("sector levels are defined for ring chains")
-    if chain.length == 1:
-        hg = chain.scale * chain.g_I
-        return np.array([-hg]) if spin_parity == 1 else np.array([+hg])
-    sol = bdg_solve(chain, corr_size=0)
-    if spin_parity == 1:
-        eps, evac, pvac = sol.eps_even, sol.evac_even, sol.vacparity_even_grid
-    else:
-        eps, evac, pvac = sol.eps_odd, sol.evac_odd, sol.vacparity_odd_grid
-    even_s, odd_s = _sums_by_count_parity(eps)
-    sums = even_s if pvac == spin_parity else odd_s
-    return np.sort(evac + sums)
+    """Every many-body level of one spin-parity block of a ring chain: the
+    vacuum of the block's grid (:func:`ring_block`) plus each subset of
+    modes whose size gives the block's parity."""
+    block = ring_block(chain, spin_parity)
+    even_s, odd_s = _sums_by_count_parity(block.eps)
+    return np.sort(block.evac + (even_s if block.pvac == spin_parity else odd_s))
 
 
 def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
@@ -414,15 +391,6 @@ def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
     )
 
 
-def _lowest_block_levels(eps: np.ndarray, evac: float, pvac: int, parity: int,
-                         nmodes: int = 8) -> np.ndarray:
-    """A safe handful of the lowest levels of one parity block."""
-    eps = np.sort(eps)[: min(len(eps), nmodes)]
-    even_s, odd_s = _sums_by_count_parity(eps)
-    sums = even_s if pvac == parity else odd_s
-    return evac + np.sort(sums)[:8]
-
-
 def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
     """Gap between the chain ground state and the first level above the
     degeneracy band, combining both spin-parity blocks for rings."""
@@ -432,14 +400,13 @@ def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
         sol = bdg_solve(chain, corr_size=0)
         above = sol.energies[sol.energies > degeneracy_tol]
         return float(above[0]) if above.size else 0.0
-    if chain.length == 1:
-        return 2 * chain.scale * chain.g_I
-    sol = bdg_solve(chain, corr_size=0)
-    levels = np.concatenate([
-        _lowest_block_levels(sol.eps_even, sol.evac_even, sol.vacparity_even_grid, +1),
-        _lowest_block_levels(sol.eps_odd, sol.evac_odd, sol.vacparity_odd_grid, -1),
-    ])
-    levels = np.sort(levels)
+    levels = []
+    for parity in (1, -1):
+        # a safe handful of each block's lowest levels, from its 8 lowest modes
+        block = ring_block(chain, parity)
+        even_s, odd_s = _sums_by_count_parity(block.eps[:8])
+        levels.append(block.evac + np.sort(even_s if block.pvac == parity else odd_s)[:8])
+    levels = np.sort(np.concatenate(levels))
     e0 = levels[0]
     above = levels[levels > e0 + degeneracy_tol]
     return float(above[0] - e0) if above.size else 0.0
@@ -519,11 +486,11 @@ def disorder_parameter(sol: BdGSolution, r: int, start: int = 1) -> float:
     """``<prod_{j=start..start+r-1} tx_j>``: an r x r block determinant of G.
 
     The default segment is anchored at the first site.  For periodic chains
-    positions past ``L`` wrap (with the grid's boundary sign), so any ``r < L``
-    window is allowed.
+    positions past ``L`` wrap (with the grid's boundary sign), so any window
+    of ``r <= L`` sites is allowed; ``r = L`` is the spin-flip parity.
     """
-    if r < 1 or (sol.chain.boundary is ChainBoundary.OPEN_CHAIN
-                 and not 1 <= start <= start + r - 1 <= sol.L):
+    if r < 1 or r > sol.L or (sol.chain.boundary is ChainBoundary.OPEN_CHAIN
+                              and not 1 <= start <= start + r - 1 <= sol.L):
         raise IndexOutOfRange(f"segment [{start}, {start + r - 1}] outside 1..{sol.L}")
     rows = list(range(start - 1, start - 1 + r))
     T = _toeplitz_from(sol, rows, rows)

@@ -62,7 +62,6 @@ __all__ = [
     "sx_string_expectation_dual",
     "plaquette_string_expectation_dual",
     "plaquette_pair_expectation_dual",
-    "local_sx",
 ]
 
 
@@ -172,13 +171,6 @@ def plaquette_string_expectation_ed(
     if state is None:
         state, _ = ground_state_for_measurement(hs)
     return expectation(state, plaquette_string(hs.lattice, start_row, start_col, r)).real
-
-
-def local_sx(state: np.ndarray, n_spins: int) -> np.ndarray:
-    """Per-site ``<sx_j>`` profile of a dense 2D state."""
-    return np.array(
-        [expectation(state, PauliString(((j, "X"),))).real for j in range(n_spins)]
-    )
 
 
 # ----------------------------------------------------------------------

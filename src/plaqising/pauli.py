@@ -105,11 +105,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase in (1, -1)
 
-    def hermitian_conjugate(self) -> "PauliString":
-        # each single-site Pauli is Hermitian and distinct-site factors
-        # commute, so only the phase conjugates
-        return PauliString(self.factors, self.phase.conjugate())
-
     # ------------------------------------------------------------------
     # bit-kernel views (consumed by the ED module)
     # ------------------------------------------------------------------
@@ -139,10 +134,6 @@ class PauliString:
     @staticmethod
     def sigma(axis: str, site: int) -> "PauliString":
         return PauliString(((site, axis),))
-
-    @staticmethod
-    def identity() -> "PauliString":
-        return PauliString()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " ".join(f"{ax}{site}" for site, ax in self.factors) or "1"

@@ -28,10 +28,10 @@ from plaqising import freefermion
 from plaqising.errors import IndexOutOfRange, NumericalFailure
 from plaqising.ed import dense_matrix_from_terms
 from plaqising.freefermion import (
-    ParitySector,
     _orthogonality_deviation,
     _toeplitz_from,
     chain_terms,
+    ring_block,
 )
 from plaqising.pauli import PauliString
 
@@ -120,14 +120,17 @@ def test_zero_field_chain_is_free_spins():
 
 
 @pytest.mark.parametrize("twist", [1, -1])
-@pytest.mark.parametrize("g_I", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("g_I", [0.5, 0.999, 1.0, 1.001, 1.5])
 def test_ring_parity_sectors_match_dense_blocks(g_I, twist):
-    spec = TFIMChainSpec(4, RING, g_I, scale=1.0, twist=twist)
-    blocks = parity_blocks(spec)
-    for s in (+1, -1):
-        np.testing.assert_allclose(
-            ring_sector_levels(spec, s), blocks[s], atol=1e-8
-        )
+    # even and odd rings, and both sides of g = 1, where the periodic-grid
+    # vacuum changes spin parity
+    for L in (4, 5):
+        spec = TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist)
+        blocks = parity_blocks(spec)
+        for s in (+1, -1):
+            np.testing.assert_allclose(
+                ring_sector_levels(spec, s), blocks[s], atol=1e-8
+            )
 
 
 def test_ring_sector_union_is_full_spectrum():
@@ -155,19 +158,13 @@ def test_manybody_gap_matches_dense(boundary, twist, g_I):
 
 @pytest.mark.parametrize("twist", [1, -1])
 def test_ring_energies_only_solve(twist):
-    # corr_size = 0 on a ring skips the correlator but keeps every energy
+    # each block's lowest level is the bottom of its dense parity block,
+    # and the ring ground energy is the lower of the two
     spec = TFIMChainSpec(6, RING, 0.7, scale=1.3, twist=twist)
-    full, bare = bdg_solve(spec), bdg_solve(spec, corr_size=0)
-    for name in ("energies", "eps_even", "eps_odd"):
-        np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
-    for name in ("ground_energy", "evac_even", "evac_odd", "parity_sector",
-                 "vacparity_even_grid", "vacparity_odd_grid"):
-        assert getattr(bare, name) == getattr(full, name), name
-    assert abs(bare.ground_energy - dense_levels(spec)[0]) < 1e-10
-    with pytest.raises(InvalidSpec):
-        bare.corr(0, 1)
-    with pytest.raises(InvalidSpec):
-        zz_correlator(bare, 1, 2)
+    blocks = parity_blocks(spec)
+    for s in (+1, -1):
+        assert abs(ring_block(spec, s).level - blocks[s][0]) < 1e-10, s
+    assert abs(bdg_solve(spec).ground_energy - dense_levels(spec)[0]) < 1e-10
 
 
 def test_single_site_chain():
@@ -212,6 +209,20 @@ def test_correlators_match_dense(boundary, g_I):
         assert abs(disorder_parameter(sol, r) - mu) < 1e-8, r
     mu_mid = dense_gs_expect(spec, PauliString(tuple((k, "X") for k in (2, 3, 4))))
     assert abs(disorder_parameter(sol, 3, start=3) - mu_mid) < 1e-8
+
+
+def test_ring_disorder_parameter_stops_at_the_ring_length():
+    # up to r = L (the spin-flip parity) the string is one Wick block; a
+    # longer one would cover sites twice and must not return a number
+    L = 6
+    spec = TFIMChainSpec(L, RING, 1.4, scale=1.0)
+    sol = bdg_solve(spec)
+    for r in (L - 1, L):
+        mu = dense_gs_expect(spec, PauliString(tuple((k, "X") for k in range(r))))
+        assert abs(disorder_parameter(sol, r) - mu) < 1e-8, r
+    for r in (L + 1, L + 2, L + 3):
+        with pytest.raises(IndexOutOfRange):
+            disorder_parameter(sol, r)
 
 
 def test_wrapped_ring_correlator_is_consistent():
@@ -411,9 +422,3 @@ def test_chain_spec_validation():
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(4, OPEN, 1.0, 1.0, edge_fields=((4, 1.0),))
 
-
-def test_parity_sector_labels():
-    ring = bdg_solve(TFIMChainSpec(6, RING, 1.5, scale=1.0))
-    assert ring.parity_sector is ParitySector.EVEN
-    open_sol = bdg_solve(TFIMChainSpec(6, OPEN, 1.5, scale=1.0))
-    assert open_sol.parity_sector is ParitySector.OPEN_NA

@@ -10,6 +10,11 @@ The private check is by name across the package: a module-level ``_name``
 function, class or constant of ``src/plaqising`` must be loaded, as a name or
 an attribute, in some package module.  A helper that only tests call is an
 orphan.
+
+The export checks are by name per module: every ``__all__`` entry of a
+package module is bound at its top level (defined, assigned or imported),
+and the package ``__all__`` lists exactly the names ``__init__.py`` imports,
+plus ``__version__``.
 """
 
 import ast
@@ -22,6 +27,15 @@ SRC = sorted((ROOT / "src" / "plaqising").glob("*.py"))
 FILES = sorted(
     [p for p in SRC if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,10 +52,7 @@ def _unused_imports(source: str) -> list[str]:
                 imported.setdefault(alias.asname or alias.name, node.lineno)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read.update(ast.literal_eval(node.value))
+    read.update(_exports(tree))
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in read]
 
@@ -92,3 +103,38 @@ def test_the_check_sees_an_orphaned_private_name():
     b = "import a\nclass _Box:\n    pass\nprint(a._used(), a._T)\n"
     assert _orphaned_privates({"a.py": a, "b.py": b}) == [
         "a.py line 5: _orphan", "b.py line 2: _Box"]
+
+
+def _undefined_exports(source: str) -> list[str]:
+    """``__all__`` entries that the module does not bind at its top level."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+    return [name for name in _exports(tree) if name not in bound]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    assert _undefined_exports(path.read_text()) == []
+
+
+def test_the_check_sees_an_undefined_export():
+    src = ("from x import a\nimport y.z\nb = 1\nc: int = 2\n"
+           "def d():\n    pass\nclass E:\n    pass\n"
+           "__all__ = ['a', 'y', 'b', 'c', 'd', 'E', 'gone']\n")
+    assert _undefined_exports(src) == ["gone"]
+
+
+def test_package_exports_are_exactly_its_imports():
+    tree = ast.parse((ROOT / "src" / "plaqising" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(_exports(tree)) == sorted(imported + ["__version__"])

@@ -28,7 +28,6 @@ from plaqising.lattice import (
 from plaqising.observables import (
     DiagonalSegment,
     ground_state_for_measurement,
-    local_sx,
     plaquette_pair_expectation_dual,
     plaquette_string,
     plaquette_string_expectation_dual,
@@ -38,6 +37,7 @@ from plaqising.observables import (
     sx_string_expectation_dual,
     sx_string_expectation_ed,
 )
+from plaqising.pauli import sigma_x
 from plaqising.ed import _loop_masks, _parity_labels
 from plaqising.observables import _dual_chain_solution
 
@@ -234,7 +234,7 @@ def test_plaquette_pair_dual_matches_ed():
 def test_local_sx_is_uniform_and_matches_the_dual_bond():
     hs = torus(3, 3, 1.3, 1.0)
     state, _ = ground_state_for_measurement(hs)
-    prof = local_sx(state, hs.n_spins)
+    prof = np.array([expectation(state, sigma_x(j)).real for j in range(hs.n_spins)])
     assert np.ptp(prof) < 1e-8
     model = map_hamiltonian(hs)
     sol = _dual_chain_solution(model, 0)

@@ -7,6 +7,7 @@ verdict flags, file layout, determinism, and exit codes.
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,25 @@ def test_cli_bad_input_exit_codes(tmp_path, capsys):
     assert main(["crit-corr", "--config", str(bad),
                  "--out", str(tmp_path)]) == EXIT_BAD_INPUT
     assert "lenght" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["gap-scaling", "--g", "nan", "--h", "1"], "g"),
+    (["gap-scaling", "--g", "inf", "--h", "1"], "g"),
+    (["crit-corr", "--tol", "nan"], "tol"),
+    (["exponents", "--config", "{ini}"], "ordered_grid"),
+], ids=["g-nan", "g-inf", "tol-nan", "ini-grid-nan"])
+def test_cli_non_finite_input_is_bad_input(tmp_path, capsys, argv, field):
+    # a nan or inf must not reach a solver and come back as a failed check
+    ini = tmp_path / "run.ini"
+    ini.write_text("[exponents]\nordered-grid = 0.8, nan\n")
+    out = tmp_path / "out"
+    argv = [str(ini) if a == "{ini}" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+    assert not out.exists()
 
 
 def test_cli_has_no_threads_option(tmp_path, capsys):
