@@ -490,12 +490,11 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     splittings are exponentially small in the chain length - the reported
     gap is then the topological ground-space splitting, not a bulk gap.
     """
-    LatticeSpec(rows, cols, Boundary.PERIODIC)  # validates basic sizes
+    # validates the sizes and the couplings (finite, nonnegative, not both 0)
+    HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), g, h)
     if min(rows, cols) < 3:
         raise InvalidSpec("periodic duality requires at least 3 rows and columns")
     if h == 0:
-        if g == 0:
-            raise InvalidSpec("g and h cannot both vanish")
         return 2.0 * g
     d = math.gcd(rows, cols)
     ell = (rows * cols) // d

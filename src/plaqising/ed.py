@@ -25,6 +25,7 @@ deterministic start vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -51,6 +52,7 @@ DENSE_GROUND_STATES = 512  # operator_ground_spectrum uses Lanczos above this
 LANCZOS_MAX_SPINS = 20
 DEGENERACY_TOL = 1e-8      # eigenvalues this close to E0 count as ground space
 LANCZOS_RESIDUAL_TOL = 1e-10
+_RITZ_EVERY = 4            # Lanczos iterations between Ritz checks
 _SEED_NOISE = 1e-2         # relative amplitude of the deterministic seed noise
 _SEED_STREAM = 0xA5EED
 
@@ -67,6 +69,8 @@ class HamiltonianSpec:
     h: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.g) and math.isfinite(self.h)):
+            raise InvalidSpec("couplings g, h must be finite")
         if self.g < 0 or self.h < 0:
             raise InvalidSpec("couplings g, h must be nonnegative magnitudes")
         if self.g + self.h == 0:
@@ -274,6 +278,16 @@ def _lanczos(
     residual_tol: float = LANCZOS_RESIDUAL_TOL,
     max_iter: int | None = None,
 ):
+    """The ``k`` lowest distinct Ritz pairs of ``op``: Lanczos with full
+    reorthogonalization from :func:`_lanczos_seed`.
+
+    The Ritz check (tridiagonal eigensolve plus the residual bound
+    ``beta_m |s_mi|``) runs at ``m = k, k + _RITZ_EVERY, ...`` iterations,
+    whenever the Krylov space is exhausted, and always at ``m = max_iter``.
+    A run therefore takes fewer than ``_RITZ_EVERY`` iterations beyond
+    convergence, and both the returned pairs and the ``NotConverged``
+    diagnostics come from the final tridiagonal matrix, never a stale one.
+    """
     dim = op.dim
     if max_iter is None:
         max_iter = min(dim, max(220, 24 * k))
@@ -294,9 +308,10 @@ def _lanczos(
         for _ in range(2):
             w -= V[: j + 1].T @ (V[: j + 1] @ w)
         b = float(np.linalg.norm(w))
+        exhausted = b < 1e-13
 
         m = j + 1
-        if m >= k:
+        if m >= k and ((m - k) % _RITZ_EVERY == 0 or exhausted or m == max_iter):
             T_d = np.array(alphas)
             T_e = np.array(betas)
             theta, s = scipy.linalg.eigh_tridiagonal(T_d, T_e)
@@ -305,7 +320,7 @@ def _lanczos(
             ritz = (theta, s)
             if np.all(res <= residual_tol * np.maximum(1.0, np.abs(theta[:k]))):
                 break
-        if b < 1e-13:
+        if exhausted:
             # Krylov space exhausted an invariant subspace; continue with a
             # deterministic fresh direction orthogonal to everything so far
             inject += 1
@@ -354,18 +369,23 @@ def _lanczos(
 
 
 def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
-    """The ``k`` lowest levels of the union of every block's lowest ``k``.
+    """The sorted union of every loop-sector block's ``k`` lowest levels.
 
-    A level degenerate across loop sectors counts once per sector, but
-    inside one Lanczos block only distinct values are found (4x4 torus,
-    ``g = 0``, ``k = 10``: ``-14 h`` comes back 4 times, once per block that
-    holds it; the full space holds it 16 times).  The gap is
-    degeneracy-tolerant, so the topological ground multiplet of a torus,
-    split only exponentially, does not pollute it.
+    The union is not cut to ``k``: its first ``k`` entries are the ``k``
+    lowest levels, and its gap needs from each block only the lowest level
+    and, if that lies in the ground band, the next one.  So ``k = 2`` gives
+    the degeneracy-tolerant gap on Lanczos blocks, which return distinct
+    levels; a dense block returns them with multiplicity.  Cut to ``k``, a
+    topological ground multiplet split by less than ``DEGENERACY_TOL`` would
+    fill the list and read as a gap of 0.  A level degenerate across loop
+    sectors counts once per sector, but inside one Lanczos block only
+    distinct values are found (4x4 torus, ``g = 0``, ``k = 10``: ``-14 h``
+    comes back 4 times, once per block that holds it; the full space holds
+    it 16 times).
     """
     ops = (sector_operator(hs, sector) for sector in _sectors(hs.lattice))
     parts = [operator_ground_spectrum(op, min(k, op.dim)) for op in ops]
-    vals = np.sort(np.concatenate([r.eigenvalues for r in parts]))[:k]
+    vals = np.sort(np.concatenate([r.eigenvalues for r in parts]))
     return SpectrumResult(vals, info={"blocks": [r.info for r in parts]})
 
 

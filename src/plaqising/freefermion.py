@@ -88,6 +88,9 @@ class TFIMChainSpec:
     def __post_init__(self):
         if self.length < 1:
             raise InvalidSpec("chain length must be positive")
+        couplings = (self.g_I, self.scale, *(s for _, s in self.edge_fields))
+        if not all(math.isfinite(c) for c in couplings):
+            raise InvalidSpec("chain couplings must be finite")
         if not self.zero_field:
             if self.g_I < 0:
                 raise InvalidSpec("g_I must be nonnegative")

@@ -17,7 +17,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .duality import dual_lattice_gap, duality_spectrum_check
-from .ed import DENSE_MAX_SPINS, HamiltonianSpec, full_spectrum, ground_spectrum
+from .ed import (
+    DENSE_MAX_SPINS,
+    HamiltonianSpec,
+    SpectrumResult,
+    full_spectrum,
+    ground_spectrum,
+)
 from .errors import InvalidSpec
 from .freefermion import (
     TFIMChainSpec,
@@ -171,11 +177,12 @@ class GapScalingConfig:
     slope_band: float = 0.1          # fitted slope must sit in -1 +- slope_band
 
 
-def _ed_torus_gap(n: int, g: float, h: float) -> float:
+def _ed_torus_spectrum(n: int, g: float, h: float) -> SpectrumResult:
+    """Every level (dense), or each loop sector's two lowest (Lanczos)."""
     hs = HamiltonianSpec(LatticeSpec(n, n, Boundary.PERIODIC), g, h)
     if hs.n_spins <= DENSE_MAX_SPINS:
-        return full_spectrum(hs).gap
-    return ground_spectrum(hs, k=5).gap
+        return full_spectrum(hs)
+    return ground_spectrum(hs, 2)
 
 
 def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
@@ -188,11 +195,14 @@ def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
     fit = fit_powerlaw([r["size"] for r in rows], [r["gap"] for r in rows])
     meta = {"fit": fit, "ed_checks": []}
     for n in cfg.ed_sizes:
-        ed_gap = _ed_torus_gap(n, cfg.g, cfg.h)
+        res = _ed_torus_spectrum(n, cfg.g, cfg.h)
+        blocks = res.info.get("blocks", [res.info])
         dual_gap = dual_lattice_gap(n, n, cfg.g, cfg.h)
         meta["ed_checks"].append(
-            {"size": n, "ed_gap": ed_gap, "dual_gap": dual_gap,
-             "abs_error": abs(ed_gap - dual_gap)}
+            {"size": n, "ed_gap": res.gap, "dual_gap": dual_gap,
+             "abs_error": abs(res.gap - dual_gap),
+             "method": blocks[0]["method"],  # the blocks share one size
+             "iterations": sum(b.get("iterations", 0) for b in blocks)}
         )
     meta["slope_in_band"] = abs(fit["slope"] + 1.0) <= cfg.slope_band
     meta["ed_checks_ok"] = all(

@@ -23,6 +23,7 @@ from plaqising.ed import (
     HamiltonianSpec,
     dense_matrix_from_terms,
     full_spectrum,
+    gap_from_levels,
     ground_spectrum,
     hamiltonian_terms,
 )
@@ -400,7 +401,30 @@ def test_dual_gap_matches_lanczos_on_4x4():
     assert dual_lattice_gap(4, 4, 1.0, 1.0) == pytest.approx(res.gap, abs=1e-7)
     # the lowest five with multiplicity: -20.109 is doubly degenerate
     dual = full_dual_spectrum(map_hamiltonian(hs))[:5]
-    np.testing.assert_allclose(res.eigenvalues, dual, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.eigenvalues[:5], dual, rtol=0, atol=1e-10)
+
+
+def test_lanczos_gap_survives_a_split_ground_multiplet():
+    # at h = 0.005 the ground multiplet splits by 7.8e-10 < DEGENERACY_TOL:
+    # cut to two levels it would fill the list and read as a gap of 0
+    hs = torus(4, 4, 1.0, 0.005)
+    res = ground_spectrum(hs, 2)
+    dual = full_dual_spectrum(map_hamiltonian(hs))
+    assert res.gap == pytest.approx(gap_from_levels(dual), abs=1e-9)
+    assert res.gap > 3.9
+    np.testing.assert_allclose(res.eigenvalues[:2], dual[:2], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda g, h: HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), g, h),
+    lambda g, h: TFIMChainSpec(6, ChainBoundary.PERIODIC_CHAIN, g, h),
+    lambda g, h: dual_lattice_gap(4, 4, g, h),
+], ids=["HamiltonianSpec", "TFIMChainSpec", "dual_lattice_gap"])
+def test_non_finite_couplings_are_rejected(entry, bad):
+    for g, h in ((bad, 1.0), (1.0, bad), (bad, 0.0)):
+        with pytest.raises(InvalidSpec):
+            entry(g, h)
 
 
 def test_dual_gap_limits_and_validation():

@@ -25,13 +25,15 @@ from plaqising import (
     plaquette_operator,
 )
 from plaqising.ed import (
+    _RITZ_EVERY,
     HamiltonianOperator,
+    _lanczos,
     dense_matrix_from_terms,
     gap_from_levels,
     operator_ground_spectrum,
     sector_operator,
 )
-from plaqising.errors import InvalidSpec
+from plaqising.errors import InvalidSpec, NotConverged
 from plaqising.lattice import site_diagonals
 from plaqising.pauli import sigma_x
 
@@ -174,7 +176,8 @@ def test_ground_spectrum_matches_dense_head():
     hs = torus33(0.9, 1.0)
     levels = _full_space_levels(hs)
     res = ground_spectrum(hs, k=12)
-    np.testing.assert_allclose(res.eigenvalues, levels[:12], rtol=0, atol=1e-9)
+    assert res.eigenvalues.size == 8 * 12  # the union is not cut to k
+    np.testing.assert_allclose(res.eigenvalues[:12], levels[:12], rtol=0, atol=1e-9)
     assert abs(res.gap - gap_from_levels(levels)) < 1e-8
 
 
@@ -194,11 +197,38 @@ def test_lanczos_branch_agrees_with_dense():
     hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 1.0, 1.0)
     dense_levels = full_spectrum(hs).eigenvalues
     op = HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs))
-    from plaqising.ed import _lanczos
-
     vals, _, info = _lanczos(op, k=4, want_vectors=False)
     assert info["method"] == "lanczos"
     np.testing.assert_allclose(vals[0], dense_levels[0], atol=1e-9)
+
+
+def _sector_block_4x3():
+    hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 1.0, 1.0)
+    return sector_operator(hs, (1,) * len(site_diagonals(hs.lattice)))
+
+
+def test_lanczos_block_levels_match_dense_block():
+    # one 2048-state loop sector: Lanczos and a dense eigh of the same block
+    op = _sector_block_4x3()
+    dense = scipy.linalg.eigvalsh(op.dense())
+    distinct = dense[np.concatenate(([True], np.diff(dense) > 1e-8))]
+    vals, _, _ = _lanczos(op, k=2, want_vectors=False)
+    np.testing.assert_allclose(vals, distinct[:2], rtol=0, atol=1e-12)
+
+
+def test_lanczos_ritz_check_is_never_stale():
+    # k = 2 checks at m = 2, 2 + c, ...; max_iter one step past a check
+    # must still be checked at max_iter (k = 2, c = 4: 7 after 6)
+    op = _sector_block_4x3()
+    last = 2 + _RITZ_EVERY + 1
+    with pytest.raises(NotConverged) as before:
+        _lanczos(op, k=2, want_vectors=False, max_iter=last - 1)
+    with pytest.raises(NotConverged) as after:
+        _lanczos(op, k=2, want_vectors=False, max_iter=last)
+    assert after.value.diagnostics["iterations"] == last
+    # Cauchy interlacing: one more Lanczos step lowers every Ritz value
+    assert np.all(np.array(after.value.diagnostics["ritz_values"])
+                  < np.array(before.value.diagnostics["ritz_values"]))
 
 
 def test_budget_guards():

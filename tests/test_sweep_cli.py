@@ -132,7 +132,18 @@ def test_gap_scaling_small_sizes():
     (check,) = meta["ed_checks"]
     assert check["size"] == 3
     assert check["abs_error"] < 1e-12
+    assert (check["method"], check["iterations"]) == ("dense", 0)
     assert meta["ed_checks_ok"]
+
+
+def test_gap_scaling_lanczos_check_reports_its_solver():
+    # 4x4: sixteen 4096-state loop sectors, two levels each by Lanczos
+    _, meta = run_gap_scaling(GapScalingConfig(sizes=(8, 16, 32), ed_sizes=(4,)))
+    (check,) = meta["ed_checks"]
+    assert check["abs_error"] < 1e-12
+    assert check["method"] == "lanczos"
+    assert 16 * 2 <= check["iterations"] <= 16 * 220
+    assert meta["passed"]
 
 
 def test_gap_scaling_rejects_tiny_tori():
