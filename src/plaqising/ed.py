@@ -14,18 +14,23 @@ Each diagonal loop ``W_b`` (``prod sx`` over a site diagonal) commutes with
 so a Z2 block is a list of labels closed under the rotated terms.
 :func:`parity_block` builds both the ``2^d`` loop sectors of every 2D spectrum
 and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
-arXiv:1101.3281).
+arXiv:1101.3281).  Where site reversal ``j -> n - 1 - j`` maps the terms and
+the block's masks onto themselves, :func:`mirror_blocks` splits a dense block
+into its even and odd halves, so a dense solve costs about a quarter.
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
-whole block.  Blocks of up to ``DENSE_GROUND_STATES`` states are solved
-dense; larger ones by a Lanczos recursion with full reorthogonalization and a
-deterministic start vector.
+whole block.  Terms with one flip mask are merged when the operator compiles
+(in the Hadamard frame every ``sx`` is diagonal), so a matvec is one diagonal
+product plus one gather per distinct mask.  Blocks of up to
+``DENSE_GROUND_STATES`` states are solved dense; larger ones by a Lanczos
+recursion with full reorthogonalization and a deterministic start vector.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -131,11 +136,14 @@ def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
 class HamiltonianOperator:
     """Precompiled matrix-free real Pauli-term sum on ``n`` spins, for matvecs.
 
-    Each term is stored as a permutation (XOR by the flip mask) plus a signed
-    weight vector, so one matvec is ``sum_k w_k[perm] * v[perm]`` — no
-    complex arithmetic is ever needed for this model.  With a ``basis`` (a
-    sorted array of basis-state labels closed under every term) the operator
-    acts on that block only: row ``i`` is label ``basis[i]`` (``None``: all
+    Terms that share a flip mask act on the same pairs of labels, so they are
+    merged at compile time: the diagonal terms (flip mask 0, every ``sx`` in
+    the Hadamard frame) into one weight vector ``diag``, and the others into
+    one gather ``perm`` (XOR by the mask) with its weights ``wp`` already
+    gathered, so one matvec is ``diag * v + sum wp * v[perm]`` — no complex
+    arithmetic is ever needed for this model.  With a ``basis`` (a sorted
+    array of basis-state labels closed under every term) the operator acts
+    on that block only: row ``i`` is label ``basis[i]`` (``None``: all
     ``2^n`` labels).
     """
 
@@ -148,34 +156,42 @@ class HamiltonianOperator:
             raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
         ids = np.arange(1 << n, dtype=np.uint64) if self.basis is None else self.basis
         self.dim = len(ids)
-        self._applied: list[tuple[np.ndarray, np.ndarray]] = []
+        perms: dict[int, np.ndarray] = {}    # flip mask -> row reached from each row
+        weights: dict[int, np.ndarray] = {}  # flip mask -> summed weight of each row
         for coeff, ps in terms:
             perm, signs, pref = _pauli_kernel(ids, ps)
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
+            flip = ps.masks()[0]
+            if flip in weights:
+                weights[flip] += coeff * pref.real * signs
+                continue
             if self.basis is not None:
                 rows = np.searchsorted(ids, perm)
                 if np.any(np.take(ids, rows, mode="clip") != perm):
                     raise InvalidSpec("a term maps a basis label outside the basis")
                 perm = rows
-            self._applied.append((perm, coeff * pref.real * signs))
+            perms[flip], weights[flip] = perm, coeff * pref.real * signs
+        perms.pop(0, None)
+        self._diag = weights.pop(0, np.zeros(self.dim))
+        self._gathers = [(perms[f], w[perms[f]]) for f, w in weights.items()]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if v.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"state length {v.shape[0]} != operator dimension {self.dim}"
             )
-        out = np.zeros_like(v)
-        for perm, w in self._applied:
-            out += (w * v)[perm]
+        out = self._diag * v
+        for perm, wp in self._gathers:
+            out += wp * v[perm]
         return out
 
     def dense(self) -> np.ndarray:
         """Materialize H as a dense symmetric float64 matrix."""
-        H = np.zeros((self.dim, self.dim))
-        ids = np.arange(self.dim, dtype=np.uint64)
-        for perm, w in self._applied:
-            H[perm, ids] += w
+        H = np.diag(self._diag)
+        ids = np.arange(self.dim)
+        for perm, wp in self._gathers:
+            H[ids, perm] = wp
         return H
 
 
@@ -416,12 +432,12 @@ def operator_ground_spectrum(
 
 def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: the union
-    of a dense solve of every loop-sector block."""
+    of a dense solve of every loop-sector block, each split by site reversal
+    where that is a symmetry (:func:`mirror_blocks`)."""
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    blocks = (dense_matrix_from_terms(hs.n_spins, terms, masks, w)
-              for w in _sectors(hs.lattice))
     vals = np.sort(np.concatenate([scipy.linalg.eigh(H, eigvals_only=True)
-                                   for H in blocks]))
+                                   for w in _sectors(hs.lattice)
+                                   for H in mirror_blocks(hs.n_spins, terms, masks, w)]))
     return SpectrumResult(vals, info={"method": "dense"})
 
 
@@ -438,6 +454,55 @@ def dense_matrix_from_terms(
         raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
     op = parity_block(n, terms, masks, signs) if masks else HamiltonianOperator(n, terms)
     return op.dense()
+
+
+def _reverse_bits(labels: np.ndarray, n: int) -> np.ndarray:
+    """Each label with site ``j`` moved to site ``n - 1 - j``."""
+    out = np.zeros_like(labels)
+    for j in range(n):
+        out |= ((labels >> np.uint64(j)) & np.uint64(1)) << np.uint64(n - 1 - j)
+    return out
+
+
+def _is_mirror_symmetric(n: int, terms, masks, signs) -> bool:
+    """Whether site reversal maps the term list onto itself, coefficients
+    included, and the set of ``(mask, sign)`` pairs onto itself."""
+    mirrored = Counter((c, PauliString(tuple((n - 1 - s, ax) for s, ax in ps.factors),
+                                       ps.phase)) for c, ps in terms)
+    rev = _reverse_bits(np.asarray(masks, dtype=np.uint64), n).tolist()
+    return mirrored == Counter(terms) and set(zip(rev, signs)) == set(zip(masks, signs))
+
+
+def mirror_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
+    """The :func:`dense_matrix_from_terms` block, split in two by site
+    reversal ``j -> n - 1 - j`` where that is an exact symmetry of it.
+
+    Reversal sends row ``i`` to row ``s(i)`` (the reversed label; the
+    Hadamard frame commutes with it).  With ``A`` the rows ``i < s(i)`` and
+    ``F`` the fixed ones, the even half on ``(|a> + |s(a)>) / sqrt 2`` and
+    ``|f>`` is ``[[H_AA + H_AsA, sqrt2 H_AF], [sqrt2 H_FA, H_FF]]`` and the
+    odd half is ``H_AA - H_AsA``; together they hold every level of the
+    block.  The symmetry is read off the terms and masks
+    (:func:`_is_mirror_symmetric`); without it the list is the one whole
+    block.  The whole block is freed before this returns.
+    """
+    H = dense_matrix_from_terms(n, terms, masks, signs)
+    if not _is_mirror_symmetric(n, terms, masks, signs):
+        return [H]
+    labels = _parity_labels(n, masks, signs)
+    mirror = np.searchsorted(labels, _reverse_bits(labels, n))
+    rows = np.arange(len(labels))
+    A, F = rows[rows < mirror], rows[rows == mirror]
+    m = len(A)
+    same, cross = H[np.ix_(A, A)], H[np.ix_(A, mirror[A])]
+    even = np.empty((m + len(F),) * 2)
+    np.add(same, cross, out=even[:m, :m])
+    even[:m, m:] = math.sqrt(2.0) * H[np.ix_(A, F)]
+    even[m:, :m] = math.sqrt(2.0) * H[np.ix_(F, A)]
+    even[m:, m:] = H[np.ix_(F, F)]
+    del H
+    same -= cross
+    return [even, same]
 
 
 def expectation(v: np.ndarray, ps: PauliString) -> complex:

@@ -49,7 +49,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 
-from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure
+from .ed import LANCZOS_MAX_SPINS
+from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure, TooLarge
 from .lattice import ChainBoundary
 from .pauli import PauliString
 
@@ -366,12 +367,26 @@ def _sums_by_count_parity(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _check_level_budget(chain: TFIMChainSpec) -> None:
+    """``TooLarge`` before a level list of ``2^L`` float64 subset sums is
+    built for a chain longer than any lattice ED solves: a dual ring has at
+    most as many sites as its 2D lattice has spins, so no longer list has a
+    2D spectrum to be checked against."""
+    if chain.length > LANCZOS_MAX_SPINS:
+        raise TooLarge(
+            f"{chain.length} modes give 2^{chain.length} levels "
+            f"({8 << chain.length} bytes); level lists stop at "
+            f"{LANCZOS_MAX_SPINS} modes"
+        )
+
+
 def ring_sector_levels(
     chain: TFIMChainSpec, spin_parity: int
 ) -> np.ndarray:
     """Every many-body level of one spin-parity block of a ring chain: the
     vacuum of the block's grid (:func:`ring_block`) plus each subset of
     modes whose size gives the block's parity."""
+    _check_level_budget(chain)
     block = ring_block(chain, spin_parity)
     even_s, odd_s = _sums_by_count_parity(block.eps)
     return np.sort(block.evac + (even_s if block.pvac == spin_parity else odd_s))
@@ -379,6 +394,7 @@ def ring_sector_levels(
 
 def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
     """Full spin spectrum of the chain reconstructed from the mode energies."""
+    _check_level_budget(chain)
     if chain.zero_field:
         # free spins in a transverse field: levels -scale * (L - 2k)
         even_s, odd_s = _sums_by_count_parity(np.full(chain.length, 2 * chain.scale))

@@ -176,6 +176,16 @@ def test_dense_chain_levels_densify_only_the_parity_block(monkeypatch, parity):
                                rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("length", [9, 10])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_dense_chain_levels_of_twisted_rings_match_the_fermions(length, parity):
+    # the twisted closing bond maps onto itself under reversal, so these
+    # blocks are solved in their two mirror halves
+    sp = TFIMChainSpec(length, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
+    np.testing.assert_allclose(_dense_chain_levels(sp, parity),
+                               ring_sector_levels(sp, parity), rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("parity", [0, 1, -1])
 def test_dense_chain_levels_refuse_a_chain_over_the_dense_budget(parity):
     sp = TFIMChainSpec(15, ChainBoundary.PERIODIC_CHAIN, 1.0, 1.0)

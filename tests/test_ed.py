@@ -28,13 +28,16 @@ from plaqising.ed import (
     _RITZ_EVERY,
     HamiltonianOperator,
     _lanczos,
+    _loop_masks,
     dense_matrix_from_terms,
     gap_from_levels,
+    mirror_blocks,
     operator_ground_spectrum,
     sector_operator,
 )
 from plaqising.errors import InvalidSpec, NotConverged
-from plaqising.lattice import site_diagonals
+from plaqising.freefermion import TFIMChainSpec, chain_terms
+from plaqising.lattice import ChainBoundary, site_diagonals
 from plaqising.pauli import sigma_x
 
 
@@ -128,6 +131,51 @@ def test_apply_hamiltonian_matches_dense():
     v = rng.standard_normal(2**9)
     op = HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs))
     np.testing.assert_allclose(op.matvec(v), op.dense() @ v, atol=1e-10)
+
+
+# terms that share flip masks (X0 X1 and Y0 Y1; Y0 X1 Y2 and X0 X1 X2)
+# with different sign masks, plus diagonal ones that merge into one vector
+_SHARED_FLIP_TERMS = [
+    (0.7, PauliString(((0, "X"), (1, "X")))),
+    (-0.3, PauliString(((0, "Y"), (1, "Y")))),
+    (0.9, PauliString(((0, "Y"), (1, "X"), (2, "Y")))),
+    (0.6, PauliString(((0, "X"), (1, "X"), (2, "X")))),
+    (0.5, PauliString(((1, "X"), (2, "X"), (3, "Z")))),
+    (0.2, PauliString(((1, "Y"), (2, "Y")))),
+    (-0.4, PauliString(((0, "Z"),))),
+    (0.3, PauliString(((1, "Z"), (3, "Z")))),
+]
+
+
+@pytest.mark.parametrize("basis", [None, "even"])
+def test_merged_terms_match_the_kron_sum(basis):
+    # the matvec of the merged gathers, the dense matrix and the plain sum of
+    # Kronecker products agree; on a basis, the block of that sum
+    n = 4
+    terms, labels = _SHARED_FLIP_TERMS, None
+    if basis == "even":  # keep the terms that flip an even number of sites
+        labels = np.arange(2**n, dtype=np.uint64)
+        labels = labels[np.bitwise_count(labels) % 2 == 0]
+        terms = [(c, ps) for c, ps in terms if bin(ps.masks()[0]).count("1") % 2 == 0]
+    op = HamiltonianOperator(n, terms, labels)
+    flips = {ps.masks()[0] for _, ps in terms} - {0}
+    assert len(op._gathers) == len(flips) < len([t for t in terms if t[1].masks()[0]])
+    kron = sum(c * _kron_matrix(ps, n) for c, ps in terms)
+    rows = np.arange(2**n) if labels is None else labels.astype(np.int64)
+    np.testing.assert_allclose(op.dense(), kron[np.ix_(rows, rows)].real,
+                               rtol=0, atol=1e-14)
+    v = np.random.default_rng(3).standard_normal(op.dim)
+    np.testing.assert_allclose(op.matvec(v), op.dense() @ v, rtol=0, atol=1e-13)
+
+
+def test_sector_operator_merges_the_field_into_one_diagonal():
+    # 4x4 torus in the Hadamard frame: 16 sx terms are diagonal, and each of
+    # the 16 plaquettes flips its own pair of sites
+    hs = HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 1.0, 1.0)
+    op = sector_operator(hs, (1,) * len(site_diagonals(hs.lattice)))
+    assert len(op._gathers) == 16
+    np.testing.assert_array_equal(op._diag,
+                                  -1.0 * (16 - 2.0 * np.bitwise_count(op.basis)))
 
 
 def test_field_only_spectrum_is_analytic():
@@ -229,6 +277,46 @@ def test_lanczos_ritz_check_is_never_stale():
     # Cauchy interlacing: one more Lanczos step lowers every Ritz value
     assert np.all(np.array(after.value.diagnostics["ritz_values"])
                   < np.array(before.value.diagnostics["ritz_values"]))
+
+
+def _halves_hold_the_block(halves, n, terms, masks=(), signs=()):
+    whole = scipy.linalg.eigvalsh(dense_matrix_from_terms(n, terms, masks, signs))
+    split = np.sort(np.concatenate([scipy.linalg.eigvalsh(H) for H in halves]))
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+
+
+def test_mirror_blocks_split_the_4x3_loop_sectors():
+    # one loop on 4x3: the even sector holds the 2^6 palindromic labels
+    hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 0.9, 1.1)
+    terms, masks = hamiltonian_terms(hs), [2**12 - 1]
+    sizes = []
+    for w in ((1,), (-1,)):
+        halves = mirror_blocks(12, terms, masks, w)
+        sizes.append(tuple(H.shape[0] for H in halves))
+        _halves_hold_the_block(halves, 12, terms, masks, w)
+    assert sizes == [(1056, 992), (1024, 1024)]
+
+
+def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
+    # 3x3 torus: reversal sends loop b to (1 - b) mod 3, so w0 != w1 breaks it
+    hs = torus33(0.8, 1.2)
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    (whole,) = mirror_blocks(9, terms, masks, (1, -1, 1))
+    np.testing.assert_array_equal(whole, dense_matrix_from_terms(9, terms, masks,
+                                                                 (1, -1, 1)))
+    halves = mirror_blocks(9, terms, masks, (-1, -1, 1))
+    assert [H.shape[0] for H in halves] == [36, 28]
+    _halves_hold_the_block(halves, 9, terms, masks, (-1, -1, 1))
+    # an open chain whose sector flipped one edge field
+    flipped = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
+                            edge_fields=((0, -1.0), (5, 1.0)))
+    (whole,) = mirror_blocks(6, chain_terms(flipped))
+    assert whole.shape == (64, 64)
+    mirrored = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
+                             edge_fields=((0, 1.0), (5, 1.0)))
+    halves = mirror_blocks(6, chain_terms(mirrored))
+    assert [H.shape[0] for H in halves] == [36, 28]
+    _halves_hold_the_block(halves, 6, chain_terms(mirrored))
 
 
 def test_budget_guards():

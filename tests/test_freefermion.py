@@ -25,7 +25,7 @@ from plaqising import (
     zz_correlator,
 )
 from plaqising import freefermion
-from plaqising.errors import IndexOutOfRange, NumericalFailure
+from plaqising.errors import IndexOutOfRange, NumericalFailure, TooLarge
 from plaqising.ed import dense_matrix_from_terms
 from plaqising.freefermion import (
     _orthogonality_deviation,
@@ -131,6 +131,18 @@ def test_ring_parity_sectors_match_dense_blocks(g_I, twist):
             np.testing.assert_allclose(
                 ring_sector_levels(spec, s), blocks[s], atol=1e-8
             )
+
+
+@pytest.mark.parametrize("levels", [
+    lambda: ring_sector_levels(TFIMChainSpec(21, RING, 1.0, 1.0), 1),
+    lambda: manybody_levels(TFIMChainSpec(21, RING, 1.0, 1.0)),
+    lambda: manybody_levels(TFIMChainSpec(21, OPEN, 1.0, 1.0)),
+    lambda: manybody_levels(TFIMChainSpec(21, OPEN, 0.0, 1.0, zero_field=True)),
+], ids=["ring-block", "ring", "open", "zero-field"])
+def test_level_lists_refuse_a_chain_beyond_the_ed_budget(levels):
+    # 2^21 levels: refused before any subset sum is built, bytes in the message
+    with pytest.raises(TooLarge, match=str(8 * 2**21)):
+        levels()
 
 
 def test_ring_sector_union_is_full_spectrum():
