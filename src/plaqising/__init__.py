@@ -76,7 +76,6 @@ from .lattice import (
 from .observables import (
     DiagonalSegment,
     ground_state_for_measurement,
-    plaquette_pair_expectation_dual,
     plaquette_string,
     plaquette_string_expectation_dual,
     plaquette_string_expectation_ed,
@@ -119,5 +118,4 @@ __all__ = [
     "plaquette_string", "ground_state_for_measurement",
     "sx_string_expectation_ed", "plaquette_string_expectation_ed",
     "sx_string_expectation_dual", "plaquette_string_expectation_dual",
-    "plaquette_pair_expectation_dual",
 ]

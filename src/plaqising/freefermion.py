@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 
-from .ed import LANCZOS_MAX_SPINS
+from .ed import DEGENERACY_TOL, LANCZOS_MAX_SPINS, gap_from_levels
 from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure, TooLarge
 from .lattice import ChainBoundary
 from .pauli import PauliString
@@ -140,10 +140,12 @@ class BdGSolution:
     ``energies`` are the ascending mode energies: every mode of an open
     chain, and on a ring those of the even spin-parity (correlator) grid.
     ``ground_energy`` is the many-body ground energy (on a ring, the lower
-    of the two spin-parity blocks' lowest levels).  ``G`` is the Majorana
-    correlator ``G(i,j) = <B_i A_j>`` of the Gaussian vacuum; for long open
-    chains solved with ``corr_size = m`` only the leading ``m x m`` block is
-    materialized, and a ring stores one row of it from its even grid.
+    of the two spin-parity blocks' lowest levels).  The correlators read the
+    Majorana correlator ``G(i,j) = <B_i A_j>`` only through the Wick-block
+    gather :func:`_toeplitz_from`.  An open chain holds ``G`` of its Gaussian
+    vacuum in ``_G`` (only the leading ``m x m`` block when solved with
+    ``corr_size = m``); a ring holds one row of ``G`` in ``_gvec``, for the
+    lowest state of its even spin-parity block.
     """
 
     chain: TFIMChainSpec
@@ -156,26 +158,6 @@ class BdGSolution:
     @property
     def L(self) -> int:
         return self.chain.length
-
-    def corr(self, i: int, j: int) -> float:
-        """``<B_i A_j>`` with 0-based indices."""
-        if self._gvec is not None:
-            q, r = divmod(j - i, self.L)
-            s = 1.0 if q % 2 == 0 else float(self._gvec_wrap_sign)
-            return float(s * self._gvec[r])
-        if self._G is None:
-            raise InvalidSpec("correlator block was not materialized")
-        if not (0 <= i < self._G.shape[0] and 0 <= j < self._G.shape[1]):
-            raise IndexOutOfRange(
-                f"G({i},{j}) outside the materialized {self._G.shape} block"
-            )
-        return float(self._G[i, j])
-
-    @property
-    def G(self) -> np.ndarray:
-        if self._G is not None:
-            return self._G
-        return _toeplitz_from(self, range(self.L), range(self.L))
 
 
 def _open_Z(L: int, g: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +193,9 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     ``corr_size`` affects open chains only: ``0`` skips the correlator
     (energies only), ``m`` materializes the leading block ``G[:m, :m]`` and
     ``None`` the full matrix.  A ring always stores one correlator row, an
-    FFT on the grid of its even spin-parity block (:func:`ring_block`); its
-    ground energy is the lower of the two blocks' lowest levels.
+    FFT on the grid of its even spin-parity block (:func:`ring_block`) for
+    that block's lowest state; its ground energy is the lower of the two
+    blocks' lowest levels.
     """
     if chain.zero_field:
         raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
@@ -292,7 +275,7 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         chain=chain,
         energies=even.eps,
         ground_energy=min(even.level, odd.level),
-        _gvec=_ring_gvec(g, even.k),
+        _gvec=_ring_gvec(g, even),
         _gvec_wrap_sign=1 if even.k[0] == 0.0 else -1,
     )
 
@@ -337,16 +320,22 @@ def ring_block(chain: TFIMChainSpec, spin_parity: int) -> RingBlock:
     return RingBlock(k, eps, evac, pvac, level)
 
 
-def _ring_gvec(g: float, k: np.ndarray) -> np.ndarray:
-    """Majorana correlator row ``G(i, i+r)`` of the vacuum on the grid ``k``,
-    via one inverse FFT:
-    ``G(i, i+r) = (1/L) sum_k e^{ikr} (g - e^{-ik}) / |g - e^{-ik}|``."""
+def _ring_gvec(g: float, even: RingBlock) -> np.ndarray:
+    """Majorana correlator row ``G(i, i+r)`` of the even spin-parity block's
+    lowest state, via one inverse FFT on its grid ``k``:
+    ``G(i, i+r) = (1/L) sum_k e^{ikr} (g - e^{-ik}) / |g - e^{-ik}|`` for
+    the grid's vacuum.  Where that vacuum is odd (the periodic grid below
+    ``g = 1``), the lowest even state adds the ``k = 0`` mode, whose
+    occupation flips the sign of its term."""
+    k = even.k
     z = g - np.exp(-1j * k)
     az = np.abs(z)
     if np.any(az < 1e-15):
         f = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
     else:
         f = z / az
+    if even.pvac == -1:
+        f[0] = -f[0]
     base = np.fft.ifft(f)  # index r: (1/L) sum_m e^{2 pi i m r / L} f_m
     phase = np.exp(1j * k[0] * np.arange(len(k)))  # k[0] is the grid offset
     return np.real(phase * base)
@@ -410,14 +399,14 @@ def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
     )
 
 
-def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
+def manybody_gap(chain: TFIMChainSpec) -> float:
     """Gap between the chain ground state and the first level above the
     degeneracy band, combining both spin-parity blocks for rings."""
     if chain.zero_field:
         return 2 * chain.scale
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
         sol = bdg_solve(chain, corr_size=0)
-        above = sol.energies[sol.energies > degeneracy_tol]
+        above = sol.energies[sol.energies > DEGENERACY_TOL]
         return float(above[0]) if above.size else 0.0
     levels = []
     for parity in (1, -1):
@@ -425,18 +414,15 @@ def manybody_gap(chain: TFIMChainSpec, degeneracy_tol: float = 1e-8) -> float:
         block = ring_block(chain, parity)
         even_s, odd_s = _sums_by_count_parity(block.eps[:8])
         levels.append(block.evac + np.sort(even_s if block.pvac == parity else odd_s)[:8])
-    levels = np.sort(np.concatenate(levels))
-    e0 = levels[0]
-    above = levels[levels > e0 + degeneracy_tol]
-    return float(above[0] - e0) if above.size else 0.0
+    return gap_from_levels(np.concatenate(levels))
 
 
 # ----------------------------------------------------------------------
 # ground-state correlators (Wick determinants in G)
 # ----------------------------------------------------------------------
 def _toeplitz_from(sol: BdGSolution, row_offsets, col_offsets) -> np.ndarray:
-    """The block ``[sol.corr(i, j)]`` for ``i`` in rows, ``j`` in cols, with
-    the same float64 entries and the same errors, gathered in one step."""
+    """The Wick block ``[G(i, j)]`` for ``i`` in rows, ``j`` in cols (0-based),
+    gathered in one step; the only reader of ``sol._G`` and ``sol._gvec``."""
     rows = np.asarray(row_offsets, dtype=np.intp)
     cols = np.asarray(col_offsets, dtype=np.intp)
     if sol._gvec is not None:
@@ -444,14 +430,10 @@ def _toeplitz_from(sol: BdGSolution, row_offsets, col_offsets) -> np.ndarray:
         return np.where(q % 2 == 0, 1.0, float(sol._gvec_wrap_sign)) * sol._gvec[r]
     if sol._G is None:
         raise InvalidSpec("correlator block was not materialized")
-    bad_r = (rows < 0) | (rows >= sol._G.shape[0])
-    bad_c = (cols < 0) | (cols >= sol._G.shape[1])
-    if bad_r.any() or bad_c.any():
-        # report the first offending pair in row-major order, as corr() would
-        a = 0 if bad_c.any() else int(np.argmax(bad_r))
-        b = 0 if bad_r[a] else int(np.argmax(bad_c))
+    m = sol._G.shape[0]
+    if any(((ix < 0) | (ix >= m)).any() for ix in (rows, cols)):
         raise IndexOutOfRange(
-            f"G({rows[a]},{cols[b]}) outside the materialized {sol._G.shape} block"
+            f"Wick block reaches outside the materialized {sol._G.shape} block"
         )
     return sol._G[np.ix_(rows, cols)]
 
@@ -471,7 +453,7 @@ def magnetization_x(sol: BdGSolution, i: int) -> float:
     """``<tx_i>`` (1-based site)."""
     if not 1 <= i <= sol.L:
         raise IndexOutOfRange(f"site {i} outside 1..{sol.L}")
-    return sol.corr(i - 1, i - 1)
+    return float(_toeplitz_from(sol, [i - 1], [i - 1])[0, 0])
 
 
 def zz_correlator(sol: BdGSolution, i: int, j: int) -> float:
@@ -479,8 +461,9 @@ def zz_correlator(sol: BdGSolution, i: int, j: int) -> float:
 
     ``tz_i tz_j = prod_{m=i}^{j-1} (-B_m A_{m+1})``, so the value is
     ``(-1)^r det[ G(i-1+a, i+b) ]_{a,b=0..r-1}`` with ``r = j - i``.  For
-    periodic chains this is the even-block vacuum expectation, exact as long
-    as the string does not wrap (i.e. for the shorter of the two arcs).
+    periodic chains this is the expectation in the even block's lowest
+    state, exact as long as the string does not wrap (i.e. for the shorter
+    of the two arcs).
     """
     _check_pair(sol, i, j)
     r = j - i
@@ -495,10 +478,8 @@ def zz_correlator(sol: BdGSolution, i: int, j: int) -> float:
 def xx_correlator(sol: BdGSolution, i: int, j: int) -> float:
     """``<tx_i tx_j>`` (1-based, i < j): two-contraction Wick formula."""
     _check_pair(sol, i, j)
-    a, b = i - 1, j - 1
-    return float(
-        sol.corr(a, a) * sol.corr(b, b) - sol.corr(a, b) * sol.corr(b, a)
-    )
+    T = _toeplitz_from(sol, [i - 1, j - 1], [i - 1, j - 1])
+    return float(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0])
 
 
 def disorder_parameter(sol: BdGSolution, r: int, start: int = 1) -> float:

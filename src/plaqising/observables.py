@@ -38,8 +38,6 @@ from .freefermion import (
     BdGSolution,
     bdg_solve,
     disorder_parameter,
-    magnetization_x,
-    xx_correlator,
     zz_correlator,
 )
 from .lattice import (
@@ -61,7 +59,6 @@ __all__ = [
     "plaquette_string_expectation_ed",
     "sx_string_expectation_dual",
     "plaquette_string_expectation_dual",
-    "plaquette_pair_expectation_dual",
 ]
 
 
@@ -197,56 +194,24 @@ def _dual_chain_solution(model: DualModel, ci: int, cache: dict | None = None) -
     return sol
 
 
-def _segment_bond_positions(model: DualModel, seg: DiagonalSegment) -> tuple[int, int]:
-    """(chain index, first bond position) of an sx segment; every site must map
-    to a bond, and the bonds must be consecutive along one chain."""
-    spec = model.lattice
-    sites = segment_sites(spec, seg)
-    ci0 = None
-    positions = []
-    for s in sites:
-        adj = site_adjacent_plaquettes(spec, s)
-        if len(adj) != 2:
-            raise NotMappable(
-                f"site {s} of the segment does not map to an Ising bond"
-            )
-        ci, k = model.chain_of_plaquette(adj[0])
-        cj, l = model.chain_of_plaquette(adj[1])
-        if ci != cj:
-            raise NotMappable(f"site {s} bridges two chains")
-        ell = model.chains[ci].spec.length
-        # bond between consecutive positions k and l = k+1 (mod ell)
-        if (k + 1) % ell == l:
-            pos = k
-        elif (l + 1) % ell == k:
-            pos = l
-        else:
-            raise NotMappable(f"site {s}: plaquette positions not consecutive")
-        if ci0 is None:
-            ci0 = ci
-        elif ci != ci0:
-            raise NotMappable("segment crosses chains")
-        positions.append(pos)
-    ell = model.chains[ci0].spec.length
-    start = positions[0]
-    for m, p in enumerate(positions):
-        if p != (start + m) % ell:
-            raise NotMappable("segment bonds are not consecutive along the chain")
-    return ci0, start
-
-
 def sx_string_expectation_dual(
     hs: HamiltonianSpec, seg: DiagonalSegment, _cache: dict | None = None
 ) -> float:
     """Ground-sector ``<prod sx>`` via the dual ``tz tz`` correlator.
 
     Torus only: the telescoped image is ``tz_k tz_{k + n_steps + 1}`` on one
-    ring, evaluated in the even-parity vacuum (= the 2D ground sector).
+    ring, evaluated in the even block's lowest state (= the 2D ground
+    sector).  The first site ``(r, c)`` is the bond between the plaquettes
+    based at ``(r, c - 1)`` and ``(r - 1, c)``, which sit at consecutive
+    positions ``k, k + 1`` of one ring; site ``m`` of the segment is then
+    the bond ``(k + m, k + m + 1) mod ell``.
     """
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
     model = _dual_model(hs, _cache)
-    ci, start = _segment_bond_positions(model, seg)
+    spec = hs.lattice
+    first = spec.site_index(seg.start_row, seg.start_col)
+    ci, start = model.chain_of_plaquette(site_adjacent_plaquettes(spec, first)[0])
     ell = model.chains[ci].spec.length
     r = seg.n_steps + 1
     if r >= ell:
@@ -277,25 +242,3 @@ def plaquette_string_expectation_dual(
         # whole-ring product: the chain parity, +1 in the ground sector
         return 1.0
     return disorder_parameter(sol, r, start=k + 1)
-
-
-def plaquette_pair_expectation_dual(
-    hs: HamiltonianSpec, base_p: int, base_q: int, _cache: dict | None = None
-) -> float:
-    """Ground-sector ``<F_p F_q>``: dual ``tx tx`` (same chain) or the product
-    of magnetizations (different chains decouple exactly)."""
-    if hs.lattice.boundary is not Boundary.PERIODIC:
-        raise NotMappable("dual evaluation needs the torus chains")
-    model = _dual_model(hs, _cache)
-    ci, k = model.chain_of_plaquette(base_p)
-    cj, l = model.chain_of_plaquette(base_q)
-    cache = _cache if _cache is not None else {}
-    if ci != cj:
-        si = _dual_chain_solution(model, ci, cache)
-        sj = _dual_chain_solution(model, cj, cache)
-        return magnetization_x(si, k + 1) * magnetization_x(sj, l + 1)
-    if k == l:
-        return 1.0
-    sol = _dual_chain_solution(model, ci, cache)
-    i, j = sorted((k + 1, l + 1))
-    return xx_correlator(sol, i, j)

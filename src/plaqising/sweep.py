@@ -69,6 +69,8 @@ def fit_powerlaw(x: np.ndarray, y: np.ndarray) -> dict:
     """Least-squares line through ``(log x, log y)`` with residual diagnostics."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(np.unique(x)) < 2:
+        raise InvalidSpec("power-law fit needs at least two distinct abscissae")
     if np.any(x <= 0) or np.any(y <= 0):
         raise InvalidSpec("power-law fit needs positive data")
     lx, ly = np.log(x), np.log(y)
@@ -225,6 +227,8 @@ class CritCorrConfig:
 
 
 def run_crit_corr(cfg: CritCorrConfig) -> tuple[list[dict], dict]:
+    if cfg.n_max < 1:
+        raise InvalidSpec("n_max must be at least 1")
     chain = TFIMChainSpec(cfg.length, ChainBoundary.PERIODIC_CHAIN, 1.0, cfg.scale)
     sol = bdg_solve(chain)
     mx = magnetization_x(sol, 1)

@@ -26,7 +26,7 @@ from plaqising import (
 )
 from plaqising import freefermion
 from plaqising.errors import IndexOutOfRange, NumericalFailure, TooLarge
-from plaqising.ed import dense_matrix_from_terms
+from plaqising.ed import dense_matrix_from_terms, parity_block
 from plaqising.freefermion import (
     _orthogonality_deviation,
     _toeplitz_from,
@@ -264,44 +264,35 @@ def test_truncated_correlator_block():
     for i, j in [(1, 2), (3, 9)]:
         assert abs(zz_correlator(part, i, j) - zz_correlator(full, i, j)) < 1e-12
     with pytest.raises(IndexOutOfRange):
-        part.corr(0, 11)
+        zz_correlator(part, 1, 12)
     bare = bdg_solve(spec, corr_size=0)
     with pytest.raises(InvalidSpec):
-        bare.corr(0, 0)
+        magnetization_x(bare, 1)
 
 
 # ----------------------------------------------------------------------
-# Wick blocks: one gather must reproduce corr() entry for entry
+# Wick blocks
 # ----------------------------------------------------------------------
-def corr_block(sol, rows, cols) -> np.ndarray:
-    return np.array([[sol.corr(i, j) for j in cols] for i in rows])
-
-
 @pytest.mark.parametrize("twist", [1, -1])
 @pytest.mark.parametrize("g_I", [0.6, 1.0, 1.4])
 def test_ring_wick_block_equals_corr(twist, g_I):
-    L = 12
-    sol = bdg_solve(TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist))
-    # windows inside the ring, across the wrap, and more than a turn away
-    for rows, cols in [
-        (range(0, 5), range(1, 6)),
-        (range(L - 4, L + 6), range(L - 4, L + 6)),
-        (range(-7, 3), range(2 * L - 3, 2 * L + 4)),
-    ]:
-        block = _toeplitz_from(sol, rows, cols)
-        assert np.array_equal(block, corr_block(sol, rows, cols))
-    # the segment determinant sees the identical matrix
-    rows = range(L - 5, L + 5)
-    sign, logdet = np.linalg.slogdet(corr_block(sol, rows, rows))
-    assert disorder_parameter(sol, 10, start=L - 4) == sign * math.exp(logdet)
-    assert np.array_equal(sol.G, corr_block(sol, range(L), range(L)))
-
-
-def test_open_wick_block_equals_corr():
-    sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=10)
-    for rows, cols in [(range(0, 9), range(1, 10)), (range(2, 10), range(0, 10))]:
-        assert np.array_equal(_toeplitz_from(sol, rows, cols),
-                              corr_block(sol, rows, cols))
+    # every window of the ring, those across the wrap included, against the
+    # lowest state of the dense spin-flip block prod tx = +1.  In that
+    # block's Hadamard frame a tx string is diagonal: (-1)^popcount(b & mask).
+    # A twisted ring below g_I = 1 keeps even parity on the periodic grid,
+    # whose vacuum is odd, so the state is not the bare vacuum there.
+    L = 8
+    spec = TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist)
+    op = parity_block(L, chain_terms(spec), [(1 << L) - 1], [1])
+    _, vecs = np.linalg.eigh(op.dense())
+    weight = vecs[:, 0] ** 2
+    sol = bdg_solve(spec)
+    for r in range(1, L + 1):
+        for start in range(1, L + 1):
+            mask = sum(1 << ((start - 1 + j) % L) for j in range(r))
+            odd = np.bitwise_count(op.basis & np.uint64(mask)) & np.uint64(1)
+            mu = float(weight @ np.where(odd == 1, -1.0, 1.0))
+            assert abs(disorder_parameter(sol, r, start) - mu) < 1e-10, (r, start)
 
 
 @pytest.mark.parametrize("rows,cols", [
@@ -312,11 +303,8 @@ def test_open_wick_block_equals_corr():
 ])
 def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
     sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=10)
-    with pytest.raises(IndexOutOfRange) as block_err:
+    with pytest.raises(IndexOutOfRange):
         _toeplitz_from(sol, rows, cols)
-    with pytest.raises(IndexOutOfRange) as corr_err:
-        corr_block(sol, rows, cols)
-    assert str(block_err.value) == str(corr_err.value)
     bare = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=0)
     with pytest.raises(InvalidSpec):
         _toeplitz_from(bare, [0], [0])
@@ -416,7 +404,7 @@ def test_mode_energies_nonnegative_sorted(L, g_I):
 @given(st.integers(min_value=2, max_value=24), st.floats(min_value=0.05, max_value=2.5))
 def test_open_chain_G_is_orthogonal(L, g_I):
     sol = bdg_solve(TFIMChainSpec(L, OPEN, g_I, scale=1.0))
-    G = sol.G
+    G = sol._G
     np.testing.assert_allclose(G @ G.T, np.eye(L), atol=1e-8)
 
 

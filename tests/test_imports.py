@@ -11,6 +11,12 @@ function, class or constant of ``src/plaqising`` must be loaded, as a name or
 an attribute, in some package module.  A helper that only tests call is an
 orphan.
 
+The unnamed-definition check is by name across the repository: a
+module-level function or class of ``src/plaqising`` must be loaded, as a name
+or an attribute, somewhere under ``src/``, ``tests/`` or ``bench/`` outside
+its own definition.  Imports and ``__all__`` strings do not count, so a
+helper whose last call site was removed fails even while it is exported.
+
 The export checks are by name per module: every ``__all__`` entry of a
 package module is bound at its top level (defined, assigned or imported),
 and the package ``__all__`` lists exactly the names ``__init__.py`` imports,
@@ -18,12 +24,14 @@ plus ``__version__``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "plaqising").glob("*.py"))
+NAMING = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 FILES = sorted(
     [p for p in SRC if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
@@ -103,6 +111,43 @@ def test_the_check_sees_an_orphaned_private_name():
     b = "import a\nclass _Box:\n    pass\nprint(a._used(), a._T)\n"
     assert _orphaned_privates({"a.py": a, "b.py": b}) == [
         "a.py line 5: _orphan", "b.py line 2: _Box"]
+
+
+def _loaded_names(tree: ast.AST) -> Counter:
+    """How often each name is loaded, as a name or an attribute, in ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _unnamed_definitions(defining: dict[str, str], naming: list[str]) -> list[str]:
+    """Module-level functions and classes of ``defining`` that no source in
+    ``naming`` loads outside the definition itself."""
+    loads = Counter()
+    for source in naming:
+        loads.update(_loaded_names(ast.parse(source)))
+    found = []
+    for fname, source in defining.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and loads[node.name] == _loaded_names(node)[node.name]):
+                found.append(f"{fname} line {node.lineno}: {node.name}")
+    return found
+
+
+def test_every_package_definition_is_named_somewhere():
+    naming = [p.read_text() for p in NAMING]
+    assert _unnamed_definitions({p.name: p.read_text() for p in SRC}, naming) == []
+
+
+def test_the_check_sees_an_unnamed_definition():
+    a = ("def used():\n    return 1\ndef recursive(n):\n    return recursive(n - 1)\n"
+         "class Exported:\n    pass\n__all__ = ['Exported']\n")
+    b = "from a import used, Exported\nprint(used())\n"
+    assert _unnamed_definitions({"a.py": a}, [a, b]) == [
+        "a.py line 3: recursive", "a.py line 5: Exported"]
 
 
 def _undefined_exports(source: str) -> list[str]:

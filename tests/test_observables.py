@@ -1,5 +1,7 @@
 """String observables: the direct 2D route against the dual-chain route."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from plaqising.lattice import (
 from plaqising.observables import (
     DiagonalSegment,
     ground_state_for_measurement,
-    plaquette_pair_expectation_dual,
     plaquette_string,
     plaquette_string_expectation_dual,
     plaquette_string_expectation_ed,
@@ -201,6 +202,27 @@ def test_strings_on_the_single_chain_torus():
     assert abs(ed - du) < 1e-8
 
 
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (3, 4), (4, 4)])
+def test_dual_strings_match_ed_at_every_anchor(n, m):
+    # every anchor of the torus: sx segments of up to ell - 2 steps and
+    # plaquette runs of up to ell plaquettes, ell = lcm(n, m) the ring length
+    hs = torus(n, m, 0.8, 1.1)
+    state, _ = ground_state_for_measurement(hs)
+    ell = math.lcm(n, m)
+    cache = {}
+    for r in range(n):
+        for c in range(m):
+            for steps in range(ell - 1):
+                seg = DiagonalSegment(r, c, steps)
+                ed = sx_string_expectation_ed(hs, seg, state=state)
+                du = sx_string_expectation_dual(hs, seg, _cache=cache)
+                assert abs(ed - du) < 1e-8, (r, c, steps)
+            for k in range(1, ell + 1):
+                ed = plaquette_string_expectation_ed(hs, r, c, k, state=state)
+                du = plaquette_string_expectation_dual(hs, r, c, k, _cache=cache)
+                assert abs(ed - du) < 1e-8, (r, c, k)
+
+
 def test_strings_on_the_4x4_torus():
     hs = torus(4, 4, 1.0, 1.0)
     state, _ = ground_state_for_measurement(hs)
@@ -211,24 +233,6 @@ def test_strings_on_the_4x4_torus():
     ed = plaquette_string_expectation_ed(hs, 3, 0, 2, state=state)
     du = plaquette_string_expectation_dual(hs, 3, 0, 2)
     assert abs(ed - du) < 1e-8
-
-
-def test_plaquette_pair_dual_matches_ed():
-    hs = torus(3, 3, 0.9, 1.0)
-    state, _ = ground_state_for_measurement(hs)
-    model = map_hamiltonian(hs)
-    spec = hs.lattice
-    ops = {b: plaquette_operator(spec, b) for b in enumerate_plaquettes(spec)}
-    same_chain = (spec.site_index(0, 0), spec.site_index(2, 1))
-    cross_chain = (spec.site_index(0, 0), spec.site_index(0, 1))
-    for p, q in (same_chain, cross_chain):
-        ed = expectation(state, ops[p] * ops[q]).real
-        du = plaquette_pair_expectation_dual(hs, p, q)
-        assert abs(ed - du) < 1e-8, (p, q)
-    ci, _ = model.chain_of_plaquette(same_chain[0])
-    cj, _ = model.chain_of_plaquette(same_chain[1])
-    assert ci == cj
-    assert plaquette_pair_expectation_dual(hs, 0, 0) == 1.0
 
 
 def test_local_sx_is_uniform_and_matches_the_dual_bond():

@@ -284,6 +284,27 @@ def test_cli_non_finite_input_is_bad_input(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,ini", [
+    (["crit-corr", "--n-max", "0"], ""),
+    (["gap-scaling", "--config", "{ini}"], "[gap-scaling]\nsizes =\n"),
+    (["gap-scaling", "--sizes", "8"], ""),
+    (["gap-scaling", "--sizes", "8", "8"], ""),
+    (["exponents", "--config", "{ini}", "--length", "512", "--separation",
+      "100", "--string-length", "150"], "[exponents]\nordered-grid = 0.9\n"),
+], ids=["n-max-0", "ini-no-sizes", "one-size", "one-distinct-size",
+        "ini-one-point-grid"])
+def test_cli_too_few_points_is_bad_input(tmp_path, capsys, argv, ini):
+    # an empty or one-point input is bad input: no traceback, no physics
+    # verdict from a slope through one point, and no data file
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    argv = [str(path) if a == "{ini}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_has_no_threads_option(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
