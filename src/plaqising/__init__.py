@@ -69,6 +69,7 @@ from .lattice import (
     diagonal_loop_operator,
     enumerate_plaquettes,
     expected_chain_count,
+    plaquette_chain_position,
     plaquette_operator,
     site_adjacent_plaquettes,
     site_diagonals,
@@ -97,7 +98,7 @@ __all__ = [
     # pauli / lattice
     "PauliString", "Boundary", "ChainBoundary", "LatticeSpec",
     "ChainDecomposition", "enumerate_plaquettes", "plaquette_operator",
-    "chain_decompose",
+    "chain_decompose", "plaquette_chain_position",
     "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
     "diagonal_loop_operator",
     # ed

@@ -171,10 +171,11 @@ def _resolve_config(args: argparse.Namespace):
     if args.command == "duality-check" and args.literal:
         values["sector_resolved"] = False
     for name, val in values.items():
-        # a nan or inf coupling or tolerance is bad input, not a physics verdict
-        if any(isinstance(v, float) and not math.isfinite(v)
+        # every float field is a coupling, scale, tolerance or band: a nan,
+        # inf or negative one is bad input, not a physics verdict
+        if any(isinstance(v, float) and not (math.isfinite(v) and v >= 0)
                for v in (val if isinstance(val, tuple) else (val,))):
-            raise InvalidSpec(f"{name} must be finite, got {val!r}")
+            raise InvalidSpec(f"{name} must be finite and nonnegative, got {val!r}")
     return cfg_cls(**values), runner
 
 

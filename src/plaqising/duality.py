@@ -26,7 +26,7 @@ The union over sectors reproduces the full 2D spectrum with multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -45,6 +45,7 @@ from .lattice import (
     LatticeSpec,
     chain_decompose,
     enumerate_plaquettes,
+    plaquette_chain_position,
     plaquette_operator,
     site_adjacent_plaquettes,
 )
@@ -66,47 +67,29 @@ __all__ = [
 class DualChain:
     """One Ising chain of the dual model.
 
-    ``plaquette_bases`` are 2D site indices of the plaquette bases in chain
-    order; ``diagonal`` is the site-diagonal label the chain is dual to
-    (``(r+c) mod d`` of its bonds for a torus, ``r+c`` of its bond sites for
-    an open lattice); ``edge_sites`` are the 2D sites whose ``sx`` became the
-    corresponding entries of ``spec.edge_fields``.
+    ``diagonal`` is the site-diagonal label the chain is dual to (``(r+c)
+    mod d`` of its bonds for a torus, ``r+c`` of its bond sites for an open
+    lattice).  Its plaquettes are ``chain_decompose(lattice).chains[a]`` for
+    the chain's index ``a`` in the model, and
+    :func:`~plaqising.lattice.plaquette_chain_position` gives a plaquette's
+    chain and position.
     """
 
     spec: TFIMChainSpec
-    plaquette_bases: tuple[int, ...]
     diagonal: int
-    edge_sites: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class DualModel:
+    """The dual chains of one 2D model, in chain-decomposition order (which
+    is diagonal order), plus the free corner sites of an open lattice."""
+
     lattice: LatticeSpec
     g: float
     h: float
     chains: tuple[DualChain, ...]
     free_sites: tuple[int, ...]
     n_diagonals: int
-    # plaquette base -> (chain index, position), derived from ``chains``
-    _position: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_position", {
-            b: (ci, k) for ci, ch in enumerate(self.chains)
-            for k, b in enumerate(ch.plaquette_bases)})
-
-    @property
-    def g_I(self) -> float:
-        if self.h == 0:
-            raise InvalidSpec("g_I undefined at h = 0")
-        return self.g / self.h
-
-    def chain_of_plaquette(self, base_site: int) -> tuple[int, int]:
-        """(chain index, position) of the plaquette based at ``base_site``."""
-        try:
-            return self._position[base_site]
-        except KeyError:
-            raise InvalidSpec(f"no plaquette based at site {base_site}") from None
 
 
 def _chain_spec(length: int, boundary: ChainBoundary, g: float, h: float,
@@ -123,61 +106,38 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
 
     if spec.boundary is Boundary.PERIODIC:
         d = math.gcd(spec.rows, spec.cols)
-        chains = []
-        for bases in decomp.chains:
-            r, c = spec.site_rc(bases[0])
-            chains.append(
-                DualChain(
-                    spec=_chain_spec(len(bases), ChainBoundary.PERIODIC_CHAIN,
-                                     hs.g, hs.h),
-                    plaquette_bases=bases,
-                    diagonal=(r + c) % d,
-                )
-            )
-        chains.sort(key=lambda ch: ch.diagonal)
+        chains = tuple(
+            DualChain(spec=_chain_spec(len(bases), ChainBoundary.PERIODIC_CHAIN,
+                                       hs.g, hs.h),
+                      diagonal=sum(spec.site_rc(bases[0])) % d)
+            for bases in decomp.chains)
         if [ch.diagonal for ch in chains] != list(range(d)):
             raise InvalidSpec("chain/diagonal labelling is inconsistent")
-        return DualModel(spec, hs.g, hs.h, tuple(chains), (), d)
+        return DualModel(spec, hs.g, hs.h, chains, (), d)
 
     # open lattice
-    pos_of: dict[int, tuple[int, int]] = {}
-    for ci, bases in enumerate(decomp.chains):
-        for k, b in enumerate(bases):
-            pos_of[b] = (ci, k)
-    edge_fields: dict[int, list[tuple[int, float]]] = {
-        ci: [] for ci in range(len(decomp.chains))
-    }
-    edge_sites: dict[int, list[int]] = {ci: [] for ci in range(len(decomp.chains))}
+    edge_fields: list[list[tuple[int, float]]] = [[] for _ in decomp.chains]
     free: list[int] = []
     for s in range(spec.n_sites):
         adj = site_adjacent_plaquettes(spec, s)
         if len(adj) == 0:
             free.append(s)
         elif len(adj) == 1:
-            ci, k = pos_of[adj[0]]
+            ci, k = plaquette_chain_position(spec, adj[0])
             edge_fields[ci].append((k, 1.0))
-            edge_sites[ci].append(s)
         else:
-            (c1, k1), (c2, k2) = pos_of[adj[0]], pos_of[adj[1]]
+            (c1, k1), (c2, k2) = (plaquette_chain_position(spec, b) for b in adj)
             if c1 != c2 or abs(k1 - k2) != 1:
                 raise NotMappable(
                     f"site {s}: adjacent plaquettes not consecutive in one chain"
                 )
-    chains = []
-    for ci, bases in enumerate(decomp.chains):
-        r, c = spec.site_rc(bases[0])
-        ef = tuple(sorted(edge_fields[ci]))
-        chains.append(
-            DualChain(
-                spec=_chain_spec(len(bases), ChainBoundary.OPEN_CHAIN,
-                                 hs.g, hs.h, edge_fields=ef),
-                plaquette_bases=bases,
-                diagonal=r + c + 1,  # bond sites sit one diagonal above the bases
-                edge_sites=tuple(edge_sites[ci]),
-            )
-        )
-    chains.sort(key=lambda ch: ch.diagonal)
-    return DualModel(spec, hs.g, hs.h, tuple(chains), tuple(sorted(free)),
+    chains = tuple(
+        DualChain(spec=_chain_spec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
+                                   edge_fields=tuple(sorted(ef))),
+                  # bond sites sit one diagonal above the bases
+                  diagonal=sum(spec.site_rc(bases[0])) + 1)
+        for bases, ef in zip(decomp.chains, edge_fields))
+    return DualModel(spec, hs.g, hs.h, chains, tuple(free),
                      spec.rows + spec.cols - 1)
 
 
@@ -270,11 +230,10 @@ def map_operator(model: DualModel, ps) -> "PauliString":
         if len(adj) == 0:
             images.append(PauliString(((free_coord[s], "X"),)))
         elif len(adj) == 1:
-            ci, k = model.chain_of_plaquette(adj[0])
+            ci, k = plaquette_chain_position(spec, adj[0])
             images.append(PauliString(((offsets[ci] + k, "Z"),)))
         else:
-            (c1, k1) = model.chain_of_plaquette(adj[0])
-            (c2, k2) = model.chain_of_plaquette(adj[1])
+            (c1, k1), (c2, k2) = (plaquette_chain_position(spec, b) for b in adj)
             if c1 != c2:
                 raise NotMappable(f"site {s} bridges two chains")
             a, b = offsets[c1] + k1, offsets[c1] + k2
@@ -285,7 +244,7 @@ def map_operator(model: DualModel, ps) -> "PauliString":
     # plaquette generators
     for base in enumerate_plaquettes(spec):
         generators.append(plaquette_operator(spec, base))
-        ci, k = model.chain_of_plaquette(base)
+        ci, k = plaquette_chain_position(spec, base)
         images.append(PauliString(((offsets[ci] + k, "X"),)))
 
     for gen, img in zip(generators, images):
@@ -487,10 +446,14 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     puts each ring in a (twist, spin parity) block, whose lowest level comes
     from :func:`~plaqising.freefermion.ring_block`.  The gap is the cheapest of
     (a) a two-fermion excitation inside the ground sector (untwisted, even)
-    and (b) the cheapest sector switch, minimized by dynamic programming
-    over the cyclic twist/parity constraints.  Away from ``g = h`` the sector
-    splittings are exponentially small in the chain length - the reported
-    gap is then the topological ground-space splitting, not a bulk gap.
+    and (b) the cheapest sector switch.  That is a closed min-plus walk of
+    ``d`` steps over the states ``(w_a, w_{a+1}, flipped)``: the step to
+    ``w_{a+2}`` costs ring ``a``'s block above the ground block, with the
+    twist and parity of :func:`sector_chain_specs`, and ``flipped`` records
+    whether any label is ``-1``.  Path costs are summed from ring 0 on.
+    Away from ``g = h`` the sector splittings are exponentially small in the
+    chain length - the reported gap is then the topological ground-space
+    splitting, not a bulk gap.
     """
     # validates the sizes and the couplings (finite, nonnegative, not both 0)
     HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), g, h)
@@ -500,36 +463,23 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
         return 2.0 * g
     d = math.gcd(rows, cols)
     ell = (rows * cols) // d
-    g_I = g / h
     blocks = {(w, p): ring_block(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN,
-                                              g_I, h, twist=w), p)
+                                              g / h, h, twist=w), p)
               for w, p in iproduct((1, -1), repeat=2)}
     delta = {wp: b.level - blocks[(1, 1)].level for wp, b in blocks.items()}
     eps = blocks[(1, 1)].eps
     pair = float(eps[0] + eps[1])
 
-    inf = math.inf
-    switch = inf
-    for w0, w1 in iproduct((1, -1), repeat=2):
-        if d == 1 and w1 != w0:
-            continue  # a single loop: w_1 is w_0
-        dp = {(w0, w1, w0 == -1 or w1 == -1): 0.0}
-        for a in range(d):
-            ndp: dict[tuple[int, int, bool], float] = {}
-            for (wa, wa1, dirty), cost in dp.items():
-                if a <= d - 3:
-                    choices = ((1, False), (-1, True))
-                elif a == d - 2:
-                    choices = ((w0, False),)
-                else:
-                    choices = ((w1, False),)
-                for wn, dflag in choices:
-                    c2 = cost + delta[(wa1, wa * wn)]
-                    key = (wa1, wn, dirty or dflag)
-                    if c2 < ndp.get(key, inf):
-                        ndp[key] = c2
-            dp = ndp
-        for (wa, wa1, dirty), cost in dp.items():
-            if dirty and cost < switch:
-                switch = cost
+    states = list(iproduct((1, -1), (1, -1), (False, True)))
+    index = {s: i for i, s in enumerate(states)}
+    T = np.full((len(states), len(states)), np.inf)
+    for wa, wb, flipped in states:
+        for wc in (1, -1):
+            T[index[(wa, wb, flipped)], index[(wb, wc, flipped or wc == -1)]] = \
+                delta[(wb, wa * wc)]
+    walk = T
+    for _ in range(d - 1):
+        walk = np.min(walk[:, :, None] + T[None], axis=1)
+    switch = min(walk[index[(x, y, x == -1 or y == -1)], index[(x, y, True)]]
+                 for x, y in iproduct((1, -1), repeat=2))
     return float(min(pair, switch))

@@ -105,17 +105,11 @@ class ChainDecomposition:
     """Partition of the plaquettes into anti-diagonal chains.
 
     ``chains[a]`` is the ordered tuple of plaquette base sites of chain
-    ``a``; consecutive entries differ by one ``e_x - e_y`` step.
-    ``chain_boundary[a]`` says whether the chain closes on itself (wrapped
-    diagonal orbit) or terminates.
+    ``a``; consecutive entries differ by one ``e_x - e_y`` step.  Torus
+    chains close on themselves, open-lattice chains terminate.
     """
 
     chains: tuple[tuple[int, ...], ...]
-    chain_boundary: tuple[ChainBoundary, ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(ch) for ch in self.chains)
 
 
 def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
@@ -123,16 +117,17 @@ def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
 
     Open lattices: each chain starts at the plaquette with no predecessor
     (its ``(r+1, c-1)`` neighbour is off-lattice) and walks until the step
-    leaves the lattice.  Periodic lattices: chains are the wrapped diagonal
-    orbits; there are ``d = gcd(N, M)`` of them, each of length
-    ``lcm(N, M)``.  Chain ``a < d`` starts at base ``(0, a)`` and its ``k``-th
-    member is ``((-k) mod N, (a + k) mod M)``; the coverage check below still
-    verifies that the closed form partitions the plaquettes.  Chains are
-    listed by their smallest member base site; determinism is structural.
+    leaves the lattice; chain ``a`` holds the bases with ``r + c == a``.
+    Periodic lattices: chains are the wrapped diagonal orbits; there are
+    ``d = gcd(N, M)`` of them, each of length ``lcm(N, M)``.  Chain ``a < d``
+    starts at base ``(0, a)`` and its ``k``-th member is
+    ``((-k) mod N, (a + k) mod M)``; the coverage check below still verifies
+    that the closed form partitions the plaquettes.  Chains are listed by
+    their smallest member base site, which puts them in diagonal order on
+    both boundaries; :func:`plaquette_chain_position` inverts the listing.
     """
     bases = enumerate_plaquettes(spec)
     raw_chains: list[list[int]] = []
-    boundaries: list[ChainBoundary] = []
 
     if spec.boundary is Boundary.OPEN:
         for base in bases:
@@ -144,21 +139,37 @@ def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
                 chain.append(spec.site_index(r, c))
                 r, c = r - 1, c + 1
             raw_chains.append(chain)
-            boundaries.append(ChainBoundary.OPEN_CHAIN)
     else:
         n, m = spec.rows, spec.cols
         d = math.gcd(n, m)
         raw_chains = [[((-k) % n) * m + (a + k) % m for k in range(n * m // d)]
                       for a in range(d)]
-        boundaries = [ChainBoundary.PERIODIC_CHAIN] * d
 
     if sorted(b for chain in raw_chains for b in chain) != bases:
         raise InvalidSpec("chain decomposition did not cover every plaquette")
-    order = sorted(range(len(raw_chains)), key=lambda a: min(raw_chains[a]))
-    return ChainDecomposition(
-        chains=tuple(tuple(raw_chains[a]) for a in order),
-        chain_boundary=tuple(boundaries[a] for a in order),
-    )
+    raw_chains.sort(key=min)
+    return ChainDecomposition(chains=tuple(tuple(chain) for chain in raw_chains))
+
+
+def plaquette_chain_position(spec: LatticeSpec, base: int) -> tuple[int, int]:
+    """``(chain, k)`` with ``chain_decompose(spec).chains[chain][k] == base``.
+
+    Torus, ``d = gcd(N, M)``: the chain is ``a = (r + c) mod d`` and ``k``
+    solves ``k = -r (mod N)``, ``a + k = c (mod M)``; with ``k = k0 + N t``,
+    ``k0 = (-r) mod N``, that is ``N t = c - a - k0 (mod M)``, where
+    ``c - a - k0`` is a multiple of ``d``.  Open lattice: chain ``r + c``,
+    whose head sits in row ``min(r + c, N - 2)``.
+    """
+    r, c = spec.site_rc(base)
+    if not spec.plaquette_base_exists(r, c):
+        raise InvalidSpec(f"no plaquette based at site {base}")
+    n, m = spec.rows, spec.cols
+    if spec.boundary is Boundary.OPEN:
+        return r + c, min(r + c, n - 2) - r
+    d = math.gcd(n, m)
+    a, k0 = (r + c) % d, (-r) % n
+    t = (c - a - k0) // d * pow(n // d, -1, m // d) % (m // d)
+    return a, k0 + n * t
 
 
 def expected_chain_count(spec: LatticeSpec) -> dict[str, int]:

@@ -43,6 +43,7 @@ from .freefermion import (
 from .lattice import (
     Boundary,
     LatticeSpec,
+    plaquette_chain_position,
     plaquette_operator,
     site_adjacent_plaquettes,
     site_diagonals,
@@ -211,7 +212,8 @@ def sx_string_expectation_dual(
     model = _dual_model(hs, _cache)
     spec = hs.lattice
     first = spec.site_index(seg.start_row, seg.start_col)
-    ci, start = model.chain_of_plaquette(site_adjacent_plaquettes(spec, first)[0])
+    ci, start = plaquette_chain_position(
+        spec, site_adjacent_plaquettes(spec, first)[0])
     ell = model.chains[ci].spec.length
     r = seg.n_steps + 1
     if r >= ell:
@@ -233,7 +235,7 @@ def plaquette_string_expectation_dual(
     model = _dual_model(hs, _cache)
     spec = hs.lattice
     base = spec.site_index(start_row, start_col)
-    ci, k = model.chain_of_plaquette(base)
+    ci, k = plaquette_chain_position(spec, base)
     ell = model.chains[ci].spec.length
     if r > ell:
         raise NotMappable(f"string of {r} plaquettes exceeds the ring length {ell}")

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from plaqising.duality import (
     DualModel,
@@ -33,9 +34,12 @@ from plaqising.lattice import (
     Boundary,
     ChainBoundary,
     LatticeSpec,
+    chain_decompose,
     diagonal_loop_operator,
     enumerate_plaquettes,
+    plaquette_chain_position,
     plaquette_operator,
+    site_adjacent_plaquettes,
 )
 from plaqising.pauli import PauliString
 from plaqising.sweep import _ed_torus_spectrum
@@ -66,9 +70,9 @@ def test_torus_map_structure(n, m):
         assert ch.spec.edge_fields == ()
         assert ch.spec.g_I == pytest.approx(0.7 / 1.3)
         assert ch.spec.scale == 1.3
-    # every plaquette base appears exactly once
-    bases = sorted(b for ch in model.chains for b in ch.plaquette_bases)
-    assert bases == list(range(n * m))
+    # one ring per decomposition chain, in the same order
+    chains = chain_decompose(model.lattice).chains
+    assert [ch.spec.length for ch in model.chains] == [len(b) for b in chains]
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 5)])
@@ -81,9 +85,13 @@ def test_open_map_structure(n, m):
         assert ch.spec.boundary is ChainBoundary.OPEN_CHAIN
         assert len(ch.spec.edge_fields) == 2
         assert all(s == 1.0 for _, s in ch.spec.edge_fields)
-        assert len(ch.edge_sites) == 2
     # the two corners not adjacent to any plaquette Y-corner stay free
     spec = model.lattice
+    # every chain has two edge sites: sites with a single adjacent plaquette
+    adjacent = [site_adjacent_plaquettes(spec, s) for s in range(spec.n_sites)]
+    edge_chains = [plaquette_chain_position(spec, adj[0])[0]
+                   for adj in adjacent if len(adj) == 1]
+    assert sorted(edge_chains) == sorted(2 * list(range(len(model.chains))))
     assert model.free_sites == (spec.site_index(0, 0), spec.site_index(n - 1, m - 1))
     # each 2D site is a bond, an edge field, or a free coordinate
     bonds = sum(ch.spec.length - 1 for ch in model.chains)
@@ -102,26 +110,32 @@ def test_zero_field_map_produces_free_spin_chains():
     for ch in model.chains:
         assert ch.spec.zero_field
         assert ch.spec.scale == 2.0
-    with pytest.raises(InvalidSpec):
-        model.g_I
+        assert ch.spec.g_I == 0.0
 
 
-def test_chain_of_plaquette_lookup():
-    # 4x6 torus: d = 2 chains; 4x5 open lattice: chains of unequal length
-    for hs in (torus(3, 3), torus(4, 6), open_lat(4, 5)):
-        model = map_hamiltonian(hs)
-        for ci, ch in enumerate(model.chains):
-            for k, base in enumerate(ch.plaquette_bases):
-                assert model.chain_of_plaquette(base) == (ci, k)
-        assert sum(len(ch.plaquette_bases) for ch in model.chains) == \
-            len(enumerate_plaquettes(hs.lattice))
+@given(st.sampled_from(list(Boundary)), st.integers(2, 12), st.integers(2, 12))
+@example(Boundary.PERIODIC, 6, 3)   # M // d == 1
+@example(Boundary.PERIODIC, 3, 6)   # N // d == 1
+@example(Boundary.PERIODIC, 4, 5)   # gcd 1: one ring through every plaquette
+@example(Boundary.PERIODIC, 8, 12)
+@example(Boundary.OPEN, 4, 5)       # chains of unequal length
+def test_chain_of_plaquette_lookup(boundary, n, m):
+    assume(boundary is Boundary.OPEN or min(n, m) >= 3)
+    spec = LatticeSpec(n, m, boundary)
+    chains = chain_decompose(spec).chains
+    for ci, bases in enumerate(chains):
+        for k, base in enumerate(bases):
+            assert plaquette_chain_position(spec, base) == (ci, k)
+    assert sum(map(len, chains)) == len(enumerate_plaquettes(spec))
 
 
 def test_chain_of_plaquette_rejects_a_non_base_site():
-    hs = open_lat(4, 5)
-    model = map_hamiltonian(hs)
-    with pytest.raises(InvalidSpec):
-        model.chain_of_plaquette(hs.lattice.site_index(1, 4))  # last column
+    spec, tor = LatticeSpec(4, 5, Boundary.OPEN), LatticeSpec(4, 6, Boundary.PERIODIC)
+    for lattice, site in [(spec, spec.site_index(1, 4)),   # last column
+                          (spec, spec.site_index(3, 2)),   # last row
+                          (tor, -1), (tor, tor.n_sites)]:
+        with pytest.raises(InvalidSpec):
+            plaquette_chain_position(lattice, site)
 
 
 @pytest.mark.parametrize("hs", [torus(4, 6, 0.7, 1.3), open_lat(4, 5, 0.7, 1.3)])
@@ -130,7 +144,6 @@ def test_equal_models_compare_and_hash_equal(hs):
     assert a is not b
     assert a == b
     assert hash(a) == hash(b)
-    assert "_position" not in repr(a)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +213,7 @@ def test_plaquette_maps_to_transverse_field():
     offsets, _ = dual_site_offsets(model)
     for b in enumerate_plaquettes(hs.lattice):
         img = map_operator(model, plaquette_operator(hs.lattice, b))
-        ci, k = model.chain_of_plaquette(b)
+        ci, k = plaquette_chain_position(hs.lattice, b)
         assert img.factors == ((offsets[ci] + k, "X"),)
         assert img.phase == 1.0
 
@@ -222,13 +235,21 @@ def test_open_edge_and_corner_images():
     # a free corner keeps a transverse-field image on its own coordinate
     img = map_operator(model, PauliString(((0, "X"),)))
     assert img.factors == ((free_coord[0], "X"),)
-    # an edge site maps to the single tz of the matching edge field
-    for ci, ch in enumerate(model.chains):
-        for s in ch.edge_sites:
-            img = map_operator(model, PauliString(((s, "X"),)))
-            (pos, ax), = img.factors
-            assert ax == "Z"
-            assert pos - offsets[ci] in [k for k, _ in ch.spec.edge_fields]
+    # an edge site (one adjacent plaquette) maps to the single tz of the
+    # matching edge field on that plaquette's chain
+    chains = chain_decompose(hs.lattice).chains
+    edges = 0
+    for s in range(hs.lattice.n_sites):
+        adj = site_adjacent_plaquettes(hs.lattice, s)
+        if len(adj) != 1:
+            continue
+        ci = next(ci for ci, bases in enumerate(chains) if adj[0] in bases)
+        img = map_operator(model, PauliString(((s, "X"),)))
+        (pos, ax), = img.factors
+        assert ax == "Z"
+        assert pos - offsets[ci] in [k for k, _ in model.chains[ci].spec.edge_fields]
+        edges += 1
+    assert edges == sum(len(ch.spec.edge_fields) for ch in model.chains)
 
 
 def test_operator_map_is_a_homomorphism():
@@ -397,8 +418,8 @@ def test_zero_field_dual_gap_matches_ed(n):
         _ed_torus_spectrum(n, 1.0, 0.0).gap, abs=1e-10)
 
 
-@pytest.mark.parametrize("n,m", [(4, 3), (3, 5), (4, 6), (6, 4), (3, 6),
-                                 (4, 8), (8, 4), (5, 5), (6, 6)])
+@pytest.mark.parametrize("n,m", [(3, 3), (6, 3), (4, 3), (3, 5), (4, 6), (6, 4),
+                                 (3, 6), (4, 8), (8, 4), (5, 5), (6, 6)])
 def test_dual_gap_is_the_brute_force_sector_minimum(n, m):
     # every one of the 2^d sectors solved on its own: the cheapest switch
     # out of the all-plus sector, or the cheapest excitation inside it

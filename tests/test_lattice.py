@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, strategies as st
 
 from plaqising import (
     Boundary,
-    ChainBoundary,
     DegenerateLattice,
     InvalidSpec,
     LatticeSpec,
@@ -93,8 +92,7 @@ def test_torus_chain_structure(n, m):
     dec = chain_decompose(spec)
     d = math.gcd(n, m)
     assert len(dec.chains) == d == expected_chain_count(spec)["plaquette_chains"]
-    assert set(dec.lengths) == {n * m // d}
-    assert all(b is ChainBoundary.PERIODIC_CHAIN for b in dec.chain_boundary)
+    assert {len(ch) for ch in dec.chains} == {n * m // d}
     covered = sorted(k for ch in dec.chains for k in ch)
     assert covered == list(range(n * m))
 
@@ -104,8 +102,12 @@ def test_open_chain_structure(n, m):
     spec = LatticeSpec(n, m, Boundary.OPEN)
     dec = chain_decompose(spec)
     assert len(dec.chains) == n + m - 3
-    assert sum(dec.lengths) == (n - 1) * (m - 1)
-    assert all(b is ChainBoundary.OPEN_CHAIN for b in dec.chain_boundary)
+    assert sum(len(ch) for ch in dec.chains) == (n - 1) * (m - 1)
+    # open chains are maximal: one more step either way leaves the lattice
+    for ch in dec.chains:
+        (r0, c0), (r1, c1) = spec.site_rc(ch[0]), spec.site_rc(ch[-1])
+        assert not spec.plaquette_base_exists(r0 + 1, c0 - 1)
+        assert not spec.plaquette_base_exists(r1 - 1, c1 + 1)
 
 
 @given(sizes, sizes, st.sampled_from(list(Boundary)))

@@ -270,9 +270,14 @@ def test_cli_bad_input_exit_codes(tmp_path, capsys):
     (["gap-scaling", "--g", "inf", "--h", "1"], "g"),
     (["crit-corr", "--tol", "nan"], "tol"),
     (["exponents", "--config", "{ini}"], "ordered_grid"),
-], ids=["g-nan", "g-inf", "tol-nan", "ini-grid-nan"])
+    (["duality-check", "--tol", "-1"], "tol"),
+    (["gap-scaling", "--tol", "-1", "--ed-sizes", "3"], "ed_tol"),
+    (["crit-corr", "--tol", "-1"], "tol"),
+], ids=["g-nan", "g-inf", "tol-nan", "ini-grid-nan", "check-tol-negative",
+        "gap-tol-negative", "corr-tol-negative"])
 def test_cli_non_finite_input_is_bad_input(tmp_path, capsys, argv, field):
-    # a nan or inf must not reach a solver and come back as a failed check
+    # a nan, inf or negative value must not reach a solver and come back as
+    # a failed check
     ini = tmp_path / "run.ini"
     ini.write_text("[exponents]\nordered-grid = 0.8, nan\n")
     out = tmp_path / "out"
