@@ -35,7 +35,7 @@ from .ed import (
     HamiltonianSpec,
     full_spectrum,
     gap_from_levels,
-    mirror_blocks,
+    symmetry_blocks,
 )
 from .errors import InvalidSpec, NotMappable
 from .freefermion import TFIMChainSpec, chain_terms, ring_block
@@ -321,14 +321,14 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
     The flip is ``prod tx`` over all ``L`` sites, so a parity block is the
     ``parity_block`` of the single mask ``2^L - 1``, with ``2^(L-1)`` states;
     ``parity = 0`` densifies the whole ``2^L`` space.  The block is solved
-    in its two site-reversal halves where reversal is a symmetry
-    (:func:`~plaqising.ed.mirror_blocks`: every ring, and every open chain
-    whose edge fields are mirror images).  ``dense_matrix_from_terms``
+    in its :func:`~plaqising.ed.symmetry_blocks`: reversal splits every ring
+    and every open chain whose edge fields are mirror images, and the
+    half-shift further splits every even untwisted ring.  ``dense_matrix_from_terms``
     raises ``TooLarge`` above its spin budget before anything is allocated.
     """
     masks, signs = (((1 << sp.length) - 1,), (parity,)) if parity else ((), ())
-    halves = mirror_blocks(sp.length, chain_terms(sp), masks, signs)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(H) for H in halves]))
+    blocks = symmetry_blocks(sp.length, chain_terms(sp), masks, signs)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(H) for H in blocks]))
 
 
 def _tensor_sum(parts: list[np.ndarray]) -> np.ndarray:

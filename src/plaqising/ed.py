@@ -14,9 +14,10 @@ Each diagonal loop ``W_b`` (``prod sx`` over a site diagonal) commutes with
 so a Z2 block is a list of labels closed under the rotated terms.
 :func:`parity_block` builds both the ``2^d`` loop sectors of every 2D spectrum
 and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
-arXiv:1101.3281).  Where site reversal ``j -> n - 1 - j`` maps the terms and
-the block's masks onto themselves, :func:`mirror_blocks` splits a dense block
-into its even and odd halves, so a dense solve costs about a quarter.
+arXiv:1101.3281).  Site permutations that map the terms and masks onto
+themselves (:func:`_is_symmetry`) save work twice: the spectra solve one
+loop sector per column-translation orbit (:func:`_sector_orbits`), and
+reversal and the half-shift split a dense block (:func:`symmetry_blocks`).
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
@@ -234,9 +235,22 @@ def _loop_masks(spec: LatticeSpec) -> list[int]:
     return [sum(1 << s for s in diag) for diag in site_diagonals(spec)]
 
 
-def _sectors(spec: LatticeSpec):
-    """Every ``+-1`` label tuple, one entry per site diagonal."""
-    return product((1, -1), repeat=len(site_diagonals(spec)))
+def _sector_orbits(hs: HamiltonianSpec) -> list[tuple[tuple[int, ...], int]]:
+    """``(representative, multiplicity)`` per orbit of the loop sectors under
+    the column translation, which maps a sector onto an isospectral one where
+    it is a symmetry of the terms and masks; elsewhere (open lattices) each
+    sector stands alone.  Representatives come first in ``product`` order."""
+    masks, m = _loop_masks(hs.lattice), hs.lattice.cols
+    shift = [s - s % m + (s + 1) % m for s in range(hs.n_spins)]
+    moved = _permute_bits(np.asarray(masks, dtype=np.uint64), shift).tolist()
+    symmetric = _is_symmetry(shift, hamiltonian_terms(hs), masks, [1] * len(masks))
+    rep: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for w in product((1, -1), repeat=len(masks)):
+        v = w
+        while v not in rep:
+            rep[v] = w
+            v = tuple(v[moved.index(mask)] for mask in masks) if symmetric else w
+    return list(Counter(rep.values()).items())
 
 
 def sector_operator(hs: HamiltonianSpec, sector: tuple[int, ...]) -> HamiltonianOperator:
@@ -294,8 +308,9 @@ def _lanczos(
     residual_tol: float = LANCZOS_RESIDUAL_TOL,
     max_iter: int | None = None,
 ):
-    """The ``k`` lowest distinct Ritz pairs of ``op``: Lanczos with full
-    reorthogonalization from :func:`_lanczos_seed`.
+    """The ``k`` lowest converged Ritz pairs of ``op``: Lanczos with full
+    reorthogonalization from :func:`_lanczos_seed`; a degenerate level comes
+    back once per copy that rounding let the Krylov space find.
 
     The Ritz check (tridiagonal eigensolve plus the residual bound
     ``beta_m |s_mi|``) runs at ``m = k, k + _RITZ_EVERY, ...`` iterations,
@@ -387,22 +402,24 @@ def _lanczos(
 def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
     """The sorted union of every loop-sector block's ``k`` lowest levels.
 
-    The union is not cut to ``k``: its first ``k`` entries are the ``k``
-    lowest levels, and its gap needs from each block only the lowest level
-    and, if that lies in the ground band, the next one.  So ``k = 2`` gives
-    the degeneracy-tolerant gap on Lanczos blocks, which return distinct
-    levels; a dense block returns them with multiplicity.  Cut to ``k``, a
-    topological ground multiplet split by less than ``DEGENERACY_TOL`` would
-    fill the list and read as a gap of 0.  A level degenerate across loop
-    sectors counts once per sector, but inside one Lanczos block only
-    distinct values are found (4x4 torus, ``g = 0``, ``k = 10``: ``-14 h``
-    comes back 4 times, once per block that holds it; the full space holds
-    it 16 times).
+    One block per translation orbit is solved, its levels repeated once per
+    sector of the orbit (:func:`_sector_orbits`; ``info`` lists 6
+    ``"blocks"`` for 16 ``"sectors"`` on 4x4).  The union is not cut to
+    ``k``: its gap needs from each block only the lowest level and, if that
+    is in the ground band, the next, so ``k = 2`` gives the
+    degeneracy-tolerant gap (cut to ``k``, a topological multiplet split by
+    less than ``DEGENERACY_TOL`` would read as a gap of 0).  A Lanczos block
+    may return a degenerate level once or more (4x4, ``g = h = 0.93``:
+    sector ``(1, -1, -1, 1)`` gives its fourfold lowest level twice, its
+    translates once), so only the lowest level and the gap are exact.
     """
-    ops = (sector_operator(hs, sector) for sector in _sectors(hs.lattice))
-    parts = [operator_ground_spectrum(op, min(k, op.dim)) for op in ops]
-    vals = np.sort(np.concatenate([r.eigenvalues for r in parts]))
-    return SpectrumResult(vals, info={"blocks": [r.info for r in parts]})
+    orbits = _sector_orbits(hs)
+    parts = [operator_ground_spectrum(op, min(k, op.dim))
+             for op in (sector_operator(hs, w) for w, _ in orbits)]
+    vals = np.sort(np.concatenate([np.tile(r.eigenvalues, mult)
+                                   for r, (_, mult) in zip(parts, orbits)]))
+    return SpectrumResult(vals, info={"blocks": [r.info for r in parts],
+                                      "sectors": sum(mult for _, mult in orbits)})
 
 
 def operator_ground_spectrum(
@@ -412,9 +429,10 @@ def operator_ground_spectrum(
 
     Blocks of up to ``DENSE_GROUND_STATES`` (512) states are solved dense and
     return the lowest ``k`` eigenvalues with multiplicity.  Larger ones go to
-    Lanczos, which returns the ``k`` lowest distinct Ritz values: one start
-    vector finds one copy of each degenerate level.  The lowest level and
-    the gap agree on both paths.
+    Lanczos, which returns the ``k`` lowest converged Ritz values: each is a
+    level of the block, but a degenerate level may come back once or more
+    (see :func:`_lanczos`).  The lowest level and the gap agree on both
+    paths.
     """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
@@ -431,14 +449,17 @@ def operator_ground_spectrum(
 
 
 def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
-    """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: the union
-    of a dense solve of every loop-sector block, each split by site reversal
-    where that is a symmetry (:func:`mirror_blocks`)."""
+    """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: a dense
+    solve of one loop-sector block per translation orbit, split by its site
+    symmetries (:func:`symmetry_blocks`), its levels repeated once per sector
+    of the orbit.  ``info`` is laid out as in :func:`ground_spectrum`."""
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    vals = np.sort(np.concatenate([scipy.linalg.eigh(H, eigvals_only=True)
-                                   for w in _sectors(hs.lattice)
-                                   for H in mirror_blocks(hs.n_spins, terms, masks, w)]))
-    return SpectrumResult(vals, info={"method": "dense"})
+    orbits = _sector_orbits(hs)
+    vals = np.sort(np.concatenate([np.tile(scipy.linalg.eigh(H, eigvals_only=True), mult)
+                                   for w, mult in orbits
+                                   for H in symmetry_blocks(hs.n_spins, terms, masks, w)]))
+    return SpectrumResult(vals, info={"blocks": [{"method": "dense"}] * len(orbits),
+                                      "sectors": 2 ** len(masks)})
 
 
 def dense_matrix_from_terms(
@@ -456,53 +477,67 @@ def dense_matrix_from_terms(
     return op.dense()
 
 
-def _reverse_bits(labels: np.ndarray, n: int) -> np.ndarray:
-    """Each label with site ``j`` moved to site ``n - 1 - j``."""
+def _permute_bits(labels: np.ndarray, perm) -> np.ndarray:
+    """Each label with site ``j`` moved to site ``perm[j]``."""
     out = np.zeros_like(labels)
-    for j in range(n):
-        out |= ((labels >> np.uint64(j)) & np.uint64(1)) << np.uint64(n - 1 - j)
+    for j, k in enumerate(perm):
+        out |= ((labels >> np.uint64(j)) & np.uint64(1)) << np.uint64(k)
     return out
 
 
-def _is_mirror_symmetric(n: int, terms, masks, signs) -> bool:
-    """Whether site reversal maps the term list onto itself, coefficients
-    included, and the set of ``(mask, sign)`` pairs onto itself."""
-    mirrored = Counter((c, PauliString(tuple((n - 1 - s, ax) for s, ax in ps.factors),
-                                       ps.phase)) for c, ps in terms)
-    rev = _reverse_bits(np.asarray(masks, dtype=np.uint64), n).tolist()
-    return mirrored == Counter(terms) and set(zip(rev, signs)) == set(zip(masks, signs))
+def _is_symmetry(perm, terms, masks, signs) -> bool:
+    """Whether the site permutation ``j -> perm[j]`` maps the term list onto
+    itself, coefficients included, and the set of ``(mask, sign)`` pairs onto
+    itself."""
+    moved = Counter((c, PauliString(tuple((perm[s], ax) for s, ax in ps.factors),
+                                    ps.phase)) for c, ps in terms)
+    image = _permute_bits(np.asarray(masks, dtype=np.uint64), perm).tolist()
+    return moved == Counter(terms) and set(zip(image, signs)) == set(zip(masks, signs))
 
 
-def mirror_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
-    """The :func:`dense_matrix_from_terms` block, split in two by site
-    reversal ``j -> n - 1 - j`` where that is an exact symmetry of it.
+def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
+    """The :func:`dense_matrix_from_terms` block, split by the group ``G`` of
+    site permutations generated by reversal ``j -> n - 1 - j`` and, for even
+    ``n``, the half-shift ``j -> j + n/2 mod n``, each where it is an exact
+    symmetry of the block (:func:`_is_symmetry`).
 
-    Reversal sends row ``i`` to row ``s(i)`` (the reversed label; the
-    Hadamard frame commutes with it).  With ``A`` the rows ``i < s(i)`` and
-    ``F`` the fixed ones, the even half on ``(|a> + |s(a)>) / sqrt 2`` and
-    ``|f>`` is ``[[H_AA + H_AsA, sqrt2 H_AF], [sqrt2 H_FA, H_FF]]`` and the
-    odd half is ``H_AA - H_AsA``; together they hold every level of the
-    block.  The symmetry is read off the terms and masks
-    (:func:`_is_mirror_symmetric`); without it the list is the one whole
-    block.  The whole block is freed before this returns.
+    The generators commute and square to one, so each real character ``chi``
+    of ``G`` gets one block on the orbit representatives ``a`` (least rows;
+    the Hadamard frame commutes with site permutations) whose stabilizer
+    ``chi`` does not annihilate: ``B[a, b] = sqrt(|O_a| |O_b|) / |G| *
+    sum_g chi(g) H[a, g b]``; with reversal alone, the even and odd halves.
+    The blocks hold every level of the block; without a symmetry the list is
+    the one whole block.  The whole block is freed before this returns.
     """
     H = dense_matrix_from_terms(n, terms, masks, signs)
-    if not _is_mirror_symmetric(n, terms, masks, signs):
+    candidates = [[n - 1 - j for j in range(n)]]
+    if n % 2 == 0 and n > 2:  # on 2 sites the half-shift is the reversal
+        candidates.append([(j + n // 2) % n for j in range(n)])
+    gens = [p for p in candidates if _is_symmetry(p, terms, masks, signs)]
+    if not gens:
         return [H]
     labels = _parity_labels(n, masks, signs)
-    mirror = np.searchsorted(labels, _reverse_bits(labels, n))
-    rows = np.arange(len(labels))
-    A, F = rows[rows < mirror], rows[rows == mirror]
-    m = len(A)
-    same, cross = H[np.ix_(A, A)], H[np.ix_(A, mirror[A])]
-    even = np.empty((m + len(F),) * 2)
-    np.add(same, cross, out=even[:m, :m])
-    even[:m, m:] = math.sqrt(2.0) * H[np.ix_(A, F)]
-    even[m:, :m] = math.sqrt(2.0) * H[np.ix_(F, A)]
-    even[m:, m:] = H[np.ix_(F, F)]
+    orbit = np.arange(len(labels))[None]      # orbit[g, i]: the row g sends row i to
+    for p in gens:                            # bit i of g: generator i applied
+        row = np.searchsorted(labels, _permute_bits(labels, p))
+        orbit = np.concatenate([orbit, row[orbit]])
+    reps = np.flatnonzero(orbit.min(axis=0) == np.arange(len(labels)))
+    fixed = orbit[:, reps] == reps            # g stabilizes representative a
+    scale = 1.0 / np.sqrt(fixed.sum(axis=0))  # sqrt(|O_a| / |G|)
+    group = np.arange(len(orbit))
+    chi = 1.0 - 2.0 * (np.bitwise_count(group[:, None] & group) & 1)  # chi[t, g]
+    keep = ~np.any(fixed & (chi[:, :, None] < 0), axis=1)  # keep[t, a]
+    chars = [t for t in group if keep[t].any()]
+    blocks = [H[np.ix_(reps[keep[t]], reps[keep[t]])] for t in chars]  # g = identity
+    for t, B in zip(chars, blocks):
+        rows, w = reps[keep[t]], scale[keep[t]]
+        for g in group[1:]:
+            add = np.add if chi[t, g] > 0 else np.subtract
+            add(B, H[np.ix_(rows, orbit[g, rows])], out=B)
+        B *= w
+        B *= w[:, None]
     del H
-    same -= cross
-    return [even, same]
+    return blocks
 
 
 def expectation(v: np.ndarray, ps: PauliString) -> complex:

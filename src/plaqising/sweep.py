@@ -198,13 +198,14 @@ def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
     meta = {"fit": fit, "ed_checks": []}
     for n in cfg.ed_sizes:
         res = _ed_torus_spectrum(n, cfg.g, cfg.h)
-        blocks = res.info.get("blocks", [res.info])
+        blocks = res.info["blocks"]
         dual_gap = dual_lattice_gap(n, n, cfg.g, cfg.h)
         meta["ed_checks"].append(
             {"size": n, "ed_gap": res.gap, "dual_gap": dual_gap,
              "abs_error": abs(res.gap - dual_gap),
              "method": blocks[0]["method"],  # the blocks share one size
-             "iterations": sum(b.get("iterations", 0) for b in blocks)}
+             "iterations": sum(b.get("iterations", 0) for b in blocks),
+             "blocks": len(blocks), "sectors": res.info["sectors"]}
         )
     meta["slope_in_band"] = abs(fit["slope"] + 1.0) <= cfg.slope_band
     meta["ed_checks_ok"] = all(

@@ -4,6 +4,8 @@ The algebraic invariants here (hermiticity, commutation, involution) are held
 to 1e-10; spectral comparisons against independent constructions to 1e-8.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,11 +31,12 @@ from plaqising.ed import (
     HamiltonianOperator,
     _lanczos,
     _loop_masks,
+    _sector_orbits,
     dense_matrix_from_terms,
     gap_from_levels,
-    mirror_blocks,
     operator_ground_spectrum,
     sector_operator,
+    symmetry_blocks,
 )
 from plaqising.errors import InvalidSpec, NotConverged
 from plaqising.freefermion import TFIMChainSpec, chain_terms
@@ -286,37 +289,117 @@ def _halves_hold_the_block(halves, n, terms, masks=(), signs=()):
 
 
 def test_mirror_blocks_split_the_4x3_loop_sectors():
-    # one loop on 4x3: the even sector holds the 2^6 palindromic labels
+    # one loop on 4x3: reversal and the half-shift (two rows down) are both
+    # symmetries, so each sector splits four ways; the trivial character
+    # holds the 560 orbits of the even sector
     hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 0.9, 1.1)
     terms, masks = hamiltonian_terms(hs), [2**12 - 1]
     sizes = []
     for w in ((1,), (-1,)):
-        halves = mirror_blocks(12, terms, masks, w)
+        halves = symmetry_blocks(12, terms, masks, w)
         sizes.append(tuple(H.shape[0] for H in halves))
         _halves_hold_the_block(halves, 12, terms, masks, w)
-    assert sizes == [(1056, 992), (1024, 1024)]
+    assert sizes == [(560, 496, 496, 496), (512, 512, 512, 512)]
 
 
 def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
     # 3x3 torus: reversal sends loop b to (1 - b) mod 3, so w0 != w1 breaks it
     hs = torus33(0.8, 1.2)
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    (whole,) = mirror_blocks(9, terms, masks, (1, -1, 1))
+    (whole,) = symmetry_blocks(9, terms, masks, (1, -1, 1))
     np.testing.assert_array_equal(whole, dense_matrix_from_terms(9, terms, masks,
                                                                  (1, -1, 1)))
-    halves = mirror_blocks(9, terms, masks, (-1, -1, 1))
+    halves = symmetry_blocks(9, terms, masks, (-1, -1, 1))
     assert [H.shape[0] for H in halves] == [36, 28]
     _halves_hold_the_block(halves, 9, terms, masks, (-1, -1, 1))
     # an open chain whose sector flipped one edge field
     flipped = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
                             edge_fields=((0, -1.0), (5, 1.0)))
-    (whole,) = mirror_blocks(6, chain_terms(flipped))
+    (whole,) = symmetry_blocks(6, chain_terms(flipped))
     assert whole.shape == (64, 64)
     mirrored = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
                              edge_fields=((0, 1.0), (5, 1.0)))
-    halves = mirror_blocks(6, chain_terms(mirrored))
+    halves = symmetry_blocks(6, chain_terms(mirrored))
     assert [H.shape[0] for H in halves] == [36, 28]
     _halves_hold_the_block(halves, 6, chain_terms(mirrored))
+
+
+@pytest.mark.parametrize("twist, sizes", [
+    (1, [(560, 496, 496, 496), (512, 512, 512, 512)]),
+    (-1, [(1056, 992), (1024, 1024)]),   # the twisted bond breaks the half-shift
+], ids=["untwisted", "twisted"])
+def test_symmetry_blocks_split_the_12_site_ring(twist, sizes):
+    ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
+    terms, masks = chain_terms(ring), (2**12 - 1,)
+    split = []
+    for parity in (1, -1):
+        blocks = symmetry_blocks(12, terms, masks, (parity,))
+        split.append(tuple(H.shape[0] for H in blocks))
+        _halves_hold_the_block(blocks, 12, terms, masks, (parity,))
+    assert split == sizes
+
+
+def test_symmetry_blocks_reject_the_half_shift_on_3x4():
+    # on 3x4, j -> j + 6 is no lattice translation: reversal alone splits
+    hs = HamiltonianSpec(LatticeSpec(3, 4, Boundary.PERIODIC), 0.9, 1.1)
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    sizes = []
+    for w in ((1,), (-1,)):
+        blocks = symmetry_blocks(12, terms, masks, w)
+        sizes.append(tuple(H.shape[0] for H in blocks))
+        _halves_hold_the_block(blocks, 12, terms, masks, w)
+    assert sizes == [(1056, 992), (1024, 1024)]
+
+
+def test_sector_orbits_follow_the_column_translation():
+    # 4x4: the 16 sectors are the binary necklaces of length 4
+    orbits = _sector_orbits(HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 1, 1))
+    assert orbits == [((1, 1, 1, 1), 1), ((1, 1, 1, -1), 4), ((1, 1, -1, -1), 4),
+                      ((1, -1, 1, -1), 2), ((1, -1, -1, -1), 4), ((-1, -1, -1, -1), 1)]
+    assert [m for _, m in _sector_orbits(torus33())] == [1, 3, 3, 1]
+    # an open lattice has no translation: every sector stands alone
+    open34 = HamiltonianSpec(LatticeSpec(3, 4, Boundary.OPEN), 1.0, 1.0)
+    orbits = _sector_orbits(open34)
+    assert [w for w, _ in orbits] == list(product((1, -1), repeat=6))
+    assert {m for _, m in orbits} == {1}
+
+
+def _sector_union(hs, levels):
+    """Brute force: every loop sector solved on its own."""
+    return np.sort(np.concatenate([levels(sector_operator(hs, w))
+                                   for w in product((1, -1), repeat=len(_loop_masks(hs.lattice)))]))
+
+
+@pytest.mark.parametrize("g, h", [(1.02, 1.02), (1.0, 0.3), (0.3, 1.0)])
+def test_ground_spectrum_is_the_16_sector_union(g, h):
+    hs = HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), g, h)
+    res = ground_spectrum(hs, 2)
+    assert (len(res.info["blocks"]), res.info["sectors"]) == (6, 16)
+    brute = _sector_union(hs, lambda op: operator_ground_spectrum(op, 2).eigenvalues)
+    np.testing.assert_allclose(res.eigenvalues, brute, rtol=0, atol=1e-12)
+
+
+def test_full_spectrum_is_the_per_sector_dense_union():
+    hs = torus33(0.8, 1.2)
+    res = full_spectrum(hs)
+    assert (len(res.info["blocks"]), res.info["sectors"]) == (4, 8)
+    brute = _sector_union(hs, lambda op: scipy.linalg.eigvalsh(op.dense()))
+    np.testing.assert_allclose(res.eigenvalues, brute, rtol=0, atol=1e-12)
+
+
+def test_lanczos_levels_are_levels_but_not_distinct():
+    # 4x4 at g = h = 0.93: the lowest level of sector (1, -1, -1, 1) is
+    # fourfold; a Lanczos run may return it more than once, so every
+    # returned value must be a level of the block, not a distinct one
+    hs = HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 0.93, 0.93)
+    op = sector_operator(hs, (1, -1, -1, 1))
+    vals = operator_ground_spectrum(op, 2).eigenvalues
+    dense = scipy.linalg.eigh(op.dense(), subset_by_index=[0, 7], eigvals_only=True,
+                              overwrite_a=True)
+    assert np.all(np.abs(dense[:4] - dense[0]) < 1e-9)
+    assert abs(vals[0] - dense[0]) < 1e-9
+    for v in vals:
+        assert np.min(np.abs(dense - v)) < 1e-9
 
 
 def test_budget_guards():

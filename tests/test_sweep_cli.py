@@ -137,12 +137,14 @@ def test_gap_scaling_small_sizes():
 
 
 def test_gap_scaling_lanczos_check_reports_its_solver():
-    # 4x4: sixteen 4096-state loop sectors, two levels each by Lanczos
+    # 4x4: one 4096-state loop sector per translation orbit (6 of 16), two
+    # levels each by Lanczos
     _, meta = run_gap_scaling(GapScalingConfig(sizes=(8, 16, 32), ed_sizes=(4,)))
     (check,) = meta["ed_checks"]
     assert check["abs_error"] < 1e-12
     assert check["method"] == "lanczos"
-    assert 16 * 2 <= check["iterations"] <= 16 * 220
+    assert (check["blocks"], check["sectors"]) == (6, 16)
+    assert 6 * 2 <= check["iterations"] <= 6 * 220
     assert meta["passed"]
 
 
