@@ -18,7 +18,6 @@ brute-force reach.  Subpackages:
 """
 
 from .duality import (
-    DualityReport,
     DualModel,
     dual_lattice_gap,
     duality_spectrum_check,
@@ -63,7 +62,6 @@ from .freefermion import (
 from .lattice import (
     Boundary,
     ChainBoundary,
-    ChainDecomposition,
     LatticeSpec,
     chain_decompose,
     diagonal_loop_operator,
@@ -97,7 +95,7 @@ __all__ = [
     "NotMappable", "NumericalFailure",
     # pauli / lattice
     "PauliString", "Boundary", "ChainBoundary", "LatticeSpec",
-    "ChainDecomposition", "enumerate_plaquettes", "plaquette_operator",
+    "enumerate_plaquettes", "plaquette_operator",
     "chain_decompose", "plaquette_chain_position",
     "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
     "diagonal_loop_operator",
@@ -106,7 +104,7 @@ __all__ = [
     "apply_pauli_string", "expectation",
     "full_spectrum", "ground_spectrum",
     # duality
-    "DualModel", "DualityReport", "map_hamiltonian", "map_operator",
+    "DualModel", "map_hamiltonian", "map_operator",
     "sector_chain_specs", "full_dual_spectrum", "duality_spectrum_check",
     "dual_lattice_gap",
     # freefermion

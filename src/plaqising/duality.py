@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 import numpy as np
 
@@ -51,9 +51,7 @@ from .lattice import (
 )
 
 __all__ = [
-    "DualChain",
     "DualModel",
-    "DualityReport",
     "map_hamiltonian",
     "map_operator",
     "sector_chain_specs",
@@ -64,30 +62,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DualChain:
-    """One Ising chain of the dual model.
-
-    ``diagonal`` is the site-diagonal label the chain is dual to (``(r+c)
-    mod d`` of its bonds for a torus, ``r+c`` of its bond sites for an open
-    lattice).  Its plaquettes are ``chain_decompose(lattice).chains[a]`` for
-    the chain's index ``a`` in the model, and
-    :func:`~plaqising.lattice.plaquette_chain_position` gives a plaquette's
-    chain and position.
-    """
-
-    spec: TFIMChainSpec
-    diagonal: int
-
-
-@dataclass(frozen=True)
 class DualModel:
-    """The dual chains of one 2D model, in chain-decomposition order (which
-    is diagonal order), plus the free corner sites of an open lattice."""
+    """The dual chains of one 2D model, plus the free corner sites of an
+    open lattice.
+
+    ``chains[a]`` is the spec of the chain on the plaquettes
+    ``chain_decompose(lattice)[a]``, and
+    :func:`~plaqising.lattice.plaquette_chain_position` gives a plaquette's
+    chain and position.  Chain ``a`` is dual to site diagonal ``a`` on a
+    torus (``(r + c) mod d`` of its plaquette bases) and to site diagonal
+    ``a + 1`` on an open lattice (``r + c`` of its bond and edge sites).
+    """
 
     lattice: LatticeSpec
     g: float
     h: float
-    chains: tuple[DualChain, ...]
+    chains: tuple[TFIMChainSpec, ...]
     free_sites: tuple[int, ...]
     n_diagonals: int
 
@@ -99,45 +89,52 @@ def _chain_spec(length: int, boundary: ChainBoundary, g: float, h: float,
     return TFIMChainSpec(length, boundary, g / h, h, edge_fields=edge_fields)
 
 
+def _site_image(spec: LatticeSpec, s: int) -> tuple[tuple[int, int], ...]:
+    """``(chain, position)`` of each plaquette that ``sx_s`` anticommutes with.
+
+    Empty for a free corner, one entry for an edge field ``tz``, two for an
+    Ising bond ``tz tz``.  A bond's positions must be consecutive on one
+    chain, across a ring's closing bond too, or the site is not mappable.
+    """
+    image = tuple(plaquette_chain_position(spec, b)
+                  for b in site_adjacent_plaquettes(spec, s))
+    if len(image) == 2:
+        (c1, k1), (c2, k2) = image
+        periodic = spec.boundary is Boundary.PERIODIC
+        ring = math.lcm(spec.rows, spec.cols) if periodic else 0  # 0: no wrap
+        if c1 != c2 or abs(k1 - k2) not in (1, ring - 1):
+            raise NotMappable(
+                f"site {s}: adjacent plaquettes not consecutive in one chain")
+    return image
+
+
 def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
     """Decompose the 2D model into its dual chains (all-``+1`` sector copy)."""
     spec = hs.lattice
-    decomp = chain_decompose(spec)
+    chains = chain_decompose(spec)
 
     if spec.boundary is Boundary.PERIODIC:
         d = math.gcd(spec.rows, spec.cols)
-        chains = tuple(
-            DualChain(spec=_chain_spec(len(bases), ChainBoundary.PERIODIC_CHAIN,
-                                       hs.g, hs.h),
-                      diagonal=sum(spec.site_rc(bases[0])) % d)
-            for bases in decomp.chains)
-        if [ch.diagonal for ch in chains] != list(range(d)):
+        if [sum(spec.site_rc(bases[0])) % d for bases in chains] != list(range(d)):
             raise InvalidSpec("chain/diagonal labelling is inconsistent")
-        return DualModel(spec, hs.g, hs.h, chains, (), d)
+        specs = tuple(_chain_spec(len(bases), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
+                      for bases in chains)
+        return DualModel(spec, hs.g, hs.h, specs, (), d)
 
     # open lattice
-    edge_fields: list[list[tuple[int, float]]] = [[] for _ in decomp.chains]
+    edge_fields: list[list[tuple[int, float]]] = [[] for _ in chains]
     free: list[int] = []
     for s in range(spec.n_sites):
-        adj = site_adjacent_plaquettes(spec, s)
-        if len(adj) == 0:
+        image = _site_image(spec, s)
+        if not image:
             free.append(s)
-        elif len(adj) == 1:
-            ci, k = plaquette_chain_position(spec, adj[0])
+        elif len(image) == 1:
+            (ci, k), = image
             edge_fields[ci].append((k, 1.0))
-        else:
-            (c1, k1), (c2, k2) = (plaquette_chain_position(spec, b) for b in adj)
-            if c1 != c2 or abs(k1 - k2) != 1:
-                raise NotMappable(
-                    f"site {s}: adjacent plaquettes not consecutive in one chain"
-                )
-    chains = tuple(
-        DualChain(spec=_chain_spec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
-                                   edge_fields=tuple(sorted(ef))),
-                  # bond sites sit one diagonal above the bases
-                  diagonal=sum(spec.site_rc(bases[0])) + 1)
-        for bases, ef in zip(decomp.chains, edge_fields))
-    return DualModel(spec, hs.g, hs.h, chains, tuple(free),
+    specs = tuple(_chain_spec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
+                              edge_fields=tuple(sorted(ef)))
+                  for bases, ef in zip(chains, edge_fields))
+    return DualModel(spec, hs.g, hs.h, specs, tuple(free),
                      spec.rows + spec.cols - 1)
 
 
@@ -191,13 +188,8 @@ def _gf2_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 def dual_site_offsets(model: DualModel) -> tuple[list[int], dict[int, int]]:
     """Chain position offsets in the concatenated dual register, and the
     coordinate assigned to each free 2D site (appended after all chains)."""
-    offsets = []
-    off = 0
-    for ch in model.chains:
-        offsets.append(off)
-        off += ch.spec.length
-    free_coord = {s: off + i for i, s in enumerate(model.free_sites)}
-    return offsets, free_coord
+    *offsets, end = accumulate((sp.length for sp in model.chains), initial=0)
+    return offsets, {s: end + i for i, s in enumerate(model.free_sites)}
 
 
 def map_operator(model: DualModel, ps) -> "PauliString":
@@ -226,21 +218,11 @@ def map_operator(model: DualModel, ps) -> "PauliString":
     # sx generators
     for s in range(n):
         generators.append(PauliString(((s, "X"),)))
-        adj = site_adjacent_plaquettes(spec, s)
-        if len(adj) == 0:
-            images.append(PauliString(((free_coord[s], "X"),)))
-        elif len(adj) == 1:
-            ci, k = plaquette_chain_position(spec, adj[0])
-            images.append(PauliString(((offsets[ci] + k, "Z"),)))
+        image = _site_image(spec, s)
+        if image:
+            images.append(PauliString(tuple((offsets[ci] + k, "Z") for ci, k in image)))
         else:
-            (c1, k1), (c2, k2) = (plaquette_chain_position(spec, b) for b in adj)
-            if c1 != c2:
-                raise NotMappable(f"site {s} bridges two chains")
-            a, b = offsets[c1] + k1, offsets[c1] + k2
-            if a == b:  # doubled bond on a length-2 ring maps to identity
-                images.append(PauliString(()))
-            else:
-                images.append(PauliString(((min(a, b), "Z"), (max(a, b), "Z"))))
+            images.append(PauliString(((free_coord[s], "X"),)))
     # plaquette generators
     for base in enumerate_plaquettes(spec):
         generators.append(plaquette_operator(spec, base))
@@ -285,10 +267,9 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     parities: list[int] = []
     if model.lattice.boundary is Boundary.PERIODIC:
         d = model.n_diagonals
-        for a, ch in enumerate(model.chains):
+        for a, sp in enumerate(model.chains):
             twist = w[(a + 1) % d]
             parity = w[a] * w[(a + 2) % d]
-            sp = ch.spec
             if sp.zero_field:
                 # no bonds to twist; only the parity restriction acts
                 specs.append(sp)
@@ -301,10 +282,8 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     for s in model.free_sites:
         r, c = model.lattice.site_rc(s)
         free_energy += -model.h * w[r + c]
-    for ch in model.chains:
-        wb = w[ch.diagonal]
-        sp = ch.spec
-        if wb == -1 and not sp.zero_field:
+    for a, sp in enumerate(model.chains):
+        if w[a + 1] == -1 and not sp.zero_field:  # chain a is dual to diagonal a + 1
             if not sp.edge_fields:
                 raise InvalidSpec("open chain without edge fields cannot flip sector")
             ef = list(sp.edge_fields)
@@ -407,7 +386,7 @@ def duality_spectrum_check(
         dev = float(np.abs(levels_2d - dual).max()) if n2 == nd else math.inf
         dual_sorted = dual
     else:
-        parts = [_dense_chain_levels(ch.spec) for ch in model.chains]
+        parts = [_dense_chain_levels(sp) for sp in model.chains]
         for _ in model.free_sites:
             parts.append(np.array([-hs.h, hs.h]))
         dual_all = _tensor_sum(parts)

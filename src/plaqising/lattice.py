@@ -100,65 +100,44 @@ def plaquette_operator(spec: LatticeSpec, base: int) -> PauliString:
                         (spec.site_index(r + 1, c), "Y")))
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
-    """Partition of the plaquettes into anti-diagonal chains.
-
-    ``chains[a]`` is the ordered tuple of plaquette base sites of chain
-    ``a``; consecutive entries differ by one ``e_x - e_y`` step.  Torus
-    chains close on themselves, open-lattice chains terminate.
-    """
-
-    chains: tuple[tuple[int, ...], ...]
-
-
-def chain_decompose(spec: LatticeSpec) -> ChainDecomposition:
+def chain_decompose(spec: LatticeSpec) -> tuple[tuple[int, ...], ...]:
     """Split the plaquettes into maximal chains of base sites along ``e_x - e_y``.
 
-    Open lattices: each chain starts at the plaquette with no predecessor
-    (its ``(r+1, c-1)`` neighbour is off-lattice) and walks until the step
-    leaves the lattice; chain ``a`` holds the bases with ``r + c == a``.
-    Periodic lattices: chains are the wrapped diagonal orbits; there are
-    ``d = gcd(N, M)`` of them, each of length ``lcm(N, M)``.  Chain ``a < d``
-    starts at base ``(0, a)`` and its ``k``-th member is
-    ``((-k) mod N, (a + k) mod M)``; the coverage check below still verifies
-    that the closed form partitions the plaquettes.  Chains are listed by
-    their smallest member base site, which puts them in diagonal order on
-    both boundaries; :func:`plaquette_chain_position` inverts the listing.
+    ``chains[a]`` is the ordered tuple of plaquette base sites of chain ``a``;
+    consecutive entries differ by one ``e_x - e_y`` step.  Both boundaries are
+    closed forms.  Open lattices: chain ``a`` holds the bases with
+    ``r + c == a``, from row ``min(a, N - 2)`` (the head, whose ``(r+1, c-1)``
+    neighbour is off-lattice) down to row ``max(0, a - M + 2)``; these chains
+    terminate.  Periodic lattices: chains are the wrapped diagonal orbits;
+    there are ``d = gcd(N, M)`` of them, each of length ``lcm(N, M)``.  Chain
+    ``a < d`` starts at base ``(0, a)`` and its ``k``-th member is
+    ``((-k) mod N, (a + k) mod M)``.  Both forms list the chains by their
+    smallest base site, which is diagonal order, and
+    :func:`plaquette_chain_position` inverts them; the coverage check below
+    verifies that they partition the plaquettes.
     """
-    bases = enumerate_plaquettes(spec)
-    raw_chains: list[list[int]] = []
-
+    n, m = spec.rows, spec.cols
     if spec.boundary is Boundary.OPEN:
-        for base in bases:
-            r, c = spec.site_rc(base)
-            if spec.plaquette_base_exists(r + 1, c - 1):
-                continue  # has a predecessor; not a chain head
-            chain = []
-            while spec.plaquette_base_exists(r, c):
-                chain.append(spec.site_index(r, c))
-                r, c = r - 1, c + 1
-            raw_chains.append(chain)
+        chains = tuple(tuple(r * m + a - r
+                             for r in range(min(a, n - 2), max(0, a - m + 2) - 1, -1))
+                       for a in range(n + m - 3))
     else:
-        n, m = spec.rows, spec.cols
         d = math.gcd(n, m)
-        raw_chains = [[((-k) % n) * m + (a + k) % m for k in range(n * m // d)]
-                      for a in range(d)]
-
-    if sorted(b for chain in raw_chains for b in chain) != bases:
+        chains = tuple(tuple(((-k) % n) * m + (a + k) % m for k in range(n * m // d))
+                       for a in range(d))
+    if sorted(b for chain in chains for b in chain) != enumerate_plaquettes(spec):
         raise InvalidSpec("chain decomposition did not cover every plaquette")
-    raw_chains.sort(key=min)
-    return ChainDecomposition(chains=tuple(tuple(chain) for chain in raw_chains))
+    return chains
 
 
 def plaquette_chain_position(spec: LatticeSpec, base: int) -> tuple[int, int]:
-    """``(chain, k)`` with ``chain_decompose(spec).chains[chain][k] == base``.
+    """``(chain, k)`` with ``chain_decompose(spec)[chain][k] == base``.
 
     Torus, ``d = gcd(N, M)``: the chain is ``a = (r + c) mod d`` and ``k``
     solves ``k = -r (mod N)``, ``a + k = c (mod M)``; with ``k = k0 + N t``,
     ``k0 = (-r) mod N``, that is ``N t = c - a - k0 (mod M)``, where
     ``c - a - k0`` is a multiple of ``d``.  Open lattice: chain ``r + c``,
-    whose head sits in row ``min(r + c, N - 2)``.
+    whose rows run down from its head in row ``min(r + c, N - 2)``.
     """
     r, c = spec.site_rc(base)
     if not spec.plaquette_base_exists(r, c):

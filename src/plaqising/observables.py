@@ -186,7 +186,7 @@ def _dual_model(hs: HamiltonianSpec, cache: dict | None) -> DualModel:
 def _dual_chain_solution(model: DualModel, ci: int, cache: dict | None = None) -> BdGSolution:
     if cache is not None and ci in cache:
         return cache[ci]
-    sp = model.chains[ci].spec
+    sp = model.chains[ci]
     if sp.zero_field:
         raise NotMappable("h = 0 chains are trivial; use the direct route")
     sol = bdg_solve(sp)
@@ -214,7 +214,7 @@ def sx_string_expectation_dual(
     first = spec.site_index(seg.start_row, seg.start_col)
     ci, start = plaquette_chain_position(
         spec, site_adjacent_plaquettes(spec, first)[0])
-    ell = model.chains[ci].spec.length
+    ell = model.chains[ci].length
     r = seg.n_steps + 1
     if r >= ell:
         raise NotMappable(f"segment covers the whole ring (length {ell})")
@@ -236,7 +236,7 @@ def plaquette_string_expectation_dual(
     spec = hs.lattice
     base = spec.site_index(start_row, start_col)
     ci, k = plaquette_chain_position(spec, base)
-    ell = model.chains[ci].spec.length
+    ell = model.chains[ci].length
     if r > ell:
         raise NotMappable(f"string of {r} plaquettes exceeds the ring length {ell}")
     sol = _dual_chain_solution(model, ci, _cache)

@@ -29,7 +29,7 @@ from plaqising.ed import (
     hamiltonian_terms,
 )
 from plaqising.errors import InvalidSpec, NotMappable, TooLarge
-from plaqising.freefermion import TFIMChainSpec, ring_sector_levels
+from plaqising.freefermion import TFIMChainSpec, chain_terms, ring_sector_levels
 from plaqising.lattice import (
     Boundary,
     ChainBoundary,
@@ -63,16 +63,17 @@ def test_torus_map_structure(n, m):
     assert model.n_diagonals == d
     assert len(model.chains) == d
     assert model.free_sites == ()
-    assert [ch.diagonal for ch in model.chains] == list(range(d))
-    for ch in model.chains:
-        assert ch.spec.length == n * m // d
-        assert ch.spec.boundary is ChainBoundary.PERIODIC_CHAIN
-        assert ch.spec.edge_fields == ()
-        assert ch.spec.g_I == pytest.approx(0.7 / 1.3)
-        assert ch.spec.scale == 1.3
-    # one ring per decomposition chain, in the same order
-    chains = chain_decompose(model.lattice).chains
-    assert [ch.spec.length for ch in model.chains] == [len(b) for b in chains]
+    for sp in model.chains:
+        assert sp.length == n * m // d
+        assert sp.boundary is ChainBoundary.PERIODIC_CHAIN
+        assert sp.edge_fields == ()
+        assert sp.g_I == pytest.approx(0.7 / 1.3)
+        assert sp.scale == 1.3
+    # one ring per decomposition chain, in the same order; ring a is dual to
+    # site diagonal a, the diagonal of its plaquette bases
+    chains = chain_decompose(model.lattice)
+    assert [sp.length for sp in model.chains] == [len(b) for b in chains]
+    assert [sum(model.lattice.site_rc(b[0])) % d for b in chains] == list(range(d))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 5)])
@@ -80,11 +81,11 @@ def test_open_map_structure(n, m):
     model = map_hamiltonian(open_lat(n, m, 1.0, 0.5))
     assert model.n_diagonals == n + m - 1
     assert len(model.chains) == n + m - 3
-    assert sum(ch.spec.length for ch in model.chains) == (n - 1) * (m - 1)
-    for ch in model.chains:
-        assert ch.spec.boundary is ChainBoundary.OPEN_CHAIN
-        assert len(ch.spec.edge_fields) == 2
-        assert all(s == 1.0 for _, s in ch.spec.edge_fields)
+    assert sum(sp.length for sp in model.chains) == (n - 1) * (m - 1)
+    for sp in model.chains:
+        assert sp.boundary is ChainBoundary.OPEN_CHAIN
+        assert len(sp.edge_fields) == 2
+        assert all(s == 1.0 for _, s in sp.edge_fields)
     # the two corners not adjacent to any plaquette Y-corner stay free
     spec = model.lattice
     # every chain has two edge sites: sites with a single adjacent plaquette
@@ -94,23 +95,27 @@ def test_open_map_structure(n, m):
     assert sorted(edge_chains) == sorted(2 * list(range(len(model.chains))))
     assert model.free_sites == (spec.site_index(0, 0), spec.site_index(n - 1, m - 1))
     # each 2D site is a bond, an edge field, or a free coordinate
-    bonds = sum(ch.spec.length - 1 for ch in model.chains)
-    edges = sum(len(ch.spec.edge_fields) for ch in model.chains)
+    bonds = sum(sp.length - 1 for sp in model.chains)
+    edges = sum(len(sp.edge_fields) for sp in model.chains)
     assert bonds + edges + len(model.free_sites) == n * m
 
 
 def test_open_chain_lengths_3x3():
     model = map_hamiltonian(open_lat(3, 3))
-    assert [ch.spec.length for ch in model.chains] == [1, 2, 1]
-    assert [ch.diagonal for ch in model.chains] == [1, 2, 3]
+    assert [sp.length for sp in model.chains] == [1, 2, 1]
+    # chain a is dual to site diagonal a + 1: its bond and edge sites lie there
+    spec = model.lattice
+    for s in range(spec.n_sites):
+        for b in site_adjacent_plaquettes(spec, s):
+            assert sum(spec.site_rc(s)) == plaquette_chain_position(spec, b)[0] + 1
 
 
 def test_zero_field_map_produces_free_spin_chains():
     model = map_hamiltonian(torus(3, 3, g=2.0, h=0.0))
-    for ch in model.chains:
-        assert ch.spec.zero_field
-        assert ch.spec.scale == 2.0
-        assert ch.spec.g_I == 0.0
+    for sp in model.chains:
+        assert sp.zero_field
+        assert sp.scale == 2.0
+        assert sp.g_I == 0.0
 
 
 @given(st.sampled_from(list(Boundary)), st.integers(2, 12), st.integers(2, 12))
@@ -122,7 +127,7 @@ def test_zero_field_map_produces_free_spin_chains():
 def test_chain_of_plaquette_lookup(boundary, n, m):
     assume(boundary is Boundary.OPEN or min(n, m) >= 3)
     spec = LatticeSpec(n, m, boundary)
-    chains = chain_decompose(spec).chains
+    chains = chain_decompose(spec)
     for ci, bases in enumerate(chains):
         for k, base in enumerate(bases):
             assert plaquette_chain_position(spec, base) == (ci, k)
@@ -150,7 +155,7 @@ def test_equal_models_compare_and_hash_equal(hs):
 # operator mapping
 # ----------------------------------------------------------------------
 def dual_register_size(model: DualModel) -> int:
-    return sum(ch.spec.length for ch in model.chains) + len(model.free_sites)
+    return sum(sp.length for sp in model.chains) + len(model.free_sites)
 
 
 @pytest.mark.parametrize("hs", [torus(3, 3, 0.8, 1.1), open_lat(3, 3, 0.8, 1.1),
@@ -162,7 +167,7 @@ def test_dual_register_spectrum_matches_chain_tensor_sum(hs):
     n_dual = dual_register_size(model)
     terms = [(coef, map_operator(model, ps)) for coef, ps in hamiltonian_terms(hs)]
     H = dense_matrix_from_terms(n_dual, terms)
-    parts = [_dense_chain_levels(ch.spec) for ch in model.chains]
+    parts = [_dense_chain_levels(sp) for sp in model.chains]
     for _ in model.free_sites:
         parts.append(np.array([-hs.h, hs.h]))
     np.testing.assert_allclose(
@@ -237,7 +242,7 @@ def test_open_edge_and_corner_images():
     assert img.factors == ((free_coord[0], "X"),)
     # an edge site (one adjacent plaquette) maps to the single tz of the
     # matching edge field on that plaquette's chain
-    chains = chain_decompose(hs.lattice).chains
+    chains = chain_decompose(hs.lattice)
     edges = 0
     for s in range(hs.lattice.n_sites):
         adj = site_adjacent_plaquettes(hs.lattice, s)
@@ -247,9 +252,9 @@ def test_open_edge_and_corner_images():
         img = map_operator(model, PauliString(((s, "X"),)))
         (pos, ax), = img.factors
         assert ax == "Z"
-        assert pos - offsets[ci] in [k for k, _ in model.chains[ci].spec.edge_fields]
+        assert pos - offsets[ci] in [k for k, _ in model.chains[ci].edge_fields]
         edges += 1
-    assert edges == sum(len(ch.spec.edge_fields) for ch in model.chains)
+    assert edges == sum(len(sp.edge_fields) for sp in model.chains)
 
 
 def test_operator_map_is_a_homomorphism():
@@ -285,6 +290,49 @@ def test_conserved_loops_map_to_identity(hs):
         else:
             assert img.factors == ()
             assert img.phase == 1.0
+
+
+@pytest.mark.parametrize("hs", [torus(3, 3, 0.7, 1.3), torus(4, 6, 0.7, 1.3),
+                                open_lat(3, 4, 0.7, 1.3), open_lat(2, 5, 0.7, 1.3)])
+def test_both_maps_agree_term_by_term(hs):
+    # map_operator on every 2D term, with its coefficient, gives the chain
+    # terms of map_hamiltonian placed in the concatenated register, plus
+    # -h X on each free coordinate
+    model = map_hamiltonian(hs)
+    offsets, free_coord = dual_site_offsets(model)
+    mapped = [(img.factors, coef * img.phase) for coef, ps in hamiltonian_terms(hs)
+              for img in [map_operator(model, ps)]]
+    dual = [(shifted.factors, coef * shifted.phase)
+            for off, sp in zip(offsets, model.chains) for coef, ps in chain_terms(sp)
+            for shifted in [PauliString(tuple((off + j, ax) for j, ax in ps.factors),
+                                        ps.phase)]]
+    dual += [(((x, "X"),), -hs.h) for x in free_coord.values()]
+    mapped.sort(key=lambda t: (t[0], t[1].real))
+    dual.sort(key=lambda t: (t[0], t[1].real))
+    assert [f for f, _ in mapped] == [f for f, _ in dual]
+    np.testing.assert_allclose([c for _, c in mapped], [c for _, c in dual],
+                               rtol=1e-15, atol=0)
+
+
+def _bond_two_apart(lattice, base):
+    """``plaquette_chain_position``, except that the first bond site's first
+    plaquette lands two positions past its second."""
+    s = next(s for s in range(lattice.n_sites)
+             if len(site_adjacent_plaquettes(lattice, s)) == 2)
+    moved, kept = site_adjacent_plaquettes(lattice, s)
+    ci, k = plaquette_chain_position(lattice, kept if base == moved else base)
+    return ci, k + 2 if base == moved else k
+
+
+def test_bond_plaquettes_two_positions_apart_are_not_mappable(monkeypatch):
+    import plaqising.duality as duality
+
+    model = map_hamiltonian(torus(4, 6))
+    monkeypatch.setattr(duality, "plaquette_chain_position", _bond_two_apart)
+    with pytest.raises(NotMappable, match="not consecutive"):
+        map_operator(model, PauliString(((0, "X"),)))
+    with pytest.raises(NotMappable, match="not consecutive"):
+        map_hamiltonian(open_lat(3, 4))
 
 
 def test_unmappable_operators_raise():
@@ -324,9 +372,9 @@ def test_open_sector_flips_edge_signs_and_corner_energy():
     assert parities == (0, 0, 0)
     # free corners sit on diagonals 0 and 4
     assert free_e == pytest.approx(-0.9 * (w[0] + w[4]))
-    for ch, sp in zip(model.chains, specs):
+    for a, sp in enumerate(specs):
         signs = [s for _, s in sp.edge_fields]
-        assert np.prod(signs) == w[ch.diagonal]
+        assert np.prod(signs) == w[a + 1]
 
 
 def test_sector_ground_energies_cover_2d_spectrum_head():
@@ -431,7 +479,7 @@ def test_dual_gap_is_the_brute_force_sector_minimum(n, m):
             e0[w] = sum(ring_sector_levels(sp, p)[0] for sp, p in zip(specs, parities))
         plus = (1,) * model.n_diagonals
         switch = min(e - e0[plus] for w, e in e0.items() if w != plus)
-        levels = ring_sector_levels(model.chains[0].spec, 1)
+        levels = ring_sector_levels(model.chains[0], 1)
         brute = min(switch, levels[1] - levels[0])
         assert abs(dual_lattice_gap(n, m, g, h) - brute) < 1e-12, (g, h)
 

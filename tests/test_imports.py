@@ -21,6 +21,12 @@ The export checks are by name per module: every ``__all__`` entry of a
 package module is bound at its top level (defined, assigned or imported),
 and the package ``__all__`` lists exactly the names ``__init__.py`` imports,
 plus ``__version__``.
+
+The unread-export check is by name across the repository: every ``__all__``
+entry of a package module, ``__init__.py`` included, must be loaded, as a
+name or an attribute, somewhere under ``src/``, ``tests/`` or ``bench/``
+outside ``__init__.py`` and the module that defines it.  A class that only
+its own module builds is not an export.
 """
 
 import ast
@@ -183,3 +189,37 @@ def test_package_exports_are_exactly_its_imports():
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(_exports(tree)) == sorted(imported + ["__version__"])
+
+
+def _unread_exports(package: dict[str, str], naming: dict[str, str]) -> list[str]:
+    """``__all__`` entries of the ``package`` modules that no source in
+    ``naming`` loads outside an ``__init__.py`` and the entry's defining module."""
+    trees = {fname: ast.parse(source) for fname, source in package.items()}
+    home: dict[str, str] = {}
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                home[node.name] = fname
+            elif isinstance(node, ast.Assign):
+                home.update((t.id, fname) for t in node.targets if isinstance(t, ast.Name))
+    loads = {fname: _loaded_names(ast.parse(source)) for fname, source in naming.items()}
+    return [f"{fname}: {name}" for fname, tree in trees.items() for name in _exports(tree)
+            if not any(counts[name] for other, counts in loads.items()
+                       if other != home.get(name, fname)
+                       and not other.endswith("__init__.py"))]
+
+
+def test_every_export_is_read_outside_its_module():
+    naming = {str(p.relative_to(ROOT)): p.read_text() for p in NAMING}
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    assert _unread_exports(package, naming) == []
+
+
+def test_the_check_sees_an_unread_export():
+    a = ("def used():\n    return 1\ndef own():\n    return 2\nclass Built:\n    pass\n"
+         "print(own(), Built())\n__all__ = ['used', 'own', 'Built']\n")
+    init = "from a import used, own, Built\n__all__ = ['used', 'own', 'Built']\n"
+    b = "import a\nprint(a.used())\n"
+    package = {"a.py": a, "__init__.py": init}
+    assert _unread_exports(package, {**package, "b.py": b}) == [
+        "a.py: own", "a.py: Built", "__init__.py: own", "__init__.py: Built"]

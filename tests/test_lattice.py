@@ -89,22 +89,22 @@ def test_plaquette_operator_rejects_the_last_row_and_column_of_an_open_lattice(n
 @given(torus_sizes, torus_sizes)
 def test_torus_chain_structure(n, m):
     spec = LatticeSpec(n, m, Boundary.PERIODIC)
-    dec = chain_decompose(spec)
+    chains = chain_decompose(spec)
     d = math.gcd(n, m)
-    assert len(dec.chains) == d == expected_chain_count(spec)["plaquette_chains"]
-    assert {len(ch) for ch in dec.chains} == {n * m // d}
-    covered = sorted(k for ch in dec.chains for k in ch)
+    assert len(chains) == d == expected_chain_count(spec)["plaquette_chains"]
+    assert {len(ch) for ch in chains} == {n * m // d}
+    covered = sorted(k for ch in chains for k in ch)
     assert covered == list(range(n * m))
 
 
 @given(sizes, sizes)
 def test_open_chain_structure(n, m):
     spec = LatticeSpec(n, m, Boundary.OPEN)
-    dec = chain_decompose(spec)
-    assert len(dec.chains) == n + m - 3
-    assert sum(len(ch) for ch in dec.chains) == (n - 1) * (m - 1)
+    chains = chain_decompose(spec)
+    assert len(chains) == n + m - 3
+    assert sum(len(ch) for ch in chains) == (n - 1) * (m - 1)
     # open chains are maximal: one more step either way leaves the lattice
-    for ch in dec.chains:
+    for ch in chains:
         (r0, c0), (r1, c1) = spec.site_rc(ch[0]), spec.site_rc(ch[-1])
         assert not spec.plaquette_base_exists(r0 + 1, c0 - 1)
         assert not spec.plaquette_base_exists(r1 - 1, c1 + 1)
@@ -114,14 +114,14 @@ def test_open_chain_structure(n, m):
 def test_chain_steps_follow_the_antidiagonal(n, m, boundary):
     assume(boundary is Boundary.OPEN or min(n, m) >= 3)
     spec = LatticeSpec(n, m, boundary)
-    dec = chain_decompose(spec)
+    chains = chain_decompose(spec)
     wrap = boundary is Boundary.PERIODIC
-    for ch in dec.chains:
+    for ch in chains:
         for a, b in zip(ch, ch[1:] + ch[:1] if wrap else ch[1:]):
             ra, ca = spec.site_rc(a)
             step = ((ra - 1) % n, (ca + 1) % m) if wrap else (ra - 1, ca + 1)
             assert spec.site_rc(b) == step
-    assert {b for ch in dec.chains for b in ch} == set(enumerate_plaquettes(spec))
+    assert {b for ch in chains for b in ch} == set(enumerate_plaquettes(spec))
 
 
 @pytest.mark.parametrize(
@@ -223,10 +223,10 @@ def _reference_corner_axes(spec):
 @example(6, 9)  # gcd 3
 @example(8, 8)  # gcd 8: every chain has length 8
 def test_torus_chains_equal_the_reference_cycle_walk(n, m):
-    dec = chain_decompose(LatticeSpec(n, m, Boundary.PERIODIC))
-    assert dec.chains == _reference_torus_chains(n, m)
-    firsts = [ch[0] for ch in dec.chains]
-    assert firsts == [min(ch) for ch in dec.chains] == sorted(firsts)
+    chains = chain_decompose(LatticeSpec(n, m, Boundary.PERIODIC))
+    assert chains == _reference_torus_chains(n, m)
+    firsts = [ch[0] for ch in chains]
+    assert firsts == [min(ch) for ch in chains] == sorted(firsts)
 
 
 @given(layout_sizes, layout_sizes)
