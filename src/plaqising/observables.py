@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualModel, map_hamiltonian
+from .duality import DualModel, _site_image, map_hamiltonian
 from .ed import (
     HamiltonianSpec,
     expectation,
@@ -45,7 +45,6 @@ from .lattice import (
     LatticeSpec,
     plaquette_chain_position,
     plaquette_operator,
-    site_adjacent_plaquettes,
     site_diagonals,
 )
 from .pauli import PauliString
@@ -186,10 +185,7 @@ def _dual_model(hs: HamiltonianSpec, cache: dict | None) -> DualModel:
 def _dual_chain_solution(model: DualModel, ci: int, cache: dict | None = None) -> BdGSolution:
     if cache is not None and ci in cache:
         return cache[ci]
-    sp = model.chains[ci]
-    if sp.zero_field:
-        raise NotMappable("h = 0 chains are trivial; use the direct route")
-    sol = bdg_solve(sp)
+    sol = bdg_solve(model.chains[ci])
     if cache is not None:
         cache[ci] = sol
     return sol
@@ -212,8 +208,7 @@ def sx_string_expectation_dual(
     model = _dual_model(hs, _cache)
     spec = hs.lattice
     first = spec.site_index(seg.start_row, seg.start_col)
-    ci, start = plaquette_chain_position(
-        spec, site_adjacent_plaquettes(spec, first)[0])
+    (ci, start), _ = _site_image(spec, first)
     ell = model.chains[ci].length
     r = seg.n_steps + 1
     if r >= ell:

@@ -94,7 +94,7 @@ class CouplingSweepConfig:
     steps: int = 11               # (g, h) = (t/(steps-1), 1 - t/(steps-1))
     string_steps: int = 2         # sx string covers string_steps + 1 sites
     plaquette_count: int = 2      # plaquettes in the product string
-    route: str = "ed"             # "ed" (any coupling) or "dual" (needs h > 0)
+    route: str = "ed"             # "ed" (2D ground state) or "dual" (dual chains)
     start_row: int | None = None  # string anchors; defaults pick an interior
     start_col: int | None = None  #   diagonal that stays on bond sites
     endpoint_tol: float = 1e-8    # exact limits expected at g = 0 and h = 0
@@ -110,9 +110,10 @@ def _sweep_point(cfg: CouplingSweepConfig, t: int) -> dict:
     seg = DiagonalSegment(sr, sc, cfg.string_steps)
     if cfg.route == "dual":
         if h == 0.0:
-            # exact limit: the site string flips plaquette eigenvalues, so it
-            # vanishes in any definite-flux state; the plaquette product is 1
-            # in the all-plus flux sector the ground state occupies
+            # a shortcut past the bondless dual chains, which agree: the site
+            # string flips plaquette eigenvalues, so it vanishes in any
+            # definite-flux state; the plaquette product is 1 in the
+            # all-plus flux sector the ground state occupies
             phi1, phi2 = 0.0, 1.0
         else:
             cache: dict = {}
@@ -222,7 +223,7 @@ def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
 class CritCorrConfig:
     length: int = 4096
     n_max: int = 10
-    scale: float = 1.0       # h; the chain sits at its critical point g_I = 1
+    scale: float = 1.0       # field = bond: the chain sits at its critical point
     tol: float = 1e-3        # band for every connected value vs its asymptote
     const_tol: float = 1e-4  # band for the additive constant vs 4/pi^2
 
@@ -230,7 +231,7 @@ class CritCorrConfig:
 def run_crit_corr(cfg: CritCorrConfig) -> tuple[list[dict], dict]:
     if cfg.n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
-    chain = TFIMChainSpec(cfg.length, ChainBoundary.PERIODIC_CHAIN, 1.0, cfg.scale)
+    chain = TFIMChainSpec(cfg.length, ChainBoundary.PERIODIC_CHAIN, cfg.scale, cfg.scale)
     sol = bdg_solve(chain)
     mx = magnetization_x(sol, 1)
     const = mx * mx

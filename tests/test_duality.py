@@ -67,8 +67,7 @@ def test_torus_map_structure(n, m):
         assert sp.length == n * m // d
         assert sp.boundary is ChainBoundary.PERIODIC_CHAIN
         assert sp.edge_fields == ()
-        assert sp.g_I == pytest.approx(0.7 / 1.3)
-        assert sp.scale == 1.3
+        assert (sp.field, sp.bond) == (0.7, 1.3)
     # one ring per decomposition chain, in the same order; ring a is dual to
     # site diagonal a, the diagonal of its plaquette bases
     chains = chain_decompose(model.lattice)
@@ -110,12 +109,10 @@ def test_open_chain_lengths_3x3():
             assert sum(spec.site_rc(s)) == plaquette_chain_position(spec, b)[0] + 1
 
 
-def test_zero_field_map_produces_free_spin_chains():
+def test_h_zero_map_produces_bondless_chains():
     model = map_hamiltonian(torus(3, 3, g=2.0, h=0.0))
     for sp in model.chains:
-        assert sp.zero_field
-        assert sp.scale == 2.0
-        assert sp.g_I == 0.0
+        assert (sp.field, sp.bond) == (2.0, 0.0)
 
 
 @given(st.sampled_from(list(Boundary)), st.integers(2, 12), st.integers(2, 12))
@@ -459,7 +456,7 @@ def test_dual_gap_matches_dense_ed(n, m, g, h):
 
 @pytest.mark.xfail(strict=True, reason="at h = 0 the dual gap reads 2g; ED gives 4g")
 @pytest.mark.parametrize("n", [3, 4])
-def test_zero_field_dual_gap_matches_ed(n):
+def test_h_zero_dual_gap_matches_ed(n):
     # each ring's plaquette parity is fixed by its loop sector and the
     # parities multiply to +1, so flipped plaquettes come in pairs
     assert dual_lattice_gap(n, n, 1.0, 0.0) == pytest.approx(

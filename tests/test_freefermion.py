@@ -56,7 +56,7 @@ def parity_blocks(spec: TFIMChainSpec) -> dict[int, np.ndarray]:
     H = dense_matrix_from_terms(L, chain_terms(spec))
     P = dense_matrix_from_terms(L, [(1.0, PauliString(tuple((j, "X") for j in range(L))))])
     out = {}
-    shift = 10.0 * (abs(spec.scale) * (spec.g_I + 1) * L + 1.0)
+    shift = 10.0 * ((spec.field + spec.bond) * L + 1.0)
     for s in (+1, -1):
         proj = 0.5 * (np.eye(2**L) + s * P)
         blocked = proj @ H @ proj + shift * (np.eye(2**L) - proj)
@@ -68,7 +68,7 @@ def parity_blocks(spec: TFIMChainSpec) -> dict[int, np.ndarray]:
 @pytest.mark.parametrize("g_I", [0.0, 0.4, 1.0, 1.7])
 @pytest.mark.parametrize("L", [2, 3, 5, 8])
 def test_full_spectrum_matches_dense(boundary, g_I, L):
-    spec = TFIMChainSpec(L, boundary, g_I, scale=0.9)
+    spec = TFIMChainSpec(L, boundary, 0.9 * g_I, bond=0.9)
     np.testing.assert_allclose(
         manybody_levels(spec), dense_levels(spec), atol=1e-8
     )
@@ -77,7 +77,7 @@ def test_full_spectrum_matches_dense(boundary, g_I, L):
 @pytest.mark.parametrize("g_I", [0.3, 1.0, 2.2])
 @pytest.mark.parametrize("L", [3, 4, 6])
 def test_twisted_ring_spectrum_matches_dense(g_I, L):
-    spec = TFIMChainSpec(L, RING, g_I, scale=1.0, twist=-1)
+    spec = TFIMChainSpec(L, RING, g_I, bond=1.0, twist=-1)
     np.testing.assert_allclose(
         manybody_levels(spec), dense_levels(spec), atol=1e-8
     )
@@ -86,7 +86,7 @@ def test_twisted_ring_spectrum_matches_dense(g_I, L):
 def test_edge_field_chains_are_dense_only():
     # boundary tz terms break the quadratic form; the solver must say so
     # rather than silently drop them
-    spec = TFIMChainSpec(5, OPEN, 0.8, scale=1.1,
+    spec = TFIMChainSpec(5, OPEN, 0.8 * 1.1, bond=1.1,
                          edge_fields=((0, 1.0), (4, -1.0)))
     with pytest.raises(InvalidSpec):
         bdg_solve(spec)
@@ -100,7 +100,7 @@ def test_dense_parity_gather_matches_penalty_projection(twist):
     # penalty-shifted projector in the z basis
     from plaqising.duality import _dense_chain_levels
 
-    spec = TFIMChainSpec(5, RING, 0.7, scale=1.0, twist=twist)
+    spec = TFIMChainSpec(5, RING, 0.7, bond=1.0, twist=twist)
     blocks = parity_blocks(spec)
     for s in (+1, -1):
         np.testing.assert_allclose(
@@ -108,8 +108,8 @@ def test_dense_parity_gather_matches_penalty_projection(twist):
         )
 
 
-def test_zero_field_chain_is_free_spins():
-    spec = TFIMChainSpec(4, OPEN, 0.0, scale=0.7, zero_field=True)
+def test_bondless_chain_is_free_spins():
+    spec = TFIMChainSpec(4, OPEN, 0.7, 0.0)
     assert [t for t in chain_terms(spec)] == [
         (-0.7, PauliString(((j, "X"),))) for j in range(4)
     ]
@@ -120,12 +120,27 @@ def test_zero_field_chain_is_free_spins():
 
 
 @pytest.mark.parametrize("twist", [1, -1])
+@pytest.mark.parametrize("L", [2, 5, 6])
+def test_bondless_ring_blocks_match_dense(L, twist):
+    # the dual of the h = 0 model: both fermion grids give the free-spin
+    # levels of each spin-flip block
+    from plaqising.duality import _dense_chain_levels
+
+    spec = TFIMChainSpec(L, RING, 0.7, 0.0, twist=twist)
+    for s in (+1, -1):
+        np.testing.assert_allclose(
+            ring_sector_levels(spec, s), _dense_chain_levels(spec, s), rtol=0, atol=1e-12
+        )
+    assert manybody_gap(spec) == pytest.approx(2 * 0.7)
+
+
+@pytest.mark.parametrize("twist", [1, -1])
 @pytest.mark.parametrize("g_I", [0.5, 0.999, 1.0, 1.001, 1.5])
 def test_ring_parity_sectors_match_dense_blocks(g_I, twist):
     # even and odd rings, and both sides of g = 1, where the periodic-grid
     # vacuum changes spin parity
     for L in (4, 5):
-        spec = TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist)
+        spec = TFIMChainSpec(L, RING, g_I, bond=1.0, twist=twist)
         blocks = parity_blocks(spec)
         for s in (+1, -1):
             np.testing.assert_allclose(
@@ -137,7 +152,7 @@ def test_ring_parity_sectors_match_dense_blocks(g_I, twist):
     lambda: ring_sector_levels(TFIMChainSpec(21, RING, 1.0, 1.0), 1),
     lambda: manybody_levels(TFIMChainSpec(21, RING, 1.0, 1.0)),
     lambda: manybody_levels(TFIMChainSpec(21, OPEN, 1.0, 1.0)),
-    lambda: manybody_levels(TFIMChainSpec(21, OPEN, 0.0, 1.0, zero_field=True)),
+    lambda: manybody_levels(TFIMChainSpec(21, OPEN, 1.0, 0.0)),
 ], ids=["ring-block", "ring", "open", "zero-field"])
 def test_level_lists_refuse_a_chain_beyond_the_ed_budget(levels):
     # 2^21 levels: refused before any subset sum is built, bytes in the message
@@ -146,7 +161,7 @@ def test_level_lists_refuse_a_chain_beyond_the_ed_budget(levels):
 
 
 def test_ring_sector_union_is_full_spectrum():
-    spec = TFIMChainSpec(5, RING, 1.3, scale=1.0)
+    spec = TFIMChainSpec(5, RING, 1.3, bond=1.0)
     union = np.sort(np.concatenate([
         ring_sector_levels(spec, +1), ring_sector_levels(spec, -1)
     ]))
@@ -160,7 +175,7 @@ def test_ring_sector_union_is_full_spectrum():
 ])
 @pytest.mark.parametrize("g_I", [0.2, 0.9, 1.0, 1.8])
 def test_manybody_gap_matches_dense(boundary, twist, g_I):
-    spec = TFIMChainSpec(7, boundary, g_I, scale=1.0, twist=twist)
+    spec = TFIMChainSpec(7, boundary, g_I, bond=1.0, twist=twist)
     levels = dense_levels(spec)
     # collapse the (near-)degenerate ground band the same way the solver does
     above = levels[levels > levels[0] + 1e-8]
@@ -172,7 +187,7 @@ def test_manybody_gap_matches_dense(boundary, twist, g_I):
 def test_ring_energies_only_solve(twist):
     # each block's lowest level is the bottom of its dense parity block,
     # and the ring ground energy is the lower of the two
-    spec = TFIMChainSpec(6, RING, 0.7, scale=1.3, twist=twist)
+    spec = TFIMChainSpec(6, RING, 0.7 * 1.3, bond=1.3, twist=twist)
     blocks = parity_blocks(spec)
     for s in (+1, -1):
         assert abs(ring_block(spec, s).level - blocks[s][0]) < 1e-10, s
@@ -180,7 +195,7 @@ def test_ring_energies_only_solve(twist):
 
 
 def test_single_site_chain():
-    spec = TFIMChainSpec(1, OPEN, 2.0, scale=1.0)
+    spec = TFIMChainSpec(1, OPEN, 2.0, bond=1.0)
     sol = bdg_solve(spec)
     np.testing.assert_allclose(sol.energies, [4.0], atol=1e-12)
     np.testing.assert_allclose(manybody_levels(spec), [-2.0, 2.0], atol=1e-12)
@@ -206,7 +221,7 @@ def test_correlators_match_dense(boundary, g_I):
     # exponentially and dense eigh returns an arbitrary mix, while the
     # solver's Gaussian state is the definite-parity member
     L = 7
-    spec = TFIMChainSpec(L, boundary, g_I, scale=1.0)
+    spec = TFIMChainSpec(L, boundary, g_I, bond=1.0)
     sol = bdg_solve(spec)
     assert abs(
         magnetization_x(sol, 2) - dense_gs_expect(spec, PauliString(((1, "X"),)))
@@ -227,7 +242,7 @@ def test_ring_disorder_parameter_stops_at_the_ring_length():
     # up to r = L (the spin-flip parity) the string is one Wick block; a
     # longer one would cover sites twice and must not return a number
     L = 6
-    spec = TFIMChainSpec(L, RING, 1.4, scale=1.0)
+    spec = TFIMChainSpec(L, RING, 1.4, bond=1.0)
     sol = bdg_solve(spec)
     for r in (L - 1, L):
         mu = dense_gs_expect(spec, PauliString(tuple((k, "X") for k in range(r))))
@@ -240,14 +255,14 @@ def test_ring_disorder_parameter_stops_at_the_ring_length():
 def test_wrapped_ring_correlator_is_consistent():
     # ring correlators depend only on the chord separation; the long way
     # round (through the wrap-sign branch) must equal the short way
-    spec = TFIMChainSpec(6, RING, 1.4, scale=1.0)
+    spec = TFIMChainSpec(6, RING, 1.4, bond=1.0)
     sol = bdg_solve(spec)
     assert abs(zz_correlator(sol, 1, 3) - zz_correlator(sol, 3, 7)) < 1e-10
     assert abs(xx_correlator(sol, 1, 3) - xx_correlator(sol, 3, 7)) < 1e-10
 
 
 def test_correlator_index_validation():
-    spec = TFIMChainSpec(5, OPEN, 1.0, scale=1.0)
+    spec = TFIMChainSpec(5, OPEN, 1.0, bond=1.0)
     sol = bdg_solve(spec)
     with pytest.raises(IndexOutOfRange):
         zz_correlator(sol, 3, 3)
@@ -258,7 +273,7 @@ def test_correlator_index_validation():
 
 
 def test_truncated_correlator_block():
-    spec = TFIMChainSpec(64, OPEN, 1.2, scale=1.0)
+    spec = TFIMChainSpec(64, OPEN, 1.2, bond=1.0)
     full = bdg_solve(spec)
     part = bdg_solve(spec, corr_size=10)
     for i, j in [(1, 2), (3, 9)]:
@@ -282,7 +297,7 @@ def test_ring_wick_block_equals_corr(twist, g_I):
     # A twisted ring below g_I = 1 keeps even parity on the periodic grid,
     # whose vacuum is odd, so the state is not the bare vacuum there.
     L = 8
-    spec = TFIMChainSpec(L, RING, g_I, scale=1.0, twist=twist)
+    spec = TFIMChainSpec(L, RING, g_I, bond=1.0, twist=twist)
     op = parity_block(L, chain_terms(spec), [(1 << L) - 1], [1])
     _, vecs = np.linalg.eigh(op.dense())
     weight = vecs[:, 0] ** 2
@@ -302,10 +317,10 @@ def test_ring_wick_block_equals_corr(twist, g_I):
     ([0, 1], [-2, 0]),
 ])
 def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
-    sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=10)
+    sol = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, bond=1.0), corr_size=10)
     with pytest.raises(IndexOutOfRange):
         _toeplitz_from(sol, rows, cols)
-    bare = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, scale=1.0), corr_size=0)
+    bare = bdg_solve(TFIMChainSpec(64, OPEN, 1.2, bond=1.0), corr_size=0)
     with pytest.raises(InvalidSpec):
         _toeplitz_from(bare, [0], [0])
 
@@ -328,19 +343,19 @@ def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
 
     monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
     with pytest.raises(NumericalFailure):
-        bdg_solve(TFIMChainSpec(12, OPEN, 1.5, scale=1.0))
+        bdg_solve(TFIMChainSpec(12, OPEN, 1.5, bond=1.0))
 
 
 # ----------------------------------------------------------------------
 # frozen critical-point constants (closed forms, large L)
 # ----------------------------------------------------------------------
 def test_critical_transverse_magnetization_is_two_over_pi():
-    sol = bdg_solve(TFIMChainSpec(4096, RING, 1.0, scale=1.0))
+    sol = bdg_solve(TFIMChainSpec(4096, RING, 1.0, bond=1.0))
     assert abs(magnetization_x(sol, 1) - 2.0 / math.pi) < 1e-7
 
 
 def test_critical_connected_xx_asymptote():
-    sol = bdg_solve(TFIMChainSpec(4096, RING, 1.0, scale=1.0))
+    sol = bdg_solve(TFIMChainSpec(4096, RING, 1.0, bond=1.0))
     mx2 = magnetization_x(sol, 1) ** 2
     for n in (1, 2, 5, 10):
         conn = xx_correlator(sol, 1, 1 + n) - mx2
@@ -351,7 +366,7 @@ def test_critical_connected_xx_asymptote():
 def test_disordered_string_plateau():
     # deep plateau of the x-string for g_I > 1: (1 - g_I^-2)^(1/8)
     g = 1.1
-    sol = bdg_solve(TFIMChainSpec(4096, OPEN, g, scale=1.0), corr_size=1400)
+    sol = bdg_solve(TFIMChainSpec(4096, OPEN, g, bond=1.0), corr_size=1400)
     plateau = (1.0 - g**-2) ** 0.125
     assert abs(disorder_parameter(sol, 1200) - plateau) < 1e-4
 
@@ -359,7 +374,7 @@ def test_disordered_string_plateau():
 def test_ordered_zz_plateau():
     # long-distance zz for g_I < 1 approaches (1 - g_I^2)^(1/4)
     g = 0.9
-    sol = bdg_solve(TFIMChainSpec(4096, RING, g, scale=1.0))
+    sol = bdg_solve(TFIMChainSpec(4096, RING, g, bond=1.0))
     plateau = (1.0 - g * g) ** 0.25
     assert abs(zz_correlator(sol, 1, 601) - plateau) < 1e-4
 
@@ -369,8 +384,8 @@ def test_ordered_zz_plateau():
 def test_kramers_wannier_ring_identity(L, g):
     # the open-string / closed-string self-duality on the dual ring: r
     # consecutive tx at g_I equal tz tz at separation r at 1 / g_I
-    disordered = bdg_solve(TFIMChainSpec(L, RING, g, scale=1.0))
-    ordered = bdg_solve(TFIMChainSpec(L, RING, 1.0 / g, scale=1.0))
+    disordered = bdg_solve(TFIMChainSpec(L, RING, g, bond=1.0))
+    ordered = bdg_solve(TFIMChainSpec(L, RING, 1.0 / g, bond=1.0))
     for r in range(1, (L + 1) // 2):
         dev = disorder_parameter(disordered, r) - zz_correlator(ordered, 1, 1 + r)
         assert abs(dev) <= 1e-10, r
@@ -388,7 +403,7 @@ def test_kramers_wannier_ring_identity(L, g):
 def test_spectrum_property_vs_dense(L, g_I, boundary, twist):
     if boundary is OPEN and twist == -1:
         twist = 1  # twist is a ring concept
-    spec = TFIMChainSpec(L, boundary, g_I, scale=1.0, twist=twist)
+    spec = TFIMChainSpec(L, boundary, g_I, bond=1.0, twist=twist)
     np.testing.assert_allclose(
         manybody_levels(spec), dense_levels(spec), atol=1e-8
     )
@@ -396,14 +411,14 @@ def test_spectrum_property_vs_dense(L, g_I, boundary, twist):
 
 @given(st.integers(min_value=2, max_value=40), st.floats(min_value=0.0, max_value=3.0))
 def test_mode_energies_nonnegative_sorted(L, g_I):
-    sol = bdg_solve(TFIMChainSpec(L, OPEN, g_I, scale=1.0))
+    sol = bdg_solve(TFIMChainSpec(L, OPEN, g_I, bond=1.0))
     assert np.all(sol.energies >= -1e-12)
     assert np.all(np.diff(sol.energies) >= -1e-12)
 
 
 @given(st.integers(min_value=2, max_value=24), st.floats(min_value=0.05, max_value=2.5))
 def test_open_chain_G_is_orthogonal(L, g_I):
-    sol = bdg_solve(TFIMChainSpec(L, OPEN, g_I, scale=1.0))
+    sol = bdg_solve(TFIMChainSpec(L, OPEN, g_I, bond=1.0))
     G = sol._G
     np.testing.assert_allclose(G @ G.T, np.eye(L), atol=1e-8)
 
@@ -421,4 +436,11 @@ def test_chain_spec_validation():
         TFIMChainSpec(3, OPEN, 1.0, 1.0, twist=-1)
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(4, OPEN, 1.0, 1.0, edge_fields=((4, 1.0),))
+    with pytest.raises(InvalidSpec):
+        TFIMChainSpec(3, OPEN, 1.0, -0.5)
+    with pytest.raises(InvalidSpec):
+        TFIMChainSpec(3, RING, 0.0, 0.0)
+    with pytest.raises(InvalidSpec):
+        TFIMChainSpec(3, RING, math.nan, 1.0)
+    assert TFIMChainSpec(3, RING, 1.0, 0.0).bond == 0.0
 

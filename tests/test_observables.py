@@ -26,6 +26,7 @@ from plaqising.lattice import (
     diagonal_loop_operator,
     enumerate_plaquettes,
     plaquette_operator,
+    site_adjacent_plaquettes,
 )
 from plaqising.observables import (
     DiagonalSegment,
@@ -249,14 +250,19 @@ def test_local_sx_is_uniform_and_matches_the_dual_bond():
 # endpoint cases and route applicability
 # ----------------------------------------------------------------------
 def test_h_zero_endpoint_via_ed():
-    hs = torus(3, 3, 1.0, 0.0)
-    state, _ = ground_state_for_measurement(hs)
-    phi1 = sx_string_expectation_ed(hs, DiagonalSegment(2, 0, 1), state=state)
-    phi2 = plaquette_string_expectation_ed(hs, 2, 0, 2, state=state)
-    assert abs(phi1) < 1e-8
-    assert phi2 == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(NotMappable):
-        sx_string_expectation_dual(hs, DiagonalSegment(2, 0, 1))
+    # the dual chains have no bonds: free spins along the field
+    for n, seg in ((3, DiagonalSegment(2, 0, 1)), (4, DiagonalSegment(3, 1, 2))):
+        hs = torus(n, n, 1.0, 0.0)
+        state, _ = ground_state_for_measurement(hs)
+        phi1 = sx_string_expectation_ed(hs, seg, state=state)
+        phi2 = plaquette_string_expectation_ed(hs, n - 1, 0, 2, state=state)
+        assert abs(phi1) < 1e-8
+        assert phi2 == pytest.approx(1.0, abs=1e-8)
+        dual1 = sx_string_expectation_dual(hs, seg)
+        assert dual1 == pytest.approx(phi1, abs=1e-12)
+        assert math.copysign(1.0, dual1) == 1.0, n  # +0.0, also for odd r
+        dual2 = plaquette_string_expectation_dual(hs, n - 1, 0, 2)
+        assert dual2 == pytest.approx(phi2, abs=1e-12)
 
 
 def test_g_zero_endpoint_via_ed():
@@ -278,6 +284,25 @@ def test_dual_route_needs_the_torus():
         plaquette_string_expectation_dual(hs, 1, 0, 1)
 
 
+def test_dual_sx_string_checks_its_first_bond(monkeypatch):
+    # the string's ring and start come from the one site rule, so a first
+    # site whose plaquettes are not consecutive is refused, not measured
+    import plaqising.duality as duality
+
+    hs = torus(4, 4)
+    first = hs.lattice.site_index(3, 1)
+    second = site_adjacent_plaquettes(hs.lattice, first)[1]
+    exact = duality.plaquette_chain_position
+
+    def moved(lattice, base):
+        ci, k = exact(lattice, base)
+        return ci, k + 1 if base == second else k
+
+    monkeypatch.setattr(duality, "plaquette_chain_position", moved)
+    with pytest.raises(NotMappable, match="not consecutive"):
+        sx_string_expectation_dual(hs, DiagonalSegment(3, 1, 1))
+
+
 def test_whole_ring_sx_segment_is_not_a_two_point_function():
     hs = torus(3, 3)
     with pytest.raises(NotMappable):
@@ -297,7 +322,7 @@ def test_dual_sweep_builds_one_model_per_point(monkeypatch):
     monkeypatch.setattr(observables, "map_hamiltonian", counting)
     cfg = CouplingSweepConfig(rows=6, cols=6, route="dual")
     run_coupling_sweep(cfg)
-    # the h = 0 endpoint is an exact limit and builds no model
+    # the sweep's h = 0 shortcut builds no model
     assert len(calls) == cfg.steps - 1
     assert len(set(calls)) == cfg.steps - 1
 
