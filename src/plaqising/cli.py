@@ -15,8 +15,10 @@ failed.
 Every run writes ``<command>.csv`` (or ``.json``) plus ``<command>.meta.json``
 into ``--out``.  Data files carry a ``#`` comment header (sign convention,
 config digest) and no timestamps, so reruns are byte-identical; volatile
-details live in the sidecar.  An INI file passed with ``--config`` supplies
-defaults under a section named after the subcommand; explicit flags win.
+details live in the sidecar: ``created_utc`` and the ``run`` block (the
+process's peak RSS in MB and the numpy and scipy versions).  An INI file
+passed with ``--config`` supplies defaults under a section named after the
+subcommand; explicit flags win.
 """
 
 from __future__ import annotations
@@ -27,9 +29,13 @@ import csv
 import dataclasses
 import json
 import math
+import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import sweep as sweeplib
 from .errors import (
@@ -226,6 +232,8 @@ def run_command(args: argparse.Namespace) -> int:
         "config_sha256": digest,
         "data_file": data_path.name,
         "results": meta,
+        "run": {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "numpy": np.__version__, "scipy": scipy.__version__},
     }
     (out_dir / f"{stem}.meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n"

@@ -286,11 +286,13 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
 
     The flip is ``prod tx`` over all ``L`` sites, so a parity block is the
     ``parity_block`` of the single mask ``2^L - 1``, with ``2^(L-1)`` states;
-    ``parity = 0`` densifies the whole ``2^L`` space.  The block is solved
-    in its :func:`~plaqising.ed.symmetry_blocks`: reversal splits every ring
+    ``parity = 0`` takes the whole ``2^L`` space.  The block is solved in
+    its :func:`~plaqising.ed.symmetry_blocks`: reversal splits every ring
     and every open chain whose edge fields are mirror images, and the
-    half-shift further splits every even untwisted ring.  ``dense_matrix_from_terms``
-    raises ``TooLarge`` above its spin budget before anything is allocated.
+    half-shift further splits every even untwisted ring; those pieces are
+    filled from the compiled operator, and only an open chain without the
+    mirror symmetry is densified whole.  ``TooLarge`` comes above the dense
+    spin budget before anything is allocated.
     """
     masks, signs = (((1 << sp.length) - 1,), (parity,)) if parity else ((), ())
     blocks = symmetry_blocks(sp.length, chain_terms(sp), masks, signs)

@@ -17,7 +17,9 @@ and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
 arXiv:1101.3281).  Site permutations that map the terms and masks onto
 themselves (:func:`_is_symmetry`) save work twice: the spectra solve one
 loop sector per column-translation orbit (:func:`_sector_orbits`), and
-reversal and the half-shift split a dense block (:func:`symmetry_blocks`).
+reversal and the half-shift split a block into dense symmetry blocks filled
+straight from its compiled operator (:func:`symmetry_blocks`); only a block
+with no such symmetry is densified whole.
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
@@ -452,14 +454,25 @@ def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: a dense
     solve of one loop-sector block per translation orbit, split by its site
     symmetries (:func:`symmetry_blocks`), its levels repeated once per sector
-    of the orbit.  ``info`` is laid out as in :func:`ground_spectrum`."""
+    of the orbit.  ``info`` is laid out as in :func:`ground_spectrum`; each
+    orbit's entry lists the ``"sizes"`` of the blocks it solved."""
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    orbits = _sector_orbits(hs)
-    vals = np.sort(np.concatenate([np.tile(scipy.linalg.eigh(H, eigvals_only=True), mult)
-                                   for w, mult in orbits
-                                   for H in symmetry_blocks(hs.n_spins, terms, masks, w)]))
-    return SpectrumResult(vals, info={"blocks": [{"method": "dense"}] * len(orbits),
-                                      "sectors": 2 ** len(masks)})
+    levels, blocks = [], []
+    for w, mult in _sector_orbits(hs):
+        split = symmetry_blocks(hs.n_spins, terms, masks, w)
+        levels.append(np.tile(np.concatenate(
+            [scipy.linalg.eigh(H, eigvals_only=True) for H in split]), mult))
+        blocks.append({"method": "dense", "sizes": [len(H) for H in split]})
+    return SpectrumResult(np.sort(np.concatenate(levels)),
+                          info={"blocks": blocks, "sectors": 2 ** len(masks)})
+
+
+def _dense_block(n: int, terms, masks, signs) -> HamiltonianOperator:
+    """The compiled block that :func:`dense_matrix_from_terms` densifies;
+    ``TooLarge`` above ``DENSE_MAX_SPINS`` comes before any allocation."""
+    if n > DENSE_MAX_SPINS:
+        raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
+    return parity_block(n, terms, masks, signs) if masks else HamiltonianOperator(n, terms)
 
 
 def dense_matrix_from_terms(
@@ -471,10 +484,7 @@ def dense_matrix_from_terms(
     them, the :func:`parity_block` that ``masks`` and ``signs`` select, in
     the Hadamard frame.  ``TooLarge`` comes before any allocation.
     """
-    if n > DENSE_MAX_SPINS:
-        raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    op = parity_block(n, terms, masks, signs) if masks else HamiltonianOperator(n, terms)
-    return op.dense()
+    return _dense_block(n, terms, masks, signs).dense()
 
 
 def _permute_bits(labels: np.ndarray, perm) -> np.ndarray:
@@ -507,36 +517,45 @@ def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
     ``chi`` does not annihilate: ``B[a, b] = sqrt(|O_a| |O_b|) / |G| *
     sum_g chi(g) H[a, g b]``; with reversal alone, the even and odd halves.
     The blocks hold every level of the block; without a symmetry the list is
-    the one whole block.  The whole block is freed before this returns.
+    the one whole block.  Where a symmetry applies the whole block is never
+    built: each ``B`` is summed from the compiled operator's diagonal and
+    merged gathers at the representative rows (at most one entry per flip
+    mask), the entry ``H[a, c]`` landing on ``b``, the representative of
+    ``c = g b``, with weight ``chi(g) sqrt(|Stab_b| / |Stab_a|)``.
     """
-    H = dense_matrix_from_terms(n, terms, masks, signs)
     candidates = [[n - 1 - j for j in range(n)]]
     if n % 2 == 0 and n > 2:  # on 2 sites the half-shift is the reversal
         candidates.append([(j + n // 2) % n for j in range(n)])
     gens = [p for p in candidates if _is_symmetry(p, terms, masks, signs)]
     if not gens:
-        return [H]
-    labels = _parity_labels(n, masks, signs)
-    orbit = np.arange(len(labels))[None]      # orbit[g, i]: the row g sends row i to
+        return [dense_matrix_from_terms(n, terms, masks, signs)]
+    op = _dense_block(n, terms, masks, signs)
+    labels = np.arange(op.dim, dtype=np.uint64) if op.basis is None else op.basis
+    orbit = np.arange(op.dim)[None]           # orbit[g, i]: the row g sends row i to
     for p in gens:                            # bit i of g: generator i applied
         row = np.searchsorted(labels, _permute_bits(labels, p))
         orbit = np.concatenate([orbit, row[orbit]])
-    reps = np.flatnonzero(orbit.min(axis=0) == np.arange(len(labels)))
+    # every g is an involution, so the g that sends a row to its
+    # representative also sends the representative back to the row
+    rep_of, g_of = orbit.min(axis=0), orbit.argmin(axis=0)
+    reps = np.flatnonzero(rep_of == np.arange(op.dim))
     fixed = orbit[:, reps] == reps            # g stabilizes representative a
     scale = 1.0 / np.sqrt(fixed.sum(axis=0))  # sqrt(|O_a| / |G|)
     group = np.arange(len(orbit))
     chi = 1.0 - 2.0 * (np.bitwise_count(group[:, None] & group) & 1)  # chi[t, g]
     keep = ~np.any(fixed & (chi[:, :, None] < 0), axis=1)  # keep[t, a]
-    chars = [t for t in group if keep[t].any()]
-    blocks = [H[np.ix_(reps[keep[t]], reps[keep[t]])] for t in chars]  # g = identity
-    for t, B in zip(chars, blocks):
-        rows, w = reps[keep[t]], scale[keep[t]]
-        for g in group[1:]:
-            add = np.add if chi[t, g] > 0 else np.subtract
-            add(B, H[np.ix_(rows, orbit[g, rows])], out=B)
-        B *= w
-        B *= w[:, None]
-    del H
+    # H[a, c] for each representative a: its diagonal, then one entry per gather
+    cols = np.stack([reps] + [perm[reps] for perm, _ in op._gathers], dtype=np.intp)
+    vals = np.stack([op._diag[reps]] + [wp[reps] for _, wp in op._gathers])
+    target = np.searchsorted(reps, rep_of[cols])
+    vals *= scale / scale[target]
+    blocks = []
+    for t in group[keep.any(axis=1)]:
+        pos, m = np.cumsum(keep[t]) - 1, int(keep[t].sum())
+        live = keep[t] & keep[t][target]
+        flat = (pos * m + pos[target])[live]
+        weights = (vals * chi[t, g_of[cols]])[live]
+        blocks.append(np.bincount(flat, weights, minlength=m * m).reshape(m, m))
     return blocks
 
 

@@ -4,6 +4,7 @@ The algebraic invariants here (hermiticity, commutation, involution) are held
 to 1e-10; spectral comparisons against independent constructions to 1e-8.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -351,6 +352,93 @@ def test_symmetry_blocks_reject_the_half_shift_on_3x4():
     assert sizes == [(1056, 992), (1024, 1024)]
 
 
+def _symmetry_blocks_oracle(n, terms, masks, signs, gens):
+    """The block densified, then per real character chi of the group that
+    ``gens`` generate: B = sqrt(|O_a| |O_b|) / |G| sum_g chi(g) H[a, g b],
+    summed as whole ``np.ix_`` gathers of the dense block."""
+    H = dense_matrix_from_terms(n, terms, masks, signs)
+    labels = np.array([b for b in range(2**n) if all(
+        bin(b & m).count("1") % 2 == (s == -1) for m, s in zip(masks, signs))])
+    orbit = []                                # orbit[g][i]: the row g sends row i to
+    for g in range(2 ** len(gens)):           # bit i of g: generator i applied
+        moved = labels
+        for i, perm in enumerate(gens):
+            if g >> i & 1:
+                moved = sum(((moved >> j) & 1) << k for j, k in enumerate(perm))
+        orbit.append(np.searchsorted(labels, moved))
+    orbit = np.array(orbit)
+    reps = np.array([i for i in range(len(labels)) if orbit[:, i].min() == i])
+    stab = [np.flatnonzero(orbit[:, a] == a) for a in reps]
+    blocks = []
+    for t in range(len(orbit)):
+        chi = [(-1) ** bin(t & g).count("1") for g in range(len(orbit))]
+        kept = [i for i, st in enumerate(stab) if all(chi[g] == 1 for g in st)]
+        if not kept:
+            continue
+        rows = reps[kept]
+        size = len(orbit) / np.array([len(stab[i]) for i in kept])  # |O_a|
+        B = sum(chi[g] * H[np.ix_(rows, orbit[g][rows])] for g in range(len(orbit)))
+        blocks.append(B * np.sqrt(np.outer(size, size)) / len(orbit))
+    return blocks
+
+
+def _reversal(n):
+    return [n - 1 - j for j in range(n)]
+
+
+def _half_shift(n):
+    return [(j + n // 2) % n for j in range(n)]
+
+
+def _torus_sector(rows, cols, w):
+    hs = HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), 0.9, 1.1)
+    return hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice), w
+
+
+def _ring_parity_block(twist, parity):
+    ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
+    return 12, chain_terms(ring), (2**12 - 1,), (parity,)
+
+
+_SYMMETRY_CASES = {
+    "4x3+": (_torus_sector(4, 3, (1,)), [_reversal(12), _half_shift(12)]),
+    "4x3-": (_torus_sector(4, 3, (-1,)), [_reversal(12), _half_shift(12)]),
+    "3x3": (_torus_sector(3, 3, (-1, -1, 1)), [_reversal(9)]),
+    "3x4+": (_torus_sector(3, 4, (1,)), [_reversal(12)]),
+    "3x4-": (_torus_sector(3, 4, (-1,)), [_reversal(12)]),
+    "ring+": (_ring_parity_block(1, 1), [_reversal(12), _half_shift(12)]),
+    "ring-": (_ring_parity_block(1, -1), [_reversal(12), _half_shift(12)]),
+    "twisted+": (_ring_parity_block(-1, 1), [_reversal(12)]),
+    "twisted-": (_ring_parity_block(-1, -1), [_reversal(12)]),
+    "open": ((10, chain_terms(TFIMChainSpec(
+        10, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, edge_fields=((0, 1.0), (9, 1.0)))),
+        (), ()), [_reversal(10)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SYMMETRY_CASES))
+def test_symmetry_blocks_match_the_dense_gather_sums(case):
+    (n, terms, masks, signs), gens = _SYMMETRY_CASES[case]
+    blocks = symmetry_blocks(n, terms, masks, signs)
+    oracle = _symmetry_blocks_oracle(n, terms, masks, signs, gens)
+    assert [B.shape for B in blocks] == [B.shape for B in oracle]
+    for B, ref in zip(blocks, oracle):
+        np.testing.assert_allclose(B, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", ["4x3+", "ring+"])
+def test_symmetry_blocks_never_build_the_whole_block(case):
+    # the 2048-state block would take 2048^2 * 8 bytes dense
+    (n, terms, masks, signs), _ = _SYMMETRY_CASES[case]
+    tracemalloc.start()
+    try:
+        symmetry_blocks(n, terms, masks, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048**2 * 8
+
+
 def test_sector_orbits_follow_the_column_translation():
     # 4x4: the 16 sectors are the binary necklaces of length 4
     orbits = _sector_orbits(HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 1, 1))
@@ -383,6 +471,9 @@ def test_full_spectrum_is_the_per_sector_dense_union():
     hs = torus33(0.8, 1.2)
     res = full_spectrum(hs)
     assert (len(res.info["blocks"]), res.info["sectors"]) == (4, 8)
+    # one entry per orbit (1, 3, 3 and 1 sectors); w0 != w1 in (1, -1, -1)
+    # breaks reversal
+    assert [b["sizes"] for b in res.info["blocks"]] == [[36, 28], [36, 28], [64], [36, 28]]
     brute = _sector_union(hs, lambda op: scipy.linalg.eigvalsh(op.dense()))
     np.testing.assert_allclose(res.eigenvalues, brute, rtol=0, atol=1e-12)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from plaqising.cli import (
     EXIT_BAD_INPUT,
@@ -344,9 +345,19 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         (d2 / "duality-check.csv").read_bytes()
     m1 = _read_sidecar(d1, "duality-check")
     m2 = _read_sidecar(d2, "duality-check")
-    m1.pop("created_utc")
-    m2.pop("created_utc")
+    for volatile in ("created_utc", "run"):
+        m1.pop(volatile)
+        m2.pop(volatile)
     assert m1 == m2
+
+
+def test_cli_sidecar_records_the_run(tmp_path):
+    assert main(["crit-corr", "--length", "512", "--n-max", "3",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    run = _read_sidecar(tmp_path, "crit-corr")["run"]
+    assert set(run) == {"peak_rss_mb", "numpy", "scipy"}
+    assert run["peak_rss_mb"] > 0
+    assert (run["numpy"], run["scipy"]) == (np.__version__, scipy.__version__)
 
 
 def test_cli_json_output(tmp_path):
