@@ -110,9 +110,8 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
         d = math.gcd(spec.rows, spec.cols)
         if [sum(spec.site_rc(bases[0])) % d for bases in chains] != list(range(d)):
             raise InvalidSpec("chain/diagonal labelling is inconsistent")
-        specs = tuple(TFIMChainSpec(len(bases), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
-                      for bases in chains)
-        return DualModel(spec, hs.g, hs.h, specs, (), d)
+        ring = TFIMChainSpec(len(chains[0]), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
+        return DualModel(spec, hs.g, hs.h, (ring,) * d, (), d)
 
     # open lattice
     edge_fields: list[list[tuple[int, float]]] = [[] for _ in chains]
@@ -418,7 +417,9 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     ``d`` steps over the states ``(w_a, w_{a+1}, flipped)``: the step to
     ``w_{a+2}`` costs ring ``a``'s block above the ground block, with the
     twist and parity of :func:`sector_chain_specs`, and ``flipped`` records
-    whether any label is ``-1``.  Path costs are summed from ring 0 on.
+    whether any label is ``-1``.  The ``d``-step walk is the min-plus power
+    ``T^d``, taken by repeated squaring: min-plus products are associative,
+    so at most ``2 log2 d`` products of 8x8 matrices give the same walk.
     Away from ``g = h`` the sector splittings are exponentially small in the
     chain length - the reported gap is then the topological ground-space
     splitting, not a bulk gap.
@@ -445,9 +446,11 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
         for wc in (1, -1):
             T[index[(wa, wb, flipped)], index[(wb, wc, flipped or wc == -1)]] = \
                 delta[(wb, wa * wc)]
-    walk = T
-    for _ in range(d - 1):
-        walk = np.min(walk[:, :, None] + T[None], axis=1)
+    walk = T  # T^d by squaring, reading d's bits from the top
+    for bit in bin(d)[3:]:
+        walk = np.min(walk[:, :, None] + walk[None], axis=1)
+        if bit == "1":
+            walk = np.min(walk[:, :, None] + T[None], axis=1)
     switch = min(walk[index[(x, y, x == -1 or y == -1)], index[(x, y, True)]]
                  for x, y in iproduct((1, -1), repeat=2))
     return float(min(pair, switch))

@@ -133,7 +133,7 @@ def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
     perm, signs, pref = _pauli_kernel(np.arange(dim, dtype=np.uint64), ps)
     if pref.imag == 0.0 and not np.iscomplexobj(v):
         pref = pref.real
-    return pref * (signs * v)[perm]
+    return pref * (signs * v)[perm.astype(np.intp)]
 
 
 class HamiltonianOperator:
@@ -169,7 +169,9 @@ class HamiltonianOperator:
             if flip in weights:
                 weights[flip] += coeff * pref.real * signs
                 continue
-            if self.basis is not None:
+            if self.basis is None:
+                perm = perm.astype(np.intp)
+            else:
                 rows = np.searchsorted(ids, perm)
                 if np.any(np.take(ids, rows, mode="clip") != perm):
                     raise InvalidSpec("a term maps a basis label outside the basis")
@@ -545,7 +547,7 @@ def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
     chi = 1.0 - 2.0 * (np.bitwise_count(group[:, None] & group) & 1)  # chi[t, g]
     keep = ~np.any(fixed & (chi[:, :, None] < 0), axis=1)  # keep[t, a]
     # H[a, c] for each representative a: its diagonal, then one entry per gather
-    cols = np.stack([reps] + [perm[reps] for perm, _ in op._gathers], dtype=np.intp)
+    cols = np.stack([reps] + [perm[reps] for perm, _ in op._gathers])
     vals = np.stack([op._diag[reps]] + [wp[reps] for _, wp in op._gathers])
     target = np.searchsorted(reps, rep_of[cols])
     vals *= scale / scale[target]

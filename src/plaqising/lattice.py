@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateLattice, InvalidSpec, SiteOutOfRange
 from .pauli import PauliString
 
@@ -109,23 +111,25 @@ def chain_decompose(spec: LatticeSpec) -> tuple[tuple[int, ...], ...]:
     ``r + c == a``, from row ``min(a, N - 2)`` (the head, whose ``(r+1, c-1)``
     neighbour is off-lattice) down to row ``max(0, a - M + 2)``; these chains
     terminate.  Periodic lattices: chains are the wrapped diagonal orbits;
-    there are ``d = gcd(N, M)`` of them, each of length ``lcm(N, M)``.  Chain
-    ``a < d`` starts at base ``(0, a)`` and its ``k``-th member is
-    ``((-k) mod N, (a + k) mod M)``.  Both forms list the chains by their
-    smallest base site, which is diagonal order, and
-    :func:`plaquette_chain_position` inverts them; the coverage check below
-    verifies that they partition the plaquettes.
+    there are ``d = gcd(N, M)`` of them, each of length ``l = lcm(N, M)``.
+    Chain ``a < d`` starts at base ``(0, a)`` and its ``k``-th member is
+    ``((-k) mod N, (a + k) mod M)``, computed as one ``(d, l)`` integer
+    array.  Both forms list the chains by their smallest base site, which is
+    diagonal order, and :func:`plaquette_chain_position` inverts them; the
+    coverage check below verifies that they partition the plaquettes.
     """
     n, m = spec.rows, spec.cols
     if spec.boundary is Boundary.OPEN:
         chains = tuple(tuple(r * m + a - r
                              for r in range(min(a, n - 2), max(0, a - m + 2) - 1, -1))
                        for a in range(n + m - 3))
+        bases = [b for chain in chains for b in chain]
     else:
         d = math.gcd(n, m)
-        chains = tuple(tuple(((-k) % n) * m + (a + k) % m for k in range(n * m // d))
-                       for a in range(d))
-    if sorted(b for chain in chains for b in chain) != enumerate_plaquettes(spec):
+        k = np.arange(n * m // d)
+        bases = ((-k) % n) * m + (np.arange(d)[:, None] + k) % m
+        chains = tuple(map(tuple, bases.tolist()))
+    if not np.array_equal(np.sort(bases, axis=None), enumerate_plaquettes(spec)):
         raise InvalidSpec("chain decomposition did not cover every plaquette")
     return chains
 

@@ -29,7 +29,12 @@ from plaqising.ed import (
     hamiltonian_terms,
 )
 from plaqising.errors import InvalidSpec, NotMappable, TooLarge
-from plaqising.freefermion import TFIMChainSpec, chain_terms, ring_sector_levels
+from plaqising.freefermion import (
+    TFIMChainSpec,
+    chain_terms,
+    ring_block,
+    ring_sector_levels,
+)
 from plaqising.lattice import (
     Boundary,
     ChainBoundary,
@@ -481,6 +486,37 @@ def test_dual_gap_is_the_brute_force_sector_minimum(n, m):
         levels = ring_sector_levels(model.chains[0], 1)
         brute = min(switch, levels[1] - levels[0])
         assert abs(dual_lattice_gap(n, m, g, h) - brute) < 1e-12, (g, h)
+
+
+def _left_fold_gap(rows, cols, g, h):
+    """The walk stepped one ring at a time, as a plain left fold."""
+    d = math.gcd(rows, cols)
+    ell = rows * cols // d
+    level = {(w, p): ring_block(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN,
+                                              g, h, twist=w), p).level
+             for w, p in itertools.product((1, -1), repeat=2)}
+    eps = ring_block(TFIMChainSpec(ell, ChainBoundary.PERIODIC_CHAIN, g, h), 1).eps
+    states = list(itertools.product((1, -1), (1, -1), (False, True)))
+    T = np.full((8, 8), np.inf)
+    for i, (wa, wb, flipped) in enumerate(states):
+        for wc in (1, -1):
+            T[i, states.index((wb, wc, flipped or wc == -1))] = \
+                level[(wb, wa * wc)] - level[(1, 1)]
+    walk = T
+    for _ in range(d - 1):
+        walk = np.min(walk[:, :, None] + T[None], axis=1)
+    switch = min(walk[states.index((x, y, x == -1 or y == -1)), states.index((x, y, True))]
+                 for x, y in itertools.product((1, -1), repeat=2))
+    return float(min(float(eps[0] + eps[1]), switch))
+
+
+@pytest.mark.parametrize("n,m", [(4, 5), (4, 6), (6, 9), (5, 10), (16, 24),
+                                 (96, 64), (127, 127), (128, 128)])
+def test_dual_gap_squaring_equals_the_left_fold(n, m):
+    # d = 1, 2, 3, 5, 8, 32, 127, 128: the same floats, not just close ones
+    for g, h in ((1.0, 1.0), (0.5, 1.0), (1.3, 1.0), (2.0, 0.7), (1.0, 0.005),
+                 (0.01, 1.0), (0.99, 1.0)):
+        assert dual_lattice_gap(n, m, g, h) == _left_fold_gap(n, m, g, h), (g, h)
 
 
 def test_dual_gap_matches_lanczos_on_4x4():

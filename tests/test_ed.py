@@ -172,6 +172,14 @@ def test_merged_terms_match_the_kron_sum(basis):
     np.testing.assert_allclose(op.matvec(v), op.dense() @ v, rtol=0, atol=1e-13)
 
 
+def test_whole_space_gathers_index_with_intp():
+    # the XOR labels are uint64; a whole-space gather indexes with intp rows
+    for n, terms in ((4, _SHARED_FLIP_TERMS), (9, hamiltonian_terms(torus33(1.2, 0.4)))):
+        op = HamiltonianOperator(n, terms)
+        assert op._gathers
+        assert all(perm.dtype == np.intp for perm, _ in op._gathers)
+
+
 def test_sector_operator_merges_the_field_into_one_diagonal():
     # 4x4 torus in the Hadamard frame: 16 sx terms are diagonal, and each of
     # the 16 plaquettes flips its own pair of sites

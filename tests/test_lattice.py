@@ -19,6 +19,7 @@ from plaqising import (
     site_adjacent_plaquettes,
     site_diagonals,
 )
+from plaqising import lattice
 from plaqising.pauli import PauliString, sigma_x
 
 sizes = st.integers(min_value=2, max_value=6)
@@ -222,11 +223,22 @@ def _reference_corner_axes(spec):
 @example(4, 5)  # gcd 1: one ring
 @example(6, 9)  # gcd 3
 @example(8, 8)  # gcd 8: every chain has length 8
+@example(128, 128)  # the benchmark torus: 128 rings of 128
+@example(96, 64)  # gcd 32
 def test_torus_chains_equal_the_reference_cycle_walk(n, m):
     chains = chain_decompose(LatticeSpec(n, m, Boundary.PERIODIC))
     assert chains == _reference_torus_chains(n, m)
     firsts = [ch[0] for ch in chains]
     assert firsts == [min(ch) for ch in chains] == sorted(firsts)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_chain_cover_is_checked_against_enumerate_plaquettes(monkeypatch, boundary):
+    # the coverage check reads enumerate_plaquettes: one base short fails it
+    full = lattice.enumerate_plaquettes
+    monkeypatch.setattr(lattice, "enumerate_plaquettes", lambda spec: full(spec)[:-1])
+    with pytest.raises(InvalidSpec):
+        chain_decompose(LatticeSpec(6, 9, boundary))
 
 
 @given(layout_sizes, layout_sizes)
