@@ -49,12 +49,21 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 
 from .ed import DEGENERACY_TOL, LANCZOS_MAX_SPINS, gap_from_levels
 from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure, TooLarge
 from .lattice import ChainBoundary
 from .pauli import PauliString
+
+# The open-chain solve works on U and V (later G) in pieces, so that no
+# temporary is larger than _SLAB x L.  _SLAB rows per slab of G = V U^T and
+# of its check: each slab product repacks all of U, so narrower slabs cost
+# time (at L = 4096 on a 2-core Xeon, 256 rows took 10 % longer than one
+# whole product, 384 rows 6 %).  _PANEL columns per panel of Z^T U: a
+# narrow panel is copied into the C-ordered V within cache.
+_SLAB = 384
+_PANEL = 64
+
 
 def _sv_noise_floor(L: int, eps_max: float) -> float:
     """Smallest open-chain mode energy distinguishable from an exact zero mode.
@@ -139,9 +148,10 @@ class BdGSolution:
     of the two spin-parity blocks' lowest levels).  The correlators read the
     Majorana correlator ``G(i,j) = <B_i A_j>`` only through the Wick-block
     gather :func:`_toeplitz_from`.  An open chain holds ``G`` of its Gaussian
-    vacuum in ``_G`` (only the leading ``m x m`` block when solved with
-    ``corr_size = m``); a ring holds one row of ``G`` in ``_gvec``, for the
-    lowest state of its even spin-parity block.
+    vacuum in ``_G`` (only the leading ``m x m`` block, ``8 m^2`` bytes, when
+    solved with ``corr_size = m``; nothing with ``corr_size = 0``); a ring
+    holds one row of ``G`` in ``_gvec`` (``8 L`` bytes), for the lowest
+    state of its even spin-parity block.
     """
 
     chain: TFIMChainSpec
@@ -172,15 +182,19 @@ def _apply_Zt_open(U: np.ndarray, f: float, b: float) -> np.ndarray:
 
 
 def _orthogonality_deviation(G: np.ndarray) -> float:
-    """``max |G G^T - 1|`` over all entries, from the upper triangle alone.
+    """``max |G G^T - 1|`` over the entries on and above the diagonal.
 
-    ``dsyrk`` fills only the upper triangle of the symmetric product (half
-    the flops of ``G @ G.T``) and leaves zeros below it, which cannot raise
-    the maximum.
+    ``G G^T`` is symmetric, so those entries hold its maximum.  They are
+    computed one row slab at a time, ``G[i:i+k] @ G[i:].T`` with
+    ``k = _SLAB``, so the only temporary is one ``k x L`` block (``8 k L``
+    bytes) besides ``G``.
     """
-    C = scipy.linalg.blas.dsyrk(1.0, G.T, trans=1)
-    C[np.diag_indices(G.shape[0])] -= 1.0
-    return float(max(C.max(), -C.min()))
+    dev = 0.0
+    for i in range(0, len(G), _SLAB):
+        C = G[i:i + _SLAB] @ G[i:].T
+        C[np.diag_indices(len(C))] -= 1.0
+        dev = max(dev, C.max(), -C.min())
+    return float(dev)
 
 
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
@@ -192,6 +206,15 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     FFT on the grid of its even spin-parity block (:func:`ring_block`) for
     that block's lowest state; its ground energy is the lower of the two
     blocks' lowest levels.
+
+    Memory on an open chain: at most two ``L x L`` float arrays
+    (``8 L^2`` bytes each) are live, plus one ``_SLAB x L`` slab.
+    They are the tridiagonal eigenvectors ``U`` and ``V = Z^T U``;
+    ``G = V U^T`` is written over ``V`` one row slab at a time, and ``U`` is
+    freed before the orthogonality check.  With ``corr_size = 0`` only
+    ``U`` is kept, and the energies are read from one ``L x _PANEL`` panel
+    of ``Z^T U`` at a time.  The LAPACK eigensolve alone also peaks at two
+    ``L x L`` arrays.
     """
     if chain.edge_fields:
         raise InvalidSpec("boundary tz fields break the quadratic form; use dense ED")
@@ -209,15 +232,30 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
         d, e = _open_Z(L, f, b)
         _, U = scipy.linalg.eigh_tridiagonal(d, e)
-        V = _apply_Zt_open(U, f, b)
         # measure each mode energy as ||Z^T u_k||: unlike sqrt of the
         # tridiagonal eigenvalue (absolute error ~ eps * lam_max, i.e. a large
         # RELATIVE error for small modes), the directly computed norm is
         # accurate to ~machine eps relative, which keeps small-but-real edge
-        # modes and the orthogonality of G at full precision
-        eps = np.linalg.norm(V, axis=0)
+        # modes and the orthogonality of G at full precision.  U comes
+        # Fortran-ordered: each column panel is contiguous, so its norms sum
+        # every column as a whole-matrix norm would.  V is C-ordered, so
+        # its row slabs are contiguous for G below.
+        V = None if corr_size == 0 else np.empty((L, L))
+        eps = np.empty(L)
+        for c in range(0, L, _PANEL):
+            cols = slice(c, c + _PANEL)
+            panel = _apply_Zt_open(U[:, cols], f, b)
+            eps[cols] = np.linalg.norm(panel, axis=0)
+            if V is not None:
+                V[:, cols] = panel
         small = eps < _sv_noise_floor(L, float(eps.max()))
         eps = np.where(small, 0.0, eps)
+        if V is None:
+            return BdGSolution(
+                chain=chain,
+                energies=np.sort(eps),
+                ground_energy=-0.5 * float(eps.sum()),
+            )
         V /= np.where(small, 1.0, eps)
         if small.any():
             # near-null modes: analytic edge vectors (right null of Z decays
@@ -239,18 +277,17 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
             # a mode far below the top of the band keeps an amplified share
             # of the eigenvector noise after the 1/eps normalization; its
             # true direction is fixed by orthogonality to the (accurate)
-            # rest of the frame, so project that out and renormalize
-            others = np.ones(L, dtype=bool)
-            others[idx] = False
-            w = V[:, idx] - V[:, others] @ (V[:, others].T @ V[:, idx])
+            # rest of the frame, so project that out and renormalize.
+            # V (V^T v) includes v's own term v (v^T v), which is added back.
+            v = V[:, idx]
+            w = v - V @ (V.T @ v) + v * (v @ v)
             V[:, idx] = w / np.linalg.norm(w)
-        if corr_size == 0:
-            return BdGSolution(
-                chain=chain,
-                energies=np.sort(eps),
-                ground_energy=-0.5 * float(eps.sum()),
-            )
-        G = V @ U.T
+        # G = V U^T, written over V one row slab at a time; without U, G is
+        # then the only L x L array left
+        for i in range(0, L, _SLAB):
+            V[i:i + _SLAB] = V[i:i + _SLAB] @ U.T
+        G = V
+        del U, V
         dev = _orthogonality_deviation(G)
         if dev > 1e-8:
             raise NumericalFailure(

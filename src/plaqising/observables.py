@@ -201,7 +201,9 @@ def sx_string_expectation_dual(
     sector).  The first site ``(r, c)`` is the bond between the plaquettes
     based at ``(r, c - 1)`` and ``(r - 1, c)``, which sit at consecutive
     positions ``k, k + 1`` of one ring; site ``m`` of the segment is then
-    the bond ``(k + m, k + m + 1) mod ell``.
+    the bond ``(k + m, k + m + 1) mod ell``.  A segment of exactly ``ell``
+    sites is the whole conserved loop, whose label is +1 in the ground
+    sector; a longer one raises :class:`NotMappable`.
     """
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
@@ -211,8 +213,10 @@ def sx_string_expectation_dual(
     (ci, start), _ = _site_image(spec, first)
     ell = model.chains[ci].length
     r = seg.n_steps + 1
-    if r >= ell:
-        raise NotMappable(f"segment covers the whole ring (length {ell})")
+    if r > ell:
+        raise NotMappable(f"segment of {r} sites exceeds the ring length {ell}")
+    if r == ell:
+        return 1.0
     sol = _dual_chain_solution(model, ci, _cache)
     return zz_correlator(sol, start + 1, start + 1 + r)
 

@@ -109,17 +109,10 @@ def _sweep_point(cfg: CouplingSweepConfig, t: int) -> dict:
     sc = cfg.start_col if cfg.start_col is not None else 1
     seg = DiagonalSegment(sr, sc, cfg.string_steps)
     if cfg.route == "dual":
-        if h == 0.0:
-            # a shortcut past the bondless dual chains, which agree: the site
-            # string flips plaquette eigenvalues, so it vanishes in any
-            # definite-flux state; the plaquette product is 1 in the
-            # all-plus flux sector the ground state occupies
-            phi1, phi2 = 0.0, 1.0
-        else:
-            cache: dict = {}
-            phi1 = sx_string_expectation_dual(hs, seg, cache)
-            phi2 = plaquette_string_expectation_dual(
-                hs, sr, sc - 1, cfg.plaquette_count, cache)
+        cache: dict = {}
+        phi1 = sx_string_expectation_dual(hs, seg, cache)
+        phi2 = plaquette_string_expectation_dual(
+            hs, sr, sc - 1, cfg.plaquette_count, cache)
         energy = math.nan
     else:
         state, energy = ground_state_for_measurement(hs)

@@ -6,9 +6,11 @@ the quadratic-form solver under test.  Agreement bar: 1e-8.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from plaqising import (
@@ -326,12 +328,16 @@ def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
 
 
 def test_orthogonality_deviation_matches_full_product():
+    # the row-slab check against the whole product, on one slab, on sizes
+    # around the slab width and on three slabs, the last one short
     rng = np.random.default_rng(3)
-    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-    G = Q + 1e-9 * rng.standard_normal((40, 40))
-    full = np.abs(G @ G.T - np.eye(40)).max()
-    assert 1e-10 < full < 1e-8
-    assert abs(_orthogonality_deviation(G) - full) < 1e-14
+    k = freefermion._SLAB
+    for n in (40, 1, k - 1, k, k + 1, 2 * k + 3):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        G = Q + 1e-9 * rng.standard_normal((n, n))
+        full = np.abs(G @ G.T - np.eye(n)).max()
+        assert 1e-10 < full < 1e-8, n
+        assert abs(_orthogonality_deviation(G) - full) < 1e-14, n
 
 
 def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
@@ -344,6 +350,77 @@ def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
     monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
     with pytest.raises(NumericalFailure):
         bdg_solve(TFIMChainSpec(12, OPEN, 1.5, bond=1.0))
+
+
+def test_open_solve_trips_on_lost_orthogonality_past_the_first_slab(monkeypatch):
+    # noise only in the rows of U past the first slab, on three slabs
+    exact = freefermion.scipy.linalg.eigh_tridiagonal
+    k = freefermion._SLAB
+
+    def noisy(d, e):
+        w, U = exact(d, e)
+        U[k:] += 1e-6 * np.random.default_rng(5).standard_normal(U[k:].shape)
+        return w, U
+
+    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    with pytest.raises(NumericalFailure):
+        bdg_solve(TFIMChainSpec(2 * k + 3, OPEN, 1.5, bond=1.0))
+
+
+# one chain of each kind the open solve handles: every mode well above zero,
+# a zero mode replaced by the analytic edge vectors, and a suspect mode
+# re-projected (above the noise floor, below 1e-4 of the top of the band)
+def _mode_kind(sol) -> str:
+    low, top = sol.energies[0], sol.energies[-1]
+    return "zero" if low == 0.0 else "suspect" if low < 1e-4 * top else "gapped"
+
+
+@pytest.mark.parametrize("L,f,kind", [
+    (64, 0.5, "zero"), (20, 0.6, "suspect"), (600, 0.97, "suspect"),
+])
+def test_energies_only_solve_equals_the_full_solve(L, f, kind):
+    spec = TFIMChainSpec(L, OPEN, f, bond=1.0)
+    full, bare = bdg_solve(spec), bdg_solve(spec, corr_size=0)
+    assert _mode_kind(full) == kind
+    assert np.array_equal(bare.energies, full.energies)
+    assert bare.ground_energy == full.ground_energy
+
+
+def _suspect_modes_by_gathers(spec: TFIMChainSpec) -> np.ndarray:
+    """``G`` of a chain without zero modes, each suspect mode re-projected
+    against the L x (L - 1) gather of the other modes."""
+    L, f, b = spec.length, spec.field, spec.bond
+    _, U = scipy.linalg.eigh_tridiagonal(*freefermion._open_Z(L, f, b))
+    V = freefermion._apply_Zt_open(U, f, b)
+    eps = np.linalg.norm(V, axis=0)
+    V /= eps
+    for idx in np.nonzero(eps < 1e-4 * eps.max())[0]:
+        others = np.arange(L) != idx
+        w = V[:, idx] - V[:, others] @ (V[:, others].T @ V[:, idx])
+        V[:, idx] = w / np.linalg.norm(w)
+    return V @ U.T
+
+
+@pytest.mark.parametrize("L,f", [(20, 0.6), (24, 0.6), (40, 0.75), (600, 0.97)])
+def test_suspect_reprojection_matches_the_gather_formula(L, f):
+    spec = TFIMChainSpec(L, OPEN, f, bond=1.0)
+    sol = bdg_solve(spec)
+    assert _mode_kind(sol) == "suspect"
+    assert np.abs(sol._G - _suspect_modes_by_gathers(spec)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("f,kind", [(1.5, "gapped"), (0.5, "zero"), (0.985, "suspect")])
+def test_open_solve_keeps_two_square_arrays_live(f, kind):
+    # the solve holds U and V (later G) plus one slab, about 2.4 x 8L^2 here
+    L = 1024
+    tracemalloc.start()
+    try:
+        sol = bdg_solve(TFIMChainSpec(L, OPEN, f, bond=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _mode_kind(sol) == kind
+    assert peak <= 3 * 8 * L * L, peak / (8 * L * L)
 
 
 # ----------------------------------------------------------------------

@@ -304,9 +304,16 @@ def test_dual_sx_string_checks_its_first_bond(monkeypatch):
 
 
 def test_whole_ring_sx_segment_is_not_a_two_point_function():
-    hs = torus(3, 3)
-    with pytest.raises(NotMappable):
-        sx_string_expectation_dual(hs, DiagonalSegment(2, 0, 2))
+    # on 3x3 a 3-site segment is a whole diagonal loop W_b (ring length 3):
+    # its value is the loop label, +1 in the ground sector, as ED reads it;
+    # a longer segment covers sites twice and has no dual image
+    whole = DiagonalSegment(2, 0, 2)
+    for g, h in [(1.0, 1.0), (0.3, 1.0), (1.0, 0.0)]:
+        hs = torus(3, 3, g, h)
+        assert sx_string_expectation_dual(hs, whole) == 1.0
+        assert abs(sx_string_expectation_ed(hs, whole) - 1.0) < 1e-9
+        with pytest.raises(NotMappable):
+            sx_string_expectation_dual(hs, DiagonalSegment(2, 0, 3))
 
 
 def test_dual_sweep_builds_one_model_per_point(monkeypatch):
@@ -322,9 +329,9 @@ def test_dual_sweep_builds_one_model_per_point(monkeypatch):
     monkeypatch.setattr(observables, "map_hamiltonian", counting)
     cfg = CouplingSweepConfig(rows=6, cols=6, route="dual")
     run_coupling_sweep(cfg)
-    # the sweep's h = 0 shortcut builds no model
-    assert len(calls) == cfg.steps - 1
-    assert len(set(calls)) == cfg.steps - 1
+    # every point, h = 0 included, builds its model once
+    assert len(calls) == cfg.steps
+    assert len(set(calls)) == cfg.steps
 
 
 @pytest.mark.parametrize("s", [2, 3])
