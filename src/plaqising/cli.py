@@ -101,8 +101,16 @@ def _load_ini(path: str, command: str, cfg_cls) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are bad input (exit 1), not
+    argparse's exit 2, which is kept for numerical failure."""
+
+    def error(self, message: str):
+        raise InvalidSpec(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="plaqising",
         description="plaquette-Ising duality laboratory",
     )
@@ -157,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--boundary", choices=("periodic", "open"), default=None)
-    p.add_argument("--literal", action="store_true",
+    p.add_argument("--literal", action="store_const", const=False, default=None,
+                   dest="sector_resolved",
                    help="compare plain tensor sums, ignoring sector structure")
     p.add_argument("--tol", type=float, default=None)
 
@@ -174,8 +183,6 @@ def _resolve_config(args: argparse.Namespace):
         cli_val = getattr(args, name, None)
         if cli_val is not None:
             values[name] = tuple(cli_val) if isinstance(cli_val, list) else cli_val
-    if args.command == "duality-check" and args.literal:
-        values["sector_resolved"] = False
     for name, val in values.items():
         # every float field is a coupling, scale, tolerance or band: a nan,
         # inf or negative one is bad input, not a physics verdict
@@ -250,9 +257,8 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return run_command(args)
+        return run_command(_build_parser().parse_args(argv))
     except (NotConverged, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -146,18 +146,19 @@ class HamiltonianOperator:
     gathered, so one matvec is ``diag * v + sum wp * v[perm]`` — no complex
     arithmetic is ever needed for this model.  With a ``basis`` (a sorted
     array of basis-state labels closed under every term) the operator acts
-    on that block only: row ``i`` is label ``basis[i]`` (``None``: all
-    ``2^n`` labels).
+    on that block only: row ``i`` is label ``basis[i]``; without one it acts
+    on the block of all ``2^n`` labels, through the same compile.
     """
 
     def __init__(self, n: int, terms, basis: np.ndarray | None = None):
-        self.basis = basis
+        if n > LANCZOS_MAX_SPINS:
+            raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+        self.basis = basis if basis is not None else np.arange(1 << n, dtype=np.uint64)
         self._compile(n, terms)
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
-        if n > LANCZOS_MAX_SPINS:
-            raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-        ids = np.arange(1 << n, dtype=np.uint64) if self.basis is None else self.basis
+        """Merge the terms on ``n`` spins over the rows of ``self.basis``."""
+        ids = self.basis
         self.dim = len(ids)
         perms: dict[int, np.ndarray] = {}    # flip mask -> row reached from each row
         weights: dict[int, np.ndarray] = {}  # flip mask -> summed weight of each row
@@ -169,14 +170,10 @@ class HamiltonianOperator:
             if flip in weights:
                 weights[flip] += coeff * pref.real * signs
                 continue
-            if self.basis is None:
-                perm = perm.astype(np.intp)
-            else:
-                rows = np.searchsorted(ids, perm)
-                if np.any(np.take(ids, rows, mode="clip") != perm):
-                    raise InvalidSpec("a term maps a basis label outside the basis")
-                perm = rows
-            perms[flip], weights[flip] = perm, coeff * pref.real * signs
+            rows = np.searchsorted(ids, perm)
+            if np.any(np.take(ids, rows, mode="clip") != perm):
+                raise InvalidSpec("a term maps a basis label outside the basis")
+            perms[flip], weights[flip] = rows, coeff * pref.real * signs
         perms.pop(0, None)
         self._diag = weights.pop(0, np.zeros(self.dim))
         self._gathers = [(perms[f], w[perms[f]]) for f, w in weights.items()]
@@ -279,16 +276,16 @@ class SpectrumResult:
         self.gap = gap_from_levels(self.eigenvalues)
 
 
-def gap_from_levels(levels: np.ndarray, tol: float = DEGENERACY_TOL) -> float:
+def gap_from_levels(levels: np.ndarray) -> float:
     """First level strictly above the ground band, minus E0.
 
-    Levels within ``tol`` of E0 belong to the (near-degenerate) ground space
-    and do not count as the gap.  Returns 0.0 if every supplied level is in
-    the band (caller should then ask for more levels).
+    Levels within ``DEGENERACY_TOL`` of E0 belong to the (near-degenerate)
+    ground space and do not count as the gap.  Returns 0.0 if every supplied
+    level is in the band (caller should then ask for more levels).
     """
     levels = np.sort(np.asarray(levels, dtype=np.float64))
     e0 = levels[0]
-    above = levels[levels > e0 + tol]
+    above = levels[levels > e0 + DEGENERACY_TOL]
     return float(above[0] - e0) if above.size else 0.0
 
 
@@ -305,23 +302,30 @@ def _lanczos_seed(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos(
-    op: HamiltonianOperator,
-    k: int,
-    want_vectors: bool,
-    residual_tol: float = LANCZOS_RESIDUAL_TOL,
-    max_iter: int | None = None,
-):
+def _orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``w`` with its components along the orthonormal rows of ``basis``
+    removed in place: Gram-Schmidt twice, for float safety."""
+    for _ in range(2):
+        w -= basis.T @ (basis @ w)
+    return w
+
+
+def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
+             max_iter: int | None = None):
     """The ``k`` lowest converged Ritz pairs of ``op``: Lanczos with full
     reorthogonalization from :func:`_lanczos_seed`; a degenerate level comes
     back once per copy that rounding let the Krylov space find.
 
-    The Ritz check (tridiagonal eigensolve plus the residual bound
+    The one Ritz check (tridiagonal eigensolve plus the residual bound
     ``beta_m |s_mi|``) runs at ``m = k, k + _RITZ_EVERY, ...`` iterations,
-    whenever the Krylov space is exhausted, and always at ``m = max_iter``.
-    A run therefore takes fewer than ``_RITZ_EVERY`` iterations beyond
-    convergence, and both the returned pairs and the ``NotConverged``
-    diagnostics come from the final tridiagonal matrix, never a stale one.
+    whenever the Krylov space closes from ``m = k`` on, and always at the
+    last iteration.  A run therefore takes fewer than ``_RITZ_EVERY``
+    iterations beyond convergence, and the returned pairs and the
+    ``NotConverged`` diagnostics (at ``m = max_iter``) come from that check.
+    If the space closes before ``k`` pairs exist, the run goes on from a
+    deterministic fresh direction; when none is left, that is the last
+    iteration and every level found is returned (so a ``k`` above the block
+    gives them all).
     """
     dim = op.dim
     if max_iter is None:
@@ -331,76 +335,49 @@ def _lanczos(
     betas: list[float] = []
     V[0] = _lanczos_seed(dim)
     inject = 0
-    ritz = None
     for j in range(max_iter):
+        m = j + 1
         w = op.matvec(V[j])
         if j > 0:
             w -= betas[-1] * V[j - 1]
-        a = float(V[j] @ w)
-        alphas.append(a)
-        w -= a * V[j]
-        # full reorthogonalization, twice for float safety
-        for _ in range(2):
-            w -= V[: j + 1].T @ (V[: j + 1] @ w)
-        b = float(np.linalg.norm(w))
-        exhausted = b < 1e-13
-
-        m = j + 1
-        if m >= k and ((m - k) % _RITZ_EVERY == 0 or exhausted or m == max_iter):
-            T_d = np.array(alphas)
-            T_e = np.array(betas)
-            theta, s = scipy.linalg.eigh_tridiagonal(T_d, T_e)
-            # residual bound per Ritz pair: beta_m * |last row of s|
-            res = b * np.abs(s[-1, :k])
-            ritz = (theta, s)
-            if np.all(res <= residual_tol * np.maximum(1.0, np.abs(theta[:k]))):
-                break
-        if exhausted:
-            # Krylov space exhausted an invariant subspace; continue with a
+        alphas.append(float(V[j] @ w))
+        w -= alphas[-1] * V[j]
+        w = _orthogonalized(w, V[:m])
+        beta = norm = float(np.linalg.norm(w))
+        exhausted = beta < 1e-13
+        last = m == max_iter
+        if exhausted and m < k:
+            # an invariant subspace closed before k pairs exist: go on from a
             # deterministic fresh direction orthogonal to everything so far
             inject += 1
-            e = np.zeros(dim)
-            e[(2654435761 * (j + inject)) % dim] = 1.0
-            for _ in range(2):
-                e -= V[: j + 1].T @ (V[: j + 1] @ e)
-            nrm = np.linalg.norm(e)
-            if nrm < 1e-8:
-                break  # space truly exhausted
-            w = e
-            b = 1.0
-            betas.append(0.0)
-            if j + 1 < max_iter:
-                V[j + 1] = w / np.linalg.norm(w)
-            continue
-        betas.append(b)
-        if j + 1 >= max_iter:
-            break
-        V[j + 1] = w / b
+            w = np.zeros(dim)
+            w[(2654435761 * (j + inject)) % dim] = 1.0
+            w = _orthogonalized(w, V[:m])
+            beta, norm = 0.0, float(np.linalg.norm(w))
+            last = last or norm < 1e-8  # the space is spent
+        if last or (m >= k and ((m - k) % _RITZ_EVERY == 0 or exhausted)):
+            theta, s = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+            res = beta * np.abs(s[-1, :k])
+            if np.all(res <= LANCZOS_RESIDUAL_TOL * np.maximum(1.0, np.abs(theta[:k]))):
+                break
+            if last:
+                raise NotConverged(
+                    f"Lanczos did not converge {k} eigenpairs in {m} iterations",
+                    diagnostics={
+                        "iterations": m,
+                        "residuals": res.tolist(),
+                        "ritz_values": theta[:k].tolist(),
+                        "injections": inject,
+                    },
+                )
+        betas.append(beta)
+        V[m] = w / norm
 
-    theta, s = ritz if ritz is not None else scipy.linalg.eigh_tridiagonal(
-        np.array(alphas), np.array(betas[: len(alphas) - 1])
-    )
-    m = len(alphas)
-    last_beta = betas[m - 1] if len(betas) >= m else 0.0
-    res = abs(last_beta) * np.abs(s[-1, :k])
-    ok = np.all(res <= residual_tol * np.maximum(1.0, np.abs(theta[:k])))
-    if not ok:
-        raise NotConverged(
-            f"Lanczos did not converge {k} eigenpairs in {m} iterations",
-            diagnostics={
-                "iterations": m,
-                "residuals": res.tolist(),
-                "ritz_values": theta[:k].tolist(),
-                "injections": inject,
-            },
-        )
-    vals = theta[:k]
     vecs = None
     if want_vectors:
         vecs = V[:m].T @ s[:, :k]
         vecs /= np.linalg.norm(vecs, axis=0)
-    info = {"method": "lanczos", "iterations": m, "injections": inject}
-    return vals, vecs, info
+    return theta[:k], vecs, {"method": "lanczos", "iterations": m, "injections": inject}
 
 
 def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
@@ -418,7 +395,7 @@ def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
     translates once), so only the lowest level and the gap are exact.
     """
     orbits = _sector_orbits(hs)
-    parts = [operator_ground_spectrum(op, min(k, op.dim))
+    parts = [operator_ground_spectrum(op, k)
              for op in (sector_operator(hs, w) for w, _ in orbits)]
     vals = np.sort(np.concatenate([np.tile(r.eigenvalues, mult)
                                    for r, (_, mult) in zip(parts, orbits)]))
@@ -436,16 +413,13 @@ def operator_ground_spectrum(
     Lanczos, which returns the ``k`` lowest converged Ritz values: each is a
     level of the block, but a degenerate level may come back once or more
     (see :func:`_lanczos`).  The lowest level and the gap agree on both
-    paths.
+    paths, and a ``k`` above the block returns every level on both.
     """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
     if op.dim <= DENSE_GROUND_STATES:
-        if want_vectors:
-            vals, vecs = scipy.linalg.eigh(op.dense())
-            vals, vecs = vals[:k], vecs[:, :k]
-        else:
-            vals, vecs = scipy.linalg.eigh(op.dense(), eigvals_only=True)[:k], None
+        out = scipy.linalg.eigh(op.dense(), eigvals_only=not want_vectors)
+        vals, vecs = (out[0][:k], out[1][:, :k]) if want_vectors else (out[:k], None)
         info = {"method": "dense"}
     else:
         vals, vecs, info = _lanczos(op, k, want_vectors)
@@ -532,10 +506,9 @@ def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
     if not gens:
         return [dense_matrix_from_terms(n, terms, masks, signs)]
     op = _dense_block(n, terms, masks, signs)
-    labels = np.arange(op.dim, dtype=np.uint64) if op.basis is None else op.basis
     orbit = np.arange(op.dim)[None]           # orbit[g, i]: the row g sends row i to
     for p in gens:                            # bit i of g: generator i applied
-        row = np.searchsorted(labels, _permute_bits(labels, p))
+        row = np.searchsorted(op.basis, _permute_bits(op.basis, p))
         orbit = np.concatenate([orbit, row[orbit]])
     # every g is an involution, so the g that sends a row to its
     # representative also sends the representative back to the row

@@ -208,15 +208,9 @@ def site_diagonals(spec: LatticeSpec) -> list[tuple[int, ...]]:
 
 
 def diagonal_loop_operator(spec: LatticeSpec, which: int) -> PauliString:
-    """sx product over one anti-diagonal site family (a conserved loop/line).
-
-    Same family as ``site_diagonals(spec)[which]``, selected directly:
-    ``(r + c) mod gcd(N, M) == which`` on a torus, ``r + c == which`` on an
-    open lattice, in row-major order.
-    """
-    n, m = spec.rows, spec.cols
-    count = expected_chain_count(spec)["site_diagonals"]
-    if not 0 <= which < count:
-        raise InvalidSpec(f"diagonal {which} outside 0..{count - 1}")
-    return PauliString(tuple((r * m + c, "X") for r in range(n) for c in range(m)
-                             if (r + c) % count == which))
+    """sx product over the site family ``site_diagonals(spec)[which]`` (a
+    conserved loop/line)."""
+    diags = site_diagonals(spec)
+    if not 0 <= which < len(diags):
+        raise InvalidSpec(f"diagonal {which} outside 0..{len(diags) - 1}")
+    return PauliString(tuple((s, "X") for s in diags[which]))

@@ -127,6 +127,13 @@ def _sweep_point(cfg: CouplingSweepConfig, t: int) -> dict:
 
 
 def run_coupling_sweep(cfg: CouplingSweepConfig) -> tuple[list[dict], dict]:
+    """phi1, phi2 and the gap at ``cfg.steps`` points of ``g + h = 1``.
+
+    ``route`` picks where phi1, phi2 and ``energy`` come from: the 2D ground
+    state (``"ed"``) or the dual chains (``"dual"``, where ``energy`` is
+    nan).  On both routes the ``gap`` column is the dual-route torus gap,
+    :func:`~plaqising.duality.dual_lattice_gap`.
+    """
     if cfg.steps < 2:
         raise InvalidSpec("a sweep needs at least two points")
     if cfg.route not in ("ed", "dual"):

@@ -291,6 +291,34 @@ def test_lanczos_ritz_check_is_never_stale():
                   < np.array(before.value.diagnostics["ritz_values"]))
 
 
+def _all_plus_sector(size, g, h):
+    hs = HamiltonianSpec(LatticeSpec(size, size, Boundary.PERIODIC), g, h)
+    return sector_operator(hs, (1,) * len(site_diagonals(hs.lattice)))
+
+
+def test_lanczos_injects_when_the_krylov_space_closes():
+    # g = 0 is diagonal in the Hadamard frame: the seed spans few levels, so
+    # the Krylov space closes before k pairs exist and fresh directions are
+    # injected; every returned value is still a level of the block
+    op = _all_plus_sector(3, 0.0, 1.0)
+    vals, _, info = _lanczos(op, k=6, want_vectors=False)
+    assert (info["iterations"], info["injections"]) == (6, 2)
+    dense = scipy.linalg.eigvalsh(op.dense())
+    assert len(vals) == 6
+    for v in vals:
+        assert np.min(np.abs(dense - v)) < 1e-12
+    _, _, info = _lanczos(_all_plus_sector(4, 0.0, 1.0), k=12, want_vectors=False)
+    assert (info["iterations"], info["injections"]) == (12, 3)
+
+
+def test_lanczos_with_k_above_the_block_returns_every_level():
+    op = _all_plus_sector(3, 1.0, 1.0)
+    assert op.dim == 64
+    vals, _, _ = _lanczos(op, k=70, want_vectors=False)
+    np.testing.assert_allclose(vals, scipy.linalg.eigvalsh(op.dense()),
+                               rtol=0, atol=1e-12)
+
+
 def _halves_hold_the_block(halves, n, terms, masks=(), signs=()):
     whole = scipy.linalg.eigvalsh(dense_matrix_from_terms(n, terms, masks, signs))
     split = np.sort(np.concatenate([scipy.linalg.eigvalsh(H) for H in halves]))

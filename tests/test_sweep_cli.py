@@ -7,6 +7,9 @@ verdict flags, file layout, determinism, and exit codes.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 import scipy
 
+import plaqising
 from plaqising.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -313,6 +317,27 @@ def test_cli_too_few_points_is_bad_input(tmp_path, capsys, argv, ini):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--rows", "abc"],
+    ["sweep", "--route", "foo"],
+    ["exponents", "--length", "1.5"],
+    ["no-such-command"],
+], ids=["int-flag-text", "route-choice", "int-flag-float", "unknown-command"])
+def test_cli_malformed_flag_is_bad_input(tmp_path, capsys, argv):
+    # a flag argparse cannot parse is bad input (exit 1), as the same value
+    # in an INI file is; exit 2 stays reserved for numerical failure
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero():
+    with pytest.raises(SystemExit) as done:
+        main(["sweep", "--help"])
+    assert done.value.code == 0
+
+
 def test_cli_has_no_threads_option(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
@@ -349,6 +374,38 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         m1.pop(volatile)
         m2.pop(volatile)
     assert m1 == m2
+
+
+def test_cli_values_hold_across_blas_thread_counts(tmp_path):
+    # byte-identity holds per BLAS thread count only: one BLAS thread against
+    # the default reorders sums, so across them the cells agree to a bound
+    # (1e-12 relative, 1e-12 absolute floor for the near-zero deviation)
+    src = str(Path(plaqising.__file__).resolve().parents[1])
+    argv = ["duality-check", "--rows", "4", "--cols", "3", "--g", "0.95",
+            "--h", "1.07"]
+    runs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        subprocess.run([sys.executable, "-m", "plaqising.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        runs.append((out / "duality-check.csv").read_text().splitlines())
+    one, default = runs
+    assert len(one) == len(default)
+    for a, b in zip(one, default):
+        if a.startswith("#"):
+            assert a == b
+            continue
+        for x, y in zip(a.split(","), b.split(","), strict=True):
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                assert x == y
+                continue
+            assert abs(fx - fy) <= 1e-12 * abs(fy) + 1e-12, (x, y)
 
 
 def test_cli_sidecar_records_the_run(tmp_path):
