@@ -16,9 +16,15 @@ Every run writes ``<command>.csv`` (or ``.json``) plus ``<command>.meta.json``
 into ``--out``.  Data files carry a ``#`` comment header (sign convention,
 config digest) and no timestamps, so reruns are byte-identical; volatile
 details live in the sidecar: ``created_utc`` and the ``run`` block (the
-process's peak RSS in MB and the numpy and scipy versions).  An INI file
-passed with ``--config`` supplies defaults under a section named after the
-subcommand; explicit flags win.
+process's peak RSS in MB and the numpy and scipy versions).
+
+Each config value has one path from text.  An INI file passed with
+``--config`` supplies values in a section named after the subcommand, keyed
+by config field (``-`` or ``_``); each flag listed in ``_FLAGS`` sets one
+field, and a given flag wins over the INI file.  Both reach ``_coerce`` as
+text, which reads it as the field's annotated type, so an unreadable value or
+an unknown key exits 1 with an error that names the field.  The runners check
+the allowed values of ``route`` and ``boundary`` and every range.
 """
 
 from __future__ import annotations
@@ -64,41 +70,61 @@ _COMMANDS = {
 }
 
 
-def _coerce(raw: str, annotation: str):
-    """Parse an INI string according to a config field's type annotation."""
+# subcommand -> (help line, {flag: the config field it sets}); the field's INI
+# key is its name with "-" for "_"
+_FLAGS = {
+    "sweep": ("string order parameters along g + h = 1", {
+        "--rows": "rows", "--cols": "cols", "--steps": "steps",
+        "--string-steps": "string_steps", "--plaquettes": "plaquette_count",
+        "--route": "route"}),
+    "gap-scaling": ("critical gap versus linear size", {
+        "--sizes": "sizes", "--g": "g", "--h": "h", "--ed-sizes": "ed_sizes",
+        "--tol": "ed_tol"}),
+    "crit-corr": ("critical connected correlator", {
+        "--length": "length", "--n-max": "n_max", "--tol": "tol"}),
+    "exponents": ("order-parameter exponents", {
+        "--length": "length", "--separation": "separation",
+        "--string-length": "string_length"}),
+    "duality-check": ("2D vs dual-chain spectra", {
+        "--rows": "rows", "--cols": "cols", "--g": "g", "--h": "h",
+        "--boundary": "boundary", "--literal": "sector_resolved", "--tol": "tol"}),
+}
+# a switch takes no value: it sets its field to this text
+_SWITCHES = {"--literal": "false"}
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+# scalar type of a config field -> reader of its text
+_READERS = {"int": int, "float": float, "str": str,
+            "bool": lambda text: _BOOLEANS[text.strip().lower()]}
+
+
+def _field_types(command: str) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(_COMMANDS[command][0])}
+
+
+def _coerce(name: str, raw: str, annotation: str):
+    """Read the text of one INI value or flag as config field ``name``.
+
+    ``annotation`` is the field's annotation string: a scalar, an optional
+    scalar (``int | None``) or a tuple of scalars, whose text is split at
+    commas and spaces.
+    """
     ann = annotation.replace(" ", "")
-    if ann == "bool":
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        word = raw.strip().lower()
-        if word not in states:
-            raise InvalidSpec(f"not a boolean: {raw!r} (use one of {', '.join(states)})")
-        return states[word]
-    if ann in ("int", "int|None"):
-        return int(raw)
-    if ann in ("float", "float|None"):
-        return float(raw)
-    if ann.startswith("tuple[int"):
-        return tuple(int(p) for p in raw.replace(",", " ").split())
-    if ann.startswith("tuple[float"):
-        return tuple(float(p) for p in raw.replace(",", " ").split())
-    return raw
-
-
-def _load_ini(path: str, command: str, cfg_cls) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
-    if command not in parser:
-        return {}
-    annotations = {f.name: f.type for f in dataclasses.fields(cfg_cls)}
-    out = {}
-    for key, raw in parser[command].items():
-        name = key.replace("-", "_")
-        if name not in annotations:
-            raise ValueError(f"unknown key '{key}' in [{command}]")
-        out[name] = _coerce(raw, annotations[name])
-    return out
+    many = ann.startswith("tuple[")
+    kind = ann.removeprefix("tuple[").split(",")[0].split("|")[0]
+    read = _READERS[kind]
+    try:
+        value = tuple(map(read, raw.replace(",", " ").split())) if many else read(raw)
+    except (KeyError, ValueError):
+        hint = f" (one of {', '.join(_BOOLEANS)})" if kind == "bool" else ""
+        raise InvalidSpec(f"{name}: {raw!r} does not read as "
+                          f"{'a list of ' if many else ''}{kind}{hint}") from None
+    # every float field is a coupling, scale, tolerance or band: a nan, inf
+    # or negative one is bad input, not a physics verdict
+    if kind == "float" and not all(math.isfinite(v) and v >= 0
+                                   for v in (value if many else (value,))):
+        raise InvalidSpec(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,85 +136,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="plaqising",
-        description="plaquette-Ising duality laboratory",
-    )
+    """One subparser per ``_FLAGS`` entry; every flag value stays text."""
+    top = _Parser(prog="plaqising", description="plaquette-Ising duality laboratory")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None,
+    for command, (help_line, flags) in _FLAGS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config",
                        help="INI file; the section named after the subcommand "
                             "supplies defaults")
-        p.add_argument("--out", type=str, default=".",
+        p.add_argument("--out", default=".",
                        help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("sweep", help="string order parameters along g + h = 1")
-    common(p)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--string-steps", type=int, default=None)
-    p.add_argument("--plaquettes", type=int, default=None,
-                   dest="plaquette_count")
-    p.add_argument("--route", choices=("ed", "dual"), default=None)
-
-    p = sub.add_parser("gap-scaling", help="critical gap versus linear size")
-    common(p)
-    p.add_argument("--sizes", type=int, nargs="+", default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--ed-sizes", type=int, nargs="*", default=None,
-                   dest="ed_sizes")
-    p.add_argument("--tol", type=float, default=None, dest="ed_tol",
-                   help="required ED agreement")
-
-    p = sub.add_parser("crit-corr", help="critical connected correlator")
-    common(p)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--tol", type=float, default=None,
-                   help="band around the asymptote")
-
-    p = sub.add_parser("exponents", help="order-parameter exponents")
-    common(p)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--separation", type=int, default=None)
-    p.add_argument("--string-length", type=int, default=None,
-                   dest="string_length")
-
-    p = sub.add_parser("duality-check", help="2D vs dual-chain spectra")
-    common(p)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--boundary", choices=("periodic", "open"), default=None)
-    p.add_argument("--literal", action="store_const", const=False, default=None,
-                   dest="sector_resolved",
-                   help="compare plain tensor sums, ignoring sector structure")
-    p.add_argument("--tol", type=float, default=None)
-
+        types = _field_types(command)
+        for flag, name in flags.items():
+            key = name.replace("_", "-")
+            if flag in _SWITCHES:
+                p.add_argument(flag, action="store_const", const=_SWITCHES[flag],
+                               dest=name, help=f"INI: {key} = {_SWITCHES[flag]}")
+            else:
+                p.add_argument(flag, dest=name, help=f"INI: {key} ({types[name]})",
+                               nargs="*" if types[name].startswith("tuple[") else None)
     return top
 
 
 def _resolve_config(args: argparse.Namespace):
-    """Merge builtin defaults, INI section, and explicit flags."""
+    """Merge the INI section and the given flags as text (flags win), then
+    read each value as its field's type; fields left unset keep their
+    defaults."""
     cfg_cls, runner = _COMMANDS[args.command]
-    values = {f.name: f.default for f in dataclasses.fields(cfg_cls)}
+    text = {}
     if args.config:
-        values.update(_load_ini(args.config, args.command, cfg_cls))
-    for name in values:
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            values[name] = tuple(cli_val) if isinstance(cli_val, list) else cli_val
-    for name, val in values.items():
-        # every float field is a coupling, scale, tolerance or band: a nan,
-        # inf or negative one is bad input, not a physics verdict
-        if any(isinstance(v, float) and not (math.isfinite(v) and v >= 0)
-               for v in (val if isinstance(val, tuple) else (val,))):
-            raise InvalidSpec(f"{name} must be finite and nonnegative, got {val!r}")
+        ini = configparser.ConfigParser()
+        try:
+            ini.read_string(Path(args.config).read_text(), source=args.config)
+            if args.command in ini:
+                text = {k.replace("-", "_"): v for k, v in ini[args.command].items()}
+        except configparser.Error as exc:
+            raise InvalidSpec(f"{args.config} is not a valid INI file: "
+                              f"{' '.join(str(exc).split())}") from None
+    for name in _FLAGS[args.command][1].values():
+        given = getattr(args, name)
+        if given is not None:
+            text[name] = " ".join(given) if isinstance(given, list) else given
+    types = _field_types(args.command)
+    values = {}
+    for name, raw in text.items():
+        if name not in types:
+            raise InvalidSpec(f"unknown key '{name}' in [{args.command}]")
+        values[name] = _coerce(name, raw, types[name])
     return cfg_cls(**values), runner
 
 

@@ -133,48 +133,26 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
 # ----------------------------------------------------------------------
 # operator mapping on the generated algebra
 # ----------------------------------------------------------------------
-def _symplectic(ps, n: int) -> np.ndarray:
-    """(x | z) GF(2) vector of a Pauli string on ``n`` sites."""
-    v = np.zeros(2 * n, dtype=np.uint8)
-    for site, ax in ps.factors:
-        if ax in ("X", "Y"):
-            v[site] ^= 1
-        if ax in ("Z", "Y"):
-            v[n + site] ^= 1
-    return v
+def _xor_solve(vectors: list[int], target: int) -> list[int] | None:
+    """Indices of ``vectors`` whose XOR is ``target``, or ``None``.
 
+    The vectors enter an XOR basis in order, so only the earliest independent
+    ones are used, and on them the combination is unique.
+    """
+    basis: dict[int, tuple[int, int]] = {}   # leading bit -> (vector, indices)
 
-def _gf2_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of ``A x = b`` over GF(2), or ``None``."""
-    A = A.copy() % 2
-    b = b.copy() % 2
-    rows, cols = A.shape
-    piv_col_of_row: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        A[[r, pivot]] = A[[pivot, r]]
-        b[[r, pivot]] = b[[pivot, r]]
-        for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] ^= A[r]
-                b[rr] ^= b[r]
-        piv_col_of_row.append(c)
-        r += 1
-        if r == rows:
-            break
-    if np.any(b[r:]):
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for rr, c in enumerate(piv_col_of_row):
-        x[c] = b[rr]
-    return x
+    def reduce(v: int, used: int) -> tuple[int, int]:
+        while v and (v.bit_length() - 1) in basis:
+            bv, bused = basis[v.bit_length() - 1]
+            v, used = v ^ bv, used ^ bused
+        return v, used
+
+    for i, v in enumerate(vectors):
+        v, used = reduce(v, 1 << i)
+        if v:
+            basis[v.bit_length() - 1] = (v, used)
+    rest, used = reduce(target, 0)
+    return None if rest else [i for i in range(len(vectors)) if used >> i & 1]
 
 
 def dual_site_offsets(model: DualModel) -> tuple[list[int], dict[int, int]]:
@@ -226,13 +204,16 @@ def map_operator(model: DualModel, ps) -> "PauliString":
             alpha = ps.phase / gen.phase
             return PauliString(img.factors, phase=img.phase * alpha)
 
-    A = np.array([_symplectic(gen, n) for gen in generators], dtype=np.uint8).T
-    x = _gf2_solve(A, _symplectic(ps, n))
-    if x is None:
+    def bits(p) -> int:   # X/Y sites, then Y/Z sites above them
+        flip, sign, _ = p.masks()
+        return flip | sign << n
+
+    used = _xor_solve([bits(gen) for gen in generators], bits(ps))
+    if used is None:
         raise NotMappable("operator is outside the mapped algebra")
     prod2d = PauliString(())
     imgd = PauliString(())
-    for gi in np.nonzero(x)[0]:
+    for gi in used:
         prod2d = prod2d * generators[gi]
         imgd = imgd * images[gi]
     # the generator product can differ from ps by a sign only

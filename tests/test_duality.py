@@ -1,7 +1,9 @@
 """Chain decomposition, operator mapping, and sector-resolved spectra."""
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from plaqising.duality import (
     sector_chain_specs,
     _dense_chain_levels,
     _tensor_sum,
+    _xor_solve,
 )
 from plaqising.ed import (
     HamiltonianSpec,
@@ -345,6 +348,31 @@ def test_unmappable_operators_raise():
         map_operator(model, PauliString(((0, "Z"),)))
     with pytest.raises(NotMappable):
         map_operator(model, PauliString(((2, "Y"),)))
+
+
+def _xor(vectors) -> int:
+    return functools.reduce(operator.xor, vectors, 0)
+
+
+def _span(vectors) -> set[int]:
+    return {_xor(c) for r in range(len(vectors) + 1)
+            for c in itertools.combinations(vectors, r)}
+
+
+def test_xor_solve_hits_the_target_exactly_when_it_is_in_the_span():
+    # map_operator's phases rest on this: the answer uses only the earliest
+    # independent vectors, the ones a column-pivoted elimination keeps
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        width, count = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+        vectors = [int(v) for v in rng.integers(0, 1 << width, size=count)]
+        target = int(rng.integers(0, 1 << width))
+        used = _xor_solve(vectors, target)
+        assert (used is None) == (target not in _span(vectors))
+        if used is not None:
+            assert used == sorted(set(used))
+            assert _xor(vectors[i] for i in used) == target
+            assert all(vectors[i] not in _span(vectors[:i]) for i in used)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ suites; here the focus is orchestration: config handling, fit plumbing,
 verdict flags, file layout, determinism, and exit codes.
 """
 
+import argparse
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 import scipy
 
 import plaqising
+from plaqising import cli
 from plaqising.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -324,8 +326,9 @@ def test_cli_too_few_points_is_bad_input(tmp_path, capsys, argv, ini):
     ["no-such-command"],
 ], ids=["int-flag-text", "route-choice", "int-flag-float", "unknown-command"])
 def test_cli_malformed_flag_is_bad_input(tmp_path, capsys, argv):
-    # a flag argparse cannot parse is bad input (exit 1), as the same value
-    # in an INI file is; exit 2 stays reserved for numerical failure
+    # a flag value that does not read, or a choice outside its list, is bad
+    # input (exit 1), as the same value in an INI file is; exit 2 stays
+    # reserved for numerical failure
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
@@ -525,3 +528,89 @@ def test_cli_gap_scaling_list_flags(tmp_path):
     assert side["config"]["sizes"] == [8, 16, 32]
     assert side["results"]["slope_in_band"] is True
     assert side["results"]["ed_checks_ok"] is True
+
+
+@pytest.mark.parametrize("ini", [
+    "rows = 3\n",
+    "[sweep]\nrows = 3\nrows = 4\n",
+    "[sweep]\nrows\n",
+], ids=["no-section-header", "duplicate-key", "key-without-equals"])
+def test_cli_malformed_ini_file_is_bad_input(tmp_path, capsys, ini):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,ini,field", [
+    (["sweep", "--config", "{ini}"], "[sweep]\nrows = 3.0\n", "rows"),
+    (["sweep", "--rows", "3.0"], "", "rows"),
+    (["gap-scaling", "--config", "{ini}"], "[gap-scaling]\nsizes = 8, x\n", "sizes"),
+    (["gap-scaling", "--sizes", "8", "x"], "", "sizes"),
+], ids=["ini-int", "flag-int", "ini-tuple", "flag-tuple"])
+def test_cli_unreadable_value_names_its_field(tmp_path, capsys, argv, ini, field):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    argv = [str(path) if a == "{ini}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_cli_unknown_ini_key_is_invalid_spec(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[crit-corr]\nlenght = 512\n")
+    args = cli._build_parser().parse_args(["crit-corr", "--config", str(ini)])
+    with pytest.raises(InvalidSpec, match="lenght"):
+        cli._resolve_config(args)
+
+
+def test_cli_option_strings_per_subcommand():
+    common = {"-h", "--help", "--config", "--out", "--format"}
+    expected = {
+        "sweep": {"--rows", "--cols", "--steps", "--string-steps",
+                  "--plaquettes", "--route"},
+        "gap-scaling": {"--sizes", "--g", "--h", "--ed-sizes", "--tol"},
+        "crit-corr": {"--length", "--n-max", "--tol"},
+        "exponents": {"--length", "--separation", "--string-length"},
+        "duality-check": {"--rows", "--cols", "--g", "--h", "--boundary",
+                          "--literal", "--tol"},
+    }
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(expected)
+    for command, parser in subparsers.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert flags == common | expected[command], command
+
+
+# a text each flag can take that differs from its field's default
+_FLAG_SAMPLES = {"int": ["5"], "float": ["0.25"], "tuple[int, ...]": ["8", "16"],
+                 "route": ["dual"], "boundary": ["open"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in cli._FLAGS.items() for flag in flags])
+def test_cli_flag_and_ini_key_give_the_same_config(tmp_path, command, flag):
+    name = cli._FLAGS[command][1][flag]
+    annotation = cli._field_types(command)[name]
+    if flag in cli._SWITCHES:
+        argv, text = [flag], cli._SWITCHES[flag]
+    else:
+        words = _FLAG_SAMPLES.get(name) or _FLAG_SAMPLES[annotation]
+        argv, text = [flag, *words], ", ".join(words)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{name.replace('_', '-')} = {text}\n")
+    parse = cli._build_parser().parse_args
+    from_flag, _ = cli._resolve_config(parse([command, *argv]))
+    from_ini, _ = cli._resolve_config(parse([command, "--config", str(ini)]))
+    default, _ = cli._resolve_config(parse([command]))
+    assert from_flag == from_ini
+    assert config_digest(from_flag) == config_digest(from_ini)
+    changed = {k for k, v in vars(from_flag).items() if getattr(default, k) != v}
+    assert changed == {name}
