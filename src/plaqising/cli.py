@@ -169,6 +169,9 @@ def _resolve_config(args: argparse.Namespace):
         ini = configparser.ConfigParser()
         try:
             ini.read_string(Path(args.config).read_text(), source=args.config)
+            if ini.defaults():  # configparser would read them into every section
+                raise InvalidSpec(f"{args.config}: [DEFAULT] is not supported; "
+                                  f"put its keys in [{args.command}]")
             if args.command in ini:
                 text = {k.replace("-", "_"): v for k, v in ini[args.command].items()}
         except configparser.Error as exc:

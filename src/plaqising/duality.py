@@ -200,15 +200,11 @@ def map_operator(model: DualModel, ps) -> "PauliString":
         images.append(PauliString(((offsets[ci] + k, "X"),)))
 
     for gen, img in zip(generators, images):
-        if gen.factors == ps.factors:
-            alpha = ps.phase / gen.phase
-            return PauliString(img.factors, phase=img.phase * alpha)
+        if (gen.x, gen.z) == (ps.x, ps.z):
+            return img * PauliString(phase=ps.phase / gen.phase)
 
-    def bits(p) -> int:   # X/Y sites, then Y/Z sites above them
-        flip, sign, _ = p.masks()
-        return flip | sign << n
-
-    used = _xor_solve([bits(gen) for gen in generators], bits(ps))
+    # one int per string: its X/Y sites, then its Y/Z sites above them
+    used = _xor_solve([gen.x | gen.z << n for gen in generators], ps.x | ps.z << n)
     if used is None:
         raise NotMappable("operator is outside the mapped algebra")
     prod2d = PauliString(())
@@ -216,11 +212,11 @@ def map_operator(model: DualModel, ps) -> "PauliString":
     for gi in used:
         prod2d = prod2d * generators[gi]
         imgd = imgd * images[gi]
-    # the generator product can differ from ps by a sign only
-    if prod2d.factors != ps.factors:
+    # the generator product can differ from ps by a phase only, unless ps
+    # reaches site n or beyond, where its int aliases a string on the lattice
+    if (prod2d.x, prod2d.z) != (ps.x, ps.z):
         raise NotMappable("operator is outside the mapped algebra")
-    alpha = ps.phase / prod2d.phase
-    return PauliString(imgd.factors, phase=imgd.phase * alpha)
+    return imgd * PauliString(phase=ps.phase / prod2d.phase)
 
 
 # ----------------------------------------------------------------------

@@ -107,13 +107,15 @@ def hamiltonian_terms(hs: HamiltonianSpec) -> list[tuple[float, PauliString]]:
 def _pauli_kernel(ids: np.ndarray, ps: PauliString):
     """The one bit kernel: ``P |b> = pref * signs[b] |perm[b]>`` for ``b`` in ``ids``.
 
-    ``perm = ids ^ flip`` and ``signs = (-1)^popcount(ids & sign_mask)``
-    (see :meth:`PauliString.masks`), so ``P v = pref * (signs * v)[perm]``.
+    With ``x`` and ``z`` the string's X/Y and Y/Z site masks,
+    ``perm = ids ^ x`` and ``signs = (-1)^popcount(ids & z)``, and ``pref``
+    is the phase times ``i`` per Y site (see :meth:`PauliString.masks`), so
+    ``P v = pref * (signs * v)[perm]``.
     """
-    flip, sign_mask, pref = ps.masks()
-    perm = ids ^ np.uint64(flip)
+    x, z, pref = ps.masks()
+    perm = ids ^ np.uint64(x)
     signs = 1.0 - 2.0 * (
-        np.bitwise_count(ids & np.uint64(sign_mask)) & np.uint64(1)
+        np.bitwise_count(ids & np.uint64(z)) & np.uint64(1)
     ).astype(np.float64)
     return perm, signs, pref
 
@@ -125,9 +127,9 @@ def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise DimensionMismatch(f"state length {dim} is not a power of two")
-    if ps.factors and max(s for s, _ in ps.factors) >= n:
+    if (ps.x | ps.z) >> n:
         raise SiteOutOfRange(
-            f"operator touches site {max(s for s, _ in ps.factors)} "
+            f"operator touches site {(ps.x | ps.z).bit_length() - 1} "
             f"but the state has only {n} spins"
         )
     perm, signs, pref = _pauli_kernel(np.arange(dim, dtype=np.uint64), ps)
@@ -151,9 +153,11 @@ class HamiltonianOperator:
     """
 
     def __init__(self, n: int, terms, basis: np.ndarray | None = None):
-        if n > LANCZOS_MAX_SPINS:
-            raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
-        self.basis = basis if basis is not None else np.arange(1 << n, dtype=np.uint64)
+        if basis is None:
+            if n > LANCZOS_MAX_SPINS:
+                raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+            basis = np.arange(1 << n, dtype=np.uint64)
+        self.basis = basis
         self._compile(n, terms)
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
@@ -166,7 +170,7 @@ class HamiltonianOperator:
             perm, signs, pref = _pauli_kernel(ids, ps)
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
-            flip = ps.masks()[0]
+            flip = ps.x
             if flip in weights:
                 weights[flip] += coeff * pref.real * signs
                 continue
@@ -200,14 +204,6 @@ class HamiltonianOperator:
 # ----------------------------------------------------------------------
 # Z2 parity blocks
 # ----------------------------------------------------------------------
-def _hadamard_rotated(ps: PauliString) -> PauliString:
-    """``U P U`` for ``U`` the Hadamard on every spin: X -> Z, Y -> -Y, Z -> X."""
-    swap = {"X": "Z", "Y": "Y", "Z": "X"}
-    n_y = sum(ax == "Y" for _, ax in ps.factors)
-    return PauliString(tuple((s, swap[ax]) for s, ax in ps.factors),
-                       ps.phase * (-1) ** n_y)
-
-
 def _parity_labels(n: int, masks, signs) -> np.ndarray:
     """Sorted labels ``b < 2^n`` with ``(-1)^popcount(b & mask) = sign`` for
     each pair; the ``2^n`` temporaries are freed before the block compiles."""
@@ -227,8 +223,7 @@ def parity_block(n: int, terms, masks, signs) -> HamiltonianOperator:
     if n > LANCZOS_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
     labels = _parity_labels(n, masks, signs)
-    rotated = [(c, _hadamard_rotated(ps)) for c, ps in terms]
-    return HamiltonianOperator(n, rotated, labels)
+    return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels)
 
 
 def _loop_masks(spec: LatticeSpec) -> list[int]:

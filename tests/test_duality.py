@@ -348,6 +348,12 @@ def test_unmappable_operators_raise():
         map_operator(model, PauliString(((0, "Z"),)))
     with pytest.raises(NotMappable):
         map_operator(model, PauliString(((2, "Y"),)))
+    # X10 X12 lies off the 9-site lattice, but its X sites 10 and 12 read
+    # as the Z sites 1 and 3 in the solver's x | z << n encoding, and Z1 Z3
+    # maps; only the check of the rebuilt product rejects it
+    map_operator(model, PauliString(((1, "Z"), (3, "Z"))))
+    with pytest.raises(NotMappable):
+        map_operator(model, PauliString(((10, "X"), (12, "X"))))
 
 
 def _xor(vectors) -> int:

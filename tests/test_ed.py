@@ -29,6 +29,7 @@ from plaqising import (
 )
 from plaqising.ed import (
     _RITZ_EVERY,
+    LANCZOS_MAX_SPINS,
     HamiltonianOperator,
     _lanczos,
     _loop_masks,
@@ -36,6 +37,7 @@ from plaqising.ed import (
     dense_matrix_from_terms,
     gap_from_levels,
     operator_ground_spectrum,
+    parity_block,
     sector_operator,
     symmetry_blocks,
 )
@@ -538,9 +540,27 @@ def test_budget_guards():
         ground_spectrum(huge)
 
 
+def _raises_too_large_before_allocating(build):
+    # one label per state would take 2^21 * 8 bytes
+    n = LANCZOS_MAX_SPINS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n)
+
+
 def test_compile_budget_is_checked_before_allocating():
-    with pytest.raises(TooLarge):
-        HamiltonianOperator(21, [(1.0, sigma_x(0))])
+    _raises_too_large_before_allocating(
+        lambda n: HamiltonianOperator(n, [(1.0, sigma_x(0))]))
+
+
+def test_parity_block_budget_is_checked_before_allocating():
+    _raises_too_large_before_allocating(
+        lambda n: parity_block(n, [(1.0, sigma_x(0))], [1], [1]))
 
 
 def test_gap_from_levels_collapses_degeneracy():

@@ -1,5 +1,7 @@
 """Pauli-string algebra against explicit 2x2 matrices (the independent oracle)."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +92,17 @@ def test_masks_reproduce_matrix_action(fs):
         expect = np.zeros(2**n, dtype=complex)
         expect[target] = amp
         np.testing.assert_allclose(col, expect, atol=1e-12)
+
+
+HADAMARD_4 = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 4)
+
+
+@given(factor_lists)
+def test_hadamard_rotation_matches_matrices(fs):
+    ps = PauliString(fs)
+    np.testing.assert_allclose(
+        dense(ps.hadamard(), 4), HADAMARD_4 @ dense(ps, 4) @ HADAMARD_4, atol=1e-12
+    )
 
 
 @given(factor_lists)

@@ -546,6 +546,30 @@ def test_cli_malformed_ini_file_is_bad_input(tmp_path, capsys, ini):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,ini", [
+    ("crit-corr", "[DEFAULT]\nrows = 3\n[crit-corr]\nlength = 64\n"),
+    ("sweep", "[DEFAULT]\nrows = 3\n"),
+    ("sweep", "[DEFAULT]\nrows = 3\n[sweep]\ncols = 3\n"),
+], ids=["beside-another-section", "no-own-section", "beside-own-section"])
+def test_cli_ini_default_section_is_bad_input(tmp_path, capsys, command, ini):
+    # configparser copies [DEFAULT] keys into every section, so they would
+    # turn up as unknown keys, be merged, or be ignored, depending on the file
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: [DEFAULT]")
+    assert not out.exists()
+
+
+def test_cli_empty_ini_default_section_is_allowed(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\n[crit-corr]\nlength = 64\n")
+    args = cli._build_parser().parse_args(["crit-corr", "--config", str(ini)])
+    assert cli._resolve_config(args)[0].length == 64
+
+
 @pytest.mark.parametrize("argv,ini,field", [
     (["sweep", "--config", "{ini}"], "[sweep]\nrows = 3.0\n", "rows"),
     (["sweep", "--rows", "3.0"], "", "rows"),
