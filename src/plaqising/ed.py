@@ -167,6 +167,9 @@ class HamiltonianOperator:
         perms: dict[int, np.ndarray] = {}    # flip mask -> row reached from each row
         weights: dict[int, np.ndarray] = {}  # flip mask -> summed weight of each row
         for coeff, ps in terms:
+            if (ps.x | ps.z) >> n:
+                raise SiteOutOfRange(f"a term touches site {(ps.x | ps.z).bit_length() - 1}"
+                                     f" of an operator on {n} spins")
             perm, signs, pref = _pauli_kernel(ids, ps)
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
@@ -218,10 +221,15 @@ def _parity_labels(n: int, masks, signs) -> np.ndarray:
 def parity_block(n: int, terms, masks, signs) -> HamiltonianOperator:
     """``sum c P`` on the block where ``prod sx`` over the sites of each
     ``masks[i]`` is ``signs[i] = +-1``, in the Hadamard frame: row ``i`` is the
-    rotated label ``op.basis[i]``.  A term that breaks a block raises
+    rotated label ``op.basis[i]``.  A sign other than one ``+-1`` per mask,
+    a mask outside the ``n`` sites or a term that breaks a block raises
     ``InvalidSpec``."""
     if n > LANCZOS_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
+    if len(signs) != len(masks) or any(s not in (1, -1) for s in signs):
+        raise InvalidSpec(f"need one +-1 sign per mask, got {tuple(signs)}")
+    if any(mask >> n for mask in masks):
+        raise InvalidSpec(f"a mask has a site outside the {n} spins")
     labels = _parity_labels(n, masks, signs)
     return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels)
 

@@ -5,9 +5,8 @@ Chain model
 ``H = -sum_j (field * tx_j + bond * tz_j tz_{j+1})`` on ``L`` sites, the
 closing bond present only for periodic chains (with an optional sign twist);
 critical at ``field = bond``, and ``bond = 0`` is a chain of free spins.
-Open chains may carry extra single-``tz`` boundary fields, which are outside
-the quadratic-fermion form and are rejected here (the dense path in
-:mod:`plaqising.duality` covers them).
+Open chains may carry extra single-``tz`` boundary fields; :func:`bdg_solve`
+refuses them, and :mod:`plaqising.duality` solves those chains dense.
 
 Fermionization conventions (fixed; every formula below assumes them):
 

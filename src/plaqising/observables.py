@@ -10,12 +10,13 @@ Two families of strings live on the anti-diagonals:
   which maps to ``prod tx`` - the dual disorder parameter.
 
 Both can be evaluated directly on a 2D eigenstate (small lattices) or through
-the free-fermion solution of the dual chain (any size, torus only - the open
-lattice's boundary fields break the quadratic form).  The direct route
-measures in one loop sector: the Hamiltonian is solved only on the states
-with a fixed eigenvalue of every conserved diagonal loop (all ``+1`` by
-default), which after a Hadamard on every spin is a fixed bit parity per
-site diagonal.  The degenerate endpoint cases (``h = 0`` topological
+the free-fermion solution of the dual chain (any size, torus only: dual
+strings on an open lattice are not implemented and raise ``NotMappable``).
+The direct route measures in one loop sector: the Hamiltonian is solved
+only on the states with a fixed eigenvalue of every conserved diagonal loop
+(all ``+1`` by default), which after a Hadamard on every spin is a fixed bit
+parity per site diagonal; the state stays in that frame, and each string is
+rotated into it.  The degenerate endpoint cases (``h = 0`` topological
 multiplet, ``g = 0`` free spins) thus measure in the all-``+1`` sector
 deterministically.
 """
@@ -116,36 +117,26 @@ def plaquette_string(
 # ----------------------------------------------------------------------
 # direct (2D exact-diagonalization) route
 # ----------------------------------------------------------------------
-def _hadamard_all(v: np.ndarray, n: int) -> np.ndarray:
-    """``U v`` by ``n`` butterfly passes, one per spin (bit ``j`` of the label)."""
-    r = np.sqrt(0.5)
-    for j in range(n):
-        v = v.reshape(-1, 2, 1 << j)
-        v = np.stack(((v[:, 0] + v[:, 1]) * r, (v[:, 0] - v[:, 1]) * r), axis=1)
-    return v.reshape(-1)
-
-
 def ground_state_for_measurement(
     hs: HamiltonianSpec, sector: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, float]:
     """``(state, energy)`` of the lowest level of one loop sector, the state
-    rotated back to a dense z-basis vector.
+    in the Hadamard frame it was solved in (the block eigenvector scattered
+    onto its rotated labels): measure a string ``P`` as
+    ``expectation(state, P.hadamard())``.
 
     ``sector`` gives the eigenvalue ``w_b = +-1`` of each conserved diagonal
     loop ``W_b`` (default all ``+1``, the sector of the global ground state).
     Where sectors are degenerate (topological multiplets at ``h = 0``, free
     spins at ``g = 0``) the label alone picks the state.
     """
-    nd = len(site_diagonals(hs.lattice))
     if sector is None:
-        sector = (1,) * nd
-    if len(sector) != nd or any(x not in (1, -1) for x in sector):
-        raise InvalidSpec(f"sector must be a +-1 tuple of length {nd}")
+        sector = (1,) * len(site_diagonals(hs.lattice))
     op = sector_operator(hs, sector)
     res = operator_ground_spectrum(op, k=1, want_vectors=True)
-    rotated = np.zeros(1 << hs.n_spins)
-    rotated[op.basis] = res.eigenvectors[:, 0]
-    return _hadamard_all(rotated, hs.n_spins), res.ground_energy
+    state = np.zeros(1 << hs.n_spins)
+    state[op.basis] = res.eigenvectors[:, 0]
+    return state, res.ground_energy
 
 
 def sx_string_expectation_ed(
@@ -154,7 +145,7 @@ def sx_string_expectation_ed(
     """``<prod sx>`` on a 2D eigenstate (ground sector by default)."""
     if state is None:
         state, _ = ground_state_for_measurement(hs)
-    return expectation(state, sx_string(hs.lattice, seg)).real
+    return expectation(state, sx_string(hs.lattice, seg).hadamard()).real
 
 
 def plaquette_string_expectation_ed(
@@ -167,7 +158,8 @@ def plaquette_string_expectation_ed(
     """``<prod F>`` on a 2D eigenstate (ground sector by default)."""
     if state is None:
         state, _ = ground_state_for_measurement(hs)
-    return expectation(state, plaquette_string(hs.lattice, start_row, start_col, r)).real
+    ps = plaquette_string(hs.lattice, start_row, start_col, r)
+    return expectation(state, ps.hadamard()).real
 
 
 # ----------------------------------------------------------------------

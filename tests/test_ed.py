@@ -41,7 +41,7 @@ from plaqising.ed import (
     sector_operator,
     symmetry_blocks,
 )
-from plaqising.errors import InvalidSpec, NotConverged
+from plaqising.errors import InvalidSpec, NotConverged, SiteOutOfRange
 from plaqising.freefermion import TFIMChainSpec, chain_terms
 from plaqising.lattice import ChainBoundary, site_diagonals
 from plaqising.pauli import sigma_x
@@ -531,7 +531,13 @@ def test_lanczos_levels_are_levels_but_not_distinct():
         assert np.min(np.abs(dense - v)) < 1e-9
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
+    import plaqising.ed as ed
+
+    def never(*args):
+        raise AssertionError("block labels allocated past the budget")
+
+    monkeypatch.setattr(ed, "_parity_labels", never)
     big = HamiltonianSpec(LatticeSpec(5, 4, Boundary.PERIODIC), 1.0, 1.0)
     with pytest.raises(TooLarge):
         full_spectrum(big)
@@ -561,6 +567,18 @@ def test_compile_budget_is_checked_before_allocating():
 def test_parity_block_budget_is_checked_before_allocating():
     _raises_too_large_before_allocating(
         lambda n: parity_block(n, [(1.0, sigma_x(0))], [1], [1]))
+
+
+@pytest.mark.parametrize("ps", [PauliString(((5, "Z"),)), sigma_x(5),
+                                PauliString(((70, "Z"),))],
+                         ids=["z5", "x5", "z70"])
+@pytest.mark.parametrize("basis", [None, "even"])
+def test_terms_off_the_operator_sites_are_rejected(ps, basis):
+    # on 3 spins: a Z on site 5 would act as the identity, an X there would
+    # leave the basis, and site 70 would overflow the uint64 masks
+    labels = None if basis is None else np.array([0, 3, 5, 6], dtype=np.uint64)
+    with pytest.raises(SiteOutOfRange):
+        HamiltonianOperator(3, [(1.0, sigma_x(0) * sigma_x(1)), (1.0, ps)], labels)
 
 
 def test_gap_from_levels_collapses_degeneracy():

@@ -40,7 +40,7 @@ from plaqising.observables import (
     sx_string_expectation_ed,
 )
 from plaqising.pauli import sigma_x
-from plaqising.ed import _loop_masks, _parity_labels
+from plaqising.ed import _loop_masks, _parity_labels, parity_block, sector_operator
 from plaqising.observables import _dual_chain_solution
 
 
@@ -103,7 +103,8 @@ def test_measurement_state_is_an_unbiased_eigenstate():
     hs = torus(3, 3, 0.8, 1.1)
     state, energy = ground_state_for_measurement(hs)
     assert np.linalg.norm(state) == pytest.approx(1.0)
-    hv = HamiltonianOperator(hs.n_spins, hamiltonian_terms(hs)).matvec(state)
+    rotated = [(c, ps.hadamard()) for c, ps in hamiltonian_terms(hs)]
+    hv = HamiltonianOperator(hs.n_spins, rotated).matvec(state)
     e = float(state @ hv)
     assert np.linalg.norm(hv - e * state) < 1e-7
     assert energy == pytest.approx(e, abs=1e-10)
@@ -130,7 +131,7 @@ def test_excited_sector_ground_state():
     model = map_hamiltonian(hs)
     assert energy == pytest.approx(assemble_sector_spectrum(model, sector)[0])
     for b, wb in enumerate(sector):
-        w = expectation(state, diagonal_loop_operator(hs.lattice, b)).real
+        w = expectation(state, diagonal_loop_operator(hs.lattice, b).hadamard()).real
         assert abs(w - wb) < 1e-10, b
 
 
@@ -157,8 +158,15 @@ def test_measurement_state_budget_is_checked_before_allocating(monkeypatch):
 
 
 def test_sector_label_validation():
-    with pytest.raises(InvalidSpec):
-        ground_state_for_measurement(torus(3, 3), sector=(1, 1))
+    # one +-1 label per loop; zip would truncate the masks to a short tuple
+    hs = torus(3, 3)
+    for sector in ((1, 1), (0, 1, 1), (2, 1, 1), (1, 1, 1, 1)):
+        with pytest.raises(InvalidSpec):
+            ground_state_for_measurement(hs, sector=sector)
+        with pytest.raises(InvalidSpec):
+            sector_operator(hs, sector)
+    with pytest.raises(InvalidSpec):  # a loop mask with a site past the 9 spins
+        parity_block(hs.n_spins, hamiltonian_terms(hs), [1 << hs.n_spins], [1])
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +247,8 @@ def test_strings_on_the_4x4_torus():
 def test_local_sx_is_uniform_and_matches_the_dual_bond():
     hs = torus(3, 3, 1.3, 1.0)
     state, _ = ground_state_for_measurement(hs)
-    prof = np.array([expectation(state, sigma_x(j)).real for j in range(hs.n_spins)])
+    prof = np.array([expectation(state, sigma_x(j).hadamard()).real
+                     for j in range(hs.n_spins)])
     assert np.ptp(prof) < 1e-8
     model = map_hamiltonian(hs)
     sol = _dual_chain_solution(model, 0)

@@ -117,6 +117,17 @@ def test_coupling_sweep_dual_route_matches_ed():
         assert math.isnan(b["energy"])  # no state is built on this route
 
 
+def test_default_sweep_routes_agree_at_every_step():
+    # the default sweep (4x4 torus, 11 steps): the ED route, measured in
+    # the loop sector's Hadamard frame, against the dual chains
+    rows_ed, _ = run_coupling_sweep(CouplingSweepConfig())
+    rows_dual, _ = run_coupling_sweep(CouplingSweepConfig(route="dual"))
+    assert len(rows_ed) == len(rows_dual) == 11
+    for a, b in zip(rows_ed, rows_dual):
+        assert abs(a["phi1"] - b["phi1"]) <= 1e-12, a["step"]
+        assert abs(a["phi2"] - b["phi2"]) <= 1e-12, a["step"]
+
+
 def test_coupling_sweep_validation():
     with pytest.raises(InvalidSpec):
         run_coupling_sweep(CouplingSweepConfig(steps=1))
