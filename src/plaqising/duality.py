@@ -265,10 +265,14 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
     ``parity = 0`` takes the whole ``2^L`` space.  The block is solved in
     its :func:`~plaqising.ed.symmetry_blocks`: reversal splits every ring
     and every open chain whose edge fields are mirror images, and the
-    half-shift further splits every even untwisted ring; those pieces are
-    filled from the compiled operator, and only an open chain without the
-    mirror symmetry is densified whole.  ``TooLarge`` comes above the dense
-    spin budget before anything is allocated.
+    half-shift further splits every even untwisted ring.  On an even
+    twisted ring the half-shift times ``prod tx`` over sites ``L/2 .. L-1``
+    carries the twisted bond onto itself; it squares to the spin flip, so
+    it splits the ``parity = +1`` block and leaves the ``-1`` block in its
+    two mirror halves.  The pieces are filled from the compiled operator,
+    and only an open chain without the mirror symmetry is densified whole.
+    ``TooLarge`` comes above the dense spin budget before anything is
+    allocated.
     """
     masks, signs = (((1 << sp.length) - 1,), (parity,)) if parity else ((), ())
     blocks = symmetry_blocks(sp.length, chain_terms(sp), masks, signs)

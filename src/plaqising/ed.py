@@ -19,7 +19,10 @@ themselves (:func:`_is_symmetry`) save work twice: the spectra solve one
 loop sector per column-translation orbit (:func:`_sector_orbits`), and
 reversal and the half-shift split a block into dense symmetry blocks filled
 straight from its compiled operator (:func:`symmetry_blocks`); only a block
-with no such symmetry is densified whole.
+with no such symmetry is densified whole.  The half-shift may also come
+times a ``prod sx`` gauge string, a signed permutation of the rotated
+labels: it carries a ring's sign-twisted closing bond onto itself and
+splits the block where it squares to one, i.e. in spin-flip parity +1.
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
@@ -448,10 +451,14 @@ def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
 
 def _dense_block(n: int, terms, masks, signs) -> HamiltonianOperator:
     """The compiled block that :func:`dense_matrix_from_terms` densifies;
-    ``TooLarge`` above ``DENSE_MAX_SPINS`` comes before any allocation."""
+    ``TooLarge`` above ``DENSE_MAX_SPINS`` and the label check of
+    :func:`parity_block` (also for signs without masks) come before any
+    allocation."""
     if n > DENSE_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {DENSE_MAX_SPINS}-spin dense budget")
-    return parity_block(n, terms, masks, signs) if masks else HamiltonianOperator(n, terms)
+    if masks or signs:
+        return parity_block(n, terms, masks, signs)
+    return HamiltonianOperator(n, terms)
 
 
 def dense_matrix_from_terms(
@@ -461,7 +468,8 @@ def dense_matrix_from_terms(
 
     With no ``masks`` it is the whole ``2^n`` space in the z basis; with
     them, the :func:`parity_block` that ``masks`` and ``signs`` select, in
-    the Hadamard frame.  ``TooLarge`` comes before any allocation.
+    the Hadamard frame.  ``TooLarge``, and ``InvalidSpec`` for other than
+    one sign per mask, come before any allocation.
     """
     return _dense_block(n, terms, masks, signs).dense()
 
@@ -474,59 +482,92 @@ def _permute_bits(labels: np.ndarray, perm) -> np.ndarray:
     return out
 
 
-def _is_symmetry(perm, terms, masks, signs) -> bool:
-    """Whether the site permutation ``j -> perm[j]`` maps the term list onto
-    itself, coefficients included, and the set of ``(mask, sign)`` pairs onto
-    itself."""
-    moved = Counter((c, PauliString(tuple((perm[s], ax) for s, ax in ps.factors),
-                                    ps.phase)) for c, ps in terms)
+def _is_symmetry(perm, terms, masks, signs, gauge: PauliString = PauliString()) -> bool:
+    """Whether ``g = gauge * T``, ``T`` the site permutation ``j -> perm[j]``,
+    maps the term list onto itself, coefficients included, and the set of
+    ``(mask, sign)`` pairs onto itself.  The gauge is a ``prod sx`` string:
+    it commutes with every mask and flips the sign of each moved term that
+    it anticommutes with."""
+    moved = Counter()
+    for c, ps in terms:
+        image = PauliString(tuple((perm[s], ax) for s, ax in ps.factors), ps.phase)
+        moved[c if gauge.commutes_with(image) else -c, image] += 1
     image = _permute_bits(np.asarray(masks, dtype=np.uint64), perm).tolist()
     return moved == Counter(terms) and set(zip(image, signs)) == set(zip(masks, signs))
 
 
 def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
-    """The :func:`dense_matrix_from_terms` block, split by the group ``G`` of
-    site permutations generated by reversal ``j -> n - 1 - j`` and, for even
-    ``n``, the half-shift ``j -> j + n/2 mod n``, each where it is an exact
-    symmetry of the block (:func:`_is_symmetry`).
+    """The :func:`dense_matrix_from_terms` block, split by the group ``G``
+    generated by those of three candidates that are exact symmetries of the
+    block (:func:`_is_symmetry`): reversal ``j -> n - 1 - j`` and, for even
+    ``n``, the half-shift ``j -> j + n/2 mod n``, plain and times ``prod sx``
+    over sites ``n/2 .. n-1``, which carries a sign-twisted closing bond
+    onto itself.
 
-    The generators commute and square to one, so each real character ``chi``
-    of ``G`` gets one block on the orbit representatives ``a`` (least rows;
-    the Hadamard frame commutes with site permutations) whose stabilizer
-    ``chi`` does not annihilate: ``B[a, b] = sqrt(|O_a| |O_b|) / |G| *
-    sum_g chi(g) H[a, g b]``; with reversal alone, the even and odd halves.
-    The blocks hold every level of the block; without a symmetry the list is
-    the one whole block.  Where a symmetry applies the whole block is never
-    built: each ``B`` is summed from the compiled operator's diagonal and
-    merged gathers at the representative rows (at most one entry per flip
-    mask), the entry ``H[a, c]`` landing on ``b``, the representative of
-    ``c = g b``, with weight ``chi(g) sqrt(|Stab_b| / |Stab_a|)``.
+    On the block's rows each candidate ``g`` is a signed permutation
+    ``g |b> = s_g(b) |g b>``: the site permutation, then the gauge string
+    (in the Hadamard frame a ``prod sx`` is the bit parity of ``b`` on its
+    sites).  It joins ``G`` only where it squares to one and commutes with
+    every element already in ``G``, both checked on the rows and signs, and
+    not where it equals one of them (on 2 sites the half-shift is the
+    reversal).  The gauged half-shift squares to the all-sites flip, so it
+    splits a twisted ring's parity +1 block and is refused in the parity -1
+    one.
+
+    ``G`` is abelian and every element squares to one, so each real
+    character ``chi`` gets one block on the orbit representatives ``a``
+    (least rows; site permutations commute with the Hadamard frame) at which ``chi(g) s_g(a) = 1`` for every ``g`` of the
+    stabilizer: ``B[a, b] = sqrt(|O_a| |O_b|) / |G| * sum_g chi(g) s_g(b)
+    H[a, g b]``; with reversal alone, the even and odd halves.  The blocks
+    hold every level of the block; without a symmetry the list is the one
+    whole block.  Where a symmetry applies the whole block is never built:
+    each ``B`` is summed from the compiled operator's diagonal and merged
+    gathers at the representative rows (at most one entry per flip mask),
+    the entry ``H[a, c]`` landing on ``b``, the representative of ``c = g
+    b``, with weight ``chi(g) s_g(c) sqrt(|Stab_b| / |Stab_a|)``.
     """
-    candidates = [[n - 1 - j for j in range(n)]]
-    if n % 2 == 0 and n > 2:  # on 2 sites the half-shift is the reversal
-        candidates.append([(j + n // 2) % n for j in range(n)])
-    gens = [p for p in candidates if _is_symmetry(p, terms, masks, signs)]
+    candidates = [([n - 1 - j for j in range(n)], PauliString())]
+    if n % 2 == 0:
+        shift = [(j + n // 2) % n for j in range(n)]
+        upper = PauliString(tuple((j, "X") for j in range(n // 2, n)))
+        candidates += [(shift, PauliString()), (shift, upper)]
+    gens = [(perm, gauge) for perm, gauge in candidates
+            if _is_symmetry(perm, terms, masks, signs, gauge)]
     if not gens:
         return [dense_matrix_from_terms(n, terms, masks, signs)]
     op = _dense_block(n, terms, masks, signs)
     orbit = np.arange(op.dim)[None]           # orbit[g, i]: the row g sends row i to
-    for p in gens:                            # bit i of g: generator i applied
-        row = np.searchsorted(op.basis, _permute_bits(op.basis, p))
+    sign = np.ones((1, op.dim))               # sign[g, i]: its sign s_g(i)
+    for perm, gauge in gens:                  # bit i of g: generator i applied
+        # the gauge in the block's frame: Hadamard for a parity block, z basis
+        # for the whole space
+        labels, s, _ = _pauli_kernel(_permute_bits(op.basis, perm),
+                                     gauge.hadamard() if masks else gauge)
+        row = np.searchsorted(op.basis, labels)
+        # refuse g unless it squares to one, commutes with every element so
+        # far and is none of them
+        if (np.any(row[row] != orbit[0]) or np.any(s * s[row] < 0)
+                or np.any(orbit[:, row] != row[orbit])
+                or np.any(sign[:, row] * s != s[orbit] * sign)
+                or np.any(np.all(orbit == row, axis=1) & np.all(sign == s, axis=1))):
+            continue
+        sign = np.concatenate([sign, s[orbit] * sign])
         orbit = np.concatenate([orbit, row[orbit]])
     # every g is an involution, so the g that sends a row to its
-    # representative also sends the representative back to the row
+    # representative also sends the representative back to the row, with
+    # the same sign
     rep_of, g_of = orbit.min(axis=0), orbit.argmin(axis=0)
     reps = np.flatnonzero(rep_of == np.arange(op.dim))
     fixed = orbit[:, reps] == reps            # g stabilizes representative a
     scale = 1.0 / np.sqrt(fixed.sum(axis=0))  # sqrt(|O_a| / |G|)
     group = np.arange(len(orbit))
     chi = 1.0 - 2.0 * (np.bitwise_count(group[:, None] & group) & 1)  # chi[t, g]
-    keep = ~np.any(fixed & (chi[:, :, None] < 0), axis=1)  # keep[t, a]
+    keep = ~np.any(fixed & (chi[:, :, None] * sign[:, reps] < 0), axis=1)  # keep[t, a]
     # H[a, c] for each representative a: its diagonal, then one entry per gather
     cols = np.stack([reps] + [perm[reps] for perm, _ in op._gathers])
     vals = np.stack([op._diag[reps]] + [wp[reps] for _, wp in op._gathers])
     target = np.searchsorted(reps, rep_of[cols])
-    vals *= scale / scale[target]
+    vals *= scale / scale[target] * sign[g_of[cols], cols]
     blocks = []
     for t in group[keep.any(axis=1)]:
         pos, m = np.cumsum(keep[t]) - 1, int(keep[t].sum())

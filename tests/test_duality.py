@@ -202,11 +202,12 @@ def test_dense_chain_levels_never_densify_the_ring(monkeypatch, parity):
                                rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("length", [9, 10])
+@pytest.mark.parametrize("length", [9, 10, 12])
 @pytest.mark.parametrize("parity", [1, -1])
 def test_dense_chain_levels_of_twisted_rings_match_the_fermions(length, parity):
-    # the twisted closing bond maps onto itself under reversal, so these
-    # blocks are solved in their two mirror halves
+    # the twisted closing bond maps onto itself under reversal and, on even
+    # rings, under the half-shift times prod tx over one half; that second
+    # symmetry squares to the spin flip, so it splits the parity +1 blocks
     sp = TFIMChainSpec(length, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
     np.testing.assert_allclose(_dense_chain_levels(sp, parity),
                                ring_sector_levels(sp, parity), rtol=0, atol=1e-10)

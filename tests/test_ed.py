@@ -31,6 +31,7 @@ from plaqising.ed import (
     _RITZ_EVERY,
     LANCZOS_MAX_SPINS,
     HamiltonianOperator,
+    _is_symmetry,
     _lanczos,
     _loop_masks,
     _sector_orbits,
@@ -365,7 +366,9 @@ def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
 
 @pytest.mark.parametrize("twist, sizes", [
     (1, [(560, 496, 496, 496), (512, 512, 512, 512)]),
-    (-1, [(1056, 992), (1024, 1024)]),   # the twisted bond breaks the half-shift
+    # the gauged half-shift carries the twisted bond onto itself; it squares
+    # to the spin-flip parity, so only the parity +1 block splits four ways
+    (-1, [(544, 480, 512, 512), (1024, 1024)]),
 ], ids=["untwisted", "twisted"])
 def test_symmetry_blocks_split_the_12_site_ring(twist, sizes):
     ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
@@ -392,40 +395,52 @@ def test_symmetry_blocks_reject_the_half_shift_on_3x4():
 
 def _symmetry_blocks_oracle(n, terms, masks, signs, gens):
     """The block densified, then per real character chi of the group that
-    ``gens`` generate: B = sqrt(|O_a| |O_b|) / |G| sum_g chi(g) H[a, g b],
-    summed as whole ``np.ix_`` gathers of the dense block."""
+    the signed ``gens`` generate: B = sqrt(|O_a| |O_b|) / |G| sum_g chi(g)
+    s_g(b) H[a, g b], summed as whole ``np.ix_`` gathers of the dense block.
+    A generator ``(perm, gauge)`` moves the sites, then applies ``prod tx``
+    over the sites of ``gauge``: in the Hadamard frame the sign
+    ``(-1)^popcount(b & gauge)`` of the moved label ``b``."""
     H = dense_matrix_from_terms(n, terms, masks, signs)
     labels = np.array([b for b in range(2**n) if all(
         bin(b & m).count("1") % 2 == (s == -1) for m, s in zip(masks, signs))])
-    orbit = []                                # orbit[g][i]: the row g sends row i to
+    orbit, sign = [], []                      # row g sends row i to, and its sign
     for g in range(2 ** len(gens)):           # bit i of g: generator i applied
-        moved = labels
-        for i, perm in enumerate(gens):
+        moved, s_g = labels, np.ones(len(labels))
+        for i, (perm, gauge) in enumerate(gens):
             if g >> i & 1:
+                assert masks or not gauge     # a gauge is diagonal in this frame only
                 moved = sum(((moved >> j) & 1) << k for j, k in enumerate(perm))
+                s_g = s_g * np.array([(-1) ** bin(b & gauge).count("1") for b in moved])
         orbit.append(np.searchsorted(labels, moved))
+        sign.append(s_g)
     orbit = np.array(orbit)
     reps = np.array([i for i in range(len(labels)) if orbit[:, i].min() == i])
     stab = [np.flatnonzero(orbit[:, a] == a) for a in reps]
     blocks = []
     for t in range(len(orbit)):
         chi = [(-1) ** bin(t & g).count("1") for g in range(len(orbit))]
-        kept = [i for i, st in enumerate(stab) if all(chi[g] == 1 for g in st)]
+        kept = [i for i, st in enumerate(stab)
+                if all(chi[g] * sign[g][reps[i]] == 1 for g in st)]
         if not kept:
             continue
         rows = reps[kept]
         size = len(orbit) / np.array([len(stab[i]) for i in kept])  # |O_a|
-        B = sum(chi[g] * H[np.ix_(rows, orbit[g][rows])] for g in range(len(orbit)))
+        B = sum(chi[g] * H[np.ix_(rows, orbit[g][rows])] * sign[g][rows]
+                for g in range(len(orbit)))
         blocks.append(B * np.sqrt(np.outer(size, size)) / len(orbit))
     return blocks
 
 
 def _reversal(n):
-    return [n - 1 - j for j in range(n)]
+    return [n - 1 - j for j in range(n)], 0
 
 
 def _half_shift(n):
-    return [(j + n // 2) % n for j in range(n)]
+    return [(j + n // 2) % n for j in range(n)], 0
+
+
+def _gauged_half_shift(n):
+    return _half_shift(n)[0], (1 << n) - (1 << n // 2)
 
 
 def _torus_sector(rows, cols, w):
@@ -446,7 +461,7 @@ _SYMMETRY_CASES = {
     "3x4-": (_torus_sector(3, 4, (-1,)), [_reversal(12)]),
     "ring+": (_ring_parity_block(1, 1), [_reversal(12), _half_shift(12)]),
     "ring-": (_ring_parity_block(1, -1), [_reversal(12), _half_shift(12)]),
-    "twisted+": (_ring_parity_block(-1, 1), [_reversal(12)]),
+    "twisted+": (_ring_parity_block(-1, 1), [_reversal(12), _gauged_half_shift(12)]),
     "twisted-": (_ring_parity_block(-1, -1), [_reversal(12)]),
     "open": ((10, chain_terms(TFIMChainSpec(
         10, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, edge_fields=((0, 1.0), (9, 1.0)))),
@@ -464,7 +479,7 @@ def test_symmetry_blocks_match_the_dense_gather_sums(case):
         np.testing.assert_allclose(B, ref, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("case", ["4x3+", "ring+"])
+@pytest.mark.parametrize("case", ["4x3+", "ring+", "twisted+"])
 def test_symmetry_blocks_never_build_the_whole_block(case):
     # the 2048-state block would take 2048^2 * 8 bytes dense
     (n, terms, masks, signs), _ = _SYMMETRY_CASES[case]
@@ -475,6 +490,48 @@ def test_symmetry_blocks_never_build_the_whole_block(case):
     finally:
         tracemalloc.stop()
     assert peak < 2048**2 * 8
+
+
+def test_symmetry_blocks_refuse_the_gauged_half_shift_at_odd_parity():
+    # the gauged half-shift is a symmetry of the twisted ring's terms, but it
+    # squares to the spin flip, -1 in this block: only reversal splits it
+    n, terms, masks, signs = _ring_parity_block(-1, -1)
+    tx_upper_half = PauliString(tuple((j, "X") for j in range(n // 2, n)))
+    assert _is_symmetry(_half_shift(n)[0], terms, masks, signs, tx_upper_half)
+    blocks = symmetry_blocks(n, terms, masks, signs)
+    assert [H.shape[0] for H in blocks] == [1024, 1024]
+    _halves_hold_the_block(blocks, n, terms, masks, signs)
+
+
+@pytest.mark.parametrize("parity, sizes", [(1, [16, 16]), (-1, [32])])
+def test_symmetry_blocks_check_the_square_of_a_lone_gauged_half_shift(parity, sizes):
+    # fields of period 3 on a twisted 6-site ring break reversal but keep the
+    # gauged half-shift, which alone must square to one to split a block
+    n = 6
+    terms = [(-(1.0 + j % 3), sigma_x(j)) for j in range(n)]
+    terms += [(-1.0 if j < n - 1 else 1.0, PauliString(((j, "Z"), ((j + 1) % n, "Z"))))
+              for j in range(n)]
+    masks, signs = ((1 << n) - 1,), (parity,)
+    blocks = symmetry_blocks(n, terms, masks, signs)
+    assert [H.shape[0] for H in blocks] == sizes
+    _halves_hold_the_block(blocks, n, terms, masks, signs)
+
+
+@pytest.mark.parametrize("build", [dense_matrix_from_terms, symmetry_blocks])
+@pytest.mark.parametrize("masks, signs", [((), (-1,)), ((3,), ()), ((3,), (1, 1))],
+                         ids=["signs-without-masks", "masks-without-signs", "extra-sign"])
+def test_unpaired_block_labels_are_rejected_before_allocating(build, masks, signs):
+    # an empty masks once sent the signs' block to the whole z-basis space;
+    # its 2^14 labels alone would take 2^14 * 8 bytes
+    terms = chain_terms(TFIMChainSpec(14, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec):
+            build(14, terms, masks, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 14) * 8
 
 
 def test_sector_orbits_follow_the_column_translation():
