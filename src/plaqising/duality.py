@@ -263,20 +263,23 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
     The flip is ``prod tx`` over all ``L`` sites, so a parity block is the
     ``parity_block`` of the single mask ``2^L - 1``, with ``2^(L-1)`` states;
     ``parity = 0`` takes the whole ``2^L`` space.  The block is solved in
-    its :func:`~plaqising.ed.symmetry_blocks`: reversal splits every ring
-    and every open chain whose edge fields are mirror images, and the
-    half-shift further splits every even untwisted ring.  On an even
-    twisted ring the half-shift times ``prod tx`` over sites ``L/2 .. L-1``
-    carries the twisted bond onto itself; it squares to the spin flip, so
-    it splits the ``parity = +1`` block and leaves the ``-1`` block in its
-    two mirror halves.  The pieces are filled from the compiled operator,
-    and only an open chain without the mirror symmetry is densified whole.
+    its momentum blocks (:func:`~plaqising.ed.symmetry_blocks`): on a ring
+    the generator is the translation ``j -> j + 1``, times ``tx`` on site 0
+    where the ring is twisted, which carries the twisted bond along; its
+    ``L``-th power is the spin flip, so a twisted ring's ``parity = -1``
+    block splits at half-odd momenta.  On an open chain it is reversal,
+    which splits the chain where its edge fields are mirror images.
     ``TooLarge`` comes above the dense spin budget before anything is
     allocated.
     """
-    masks, signs = (((1 << sp.length) - 1,), (parity,)) if parity else ((), ())
-    blocks = symmetry_blocks(sp.length, chain_terms(sp), masks, signs)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(H) for H in blocks]))
+    L = sp.length
+    masks, signs = (((1 << L) - 1,), (parity,)) if parity else ((), ())
+    if sp.boundary is ChainBoundary.PERIODIC_CHAIN:
+        step = ([(j + 1) % L for j in range(L)], 1 if sp.twist == -1 else 0)
+    else:
+        step = ([L - 1 - j for j in range(L)], 0)
+    blocks = symmetry_blocks(L, chain_terms(sp), masks, signs, step)
+    return np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(H), k) for H, k in blocks]))
 
 
 def _tensor_sum(parts: list[np.ndarray]) -> np.ndarray:

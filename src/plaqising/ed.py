@@ -16,13 +16,15 @@ so a Z2 block is a list of labels closed under the rotated terms.
 and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
 arXiv:1101.3281).  Site permutations that map the terms and masks onto
 themselves (:func:`_is_symmetry`) save work twice: the spectra solve one
-loop sector per column-translation orbit (:func:`_sector_orbits`), and
-reversal and the half-shift split a block into dense symmetry blocks filled
-straight from its compiled operator (:func:`symmetry_blocks`); only a block
-with no such symmetry is densified whole.  The half-shift may also come
-times a ``prod sx`` gauge string, a signed permutation of the rotated
-labels: it carries a ring's sign-twisted closing bond onto itself and
-splits the block where it squares to one, i.e. in spin-flip parity +1.
+loop sector per column-translation orbit (:func:`_sector_orbits`), and one
+generator from the caller, a translation on a torus or ring and reversal
+on an open lattice or chain, splits a block into its momentum blocks,
+filled straight from its compiled operator (:func:`symmetry_blocks`).  The
+generator may come times a ``prod sx`` gauge string, a signed permutation
+of the rotated labels that carries a ring's sign-twisted closing bond
+along; where its ``N``-th power is the sign -1 the momenta are half-odd.
+A block without the symmetry, or of at most ``DENSE_WHOLE_STATES``
+states, is densified whole.
 
 Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
@@ -51,6 +53,7 @@ from .errors import (
     TooLarge,
 )
 from .lattice import (
+    Boundary,
     LatticeSpec,
     enumerate_plaquettes,
     plaquette_operator,
@@ -60,6 +63,7 @@ from .pauli import PauliString, sigma_x
 
 DENSE_MAX_SPINS = 14       # full_spectrum budget
 DENSE_GROUND_STATES = 512  # operator_ground_spectrum uses Lanczos above this
+DENSE_WHOLE_STATES = 128   # symmetry_blocks densifies blocks this small whole
 LANCZOS_MAX_SPINS = 20
 DEGENERACY_TOL = 1e-8      # eigenvalues this close to E0 count as ground space
 LANCZOS_RESIDUAL_TOL = 1e-10
@@ -434,17 +438,27 @@ def operator_ground_spectrum(
 
 def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     """All 2^n eigenvalues (n <= 14), sorted, with multiplicity: a dense
-    solve of one loop-sector block per translation orbit, split by its site
-    symmetries (:func:`symmetry_blocks`), its levels repeated once per sector
-    of the orbit.  ``info`` is laid out as in :func:`ground_spectrum`; each
-    orbit's entry lists the ``"sizes"`` of the blocks it solved."""
+    solve of one loop-sector block per translation orbit, split into its
+    momentum blocks (:func:`symmetry_blocks`), its levels repeated once per
+    sector of the orbit.  The generator is the diagonal step ``(r, c) -> (r
+    - 1, c + 1)`` on a torus, which keeps every loop (order ``lcm(N, M)``:
+    12 on 4x3 and 3x4), and reversal on an open lattice.  ``info`` is laid
+    out as in :func:`ground_spectrum`; each orbit's entry lists the
+    ``"sizes"`` of the blocks it solved, each once per multiplicity, so they
+    sum to the sector's states."""
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    n, rows, cols = hs.n_spins, hs.lattice.rows, hs.lattice.cols
+    if hs.lattice.boundary is Boundary.PERIODIC:
+        step = [(s // cols - 1) % rows * cols + (s + 1) % cols for s in range(n)]
+    else:
+        step = [n - 1 - s for s in range(n)]
     levels, blocks = [], []
     for w, mult in _sector_orbits(hs):
-        split = symmetry_blocks(hs.n_spins, terms, masks, w)
-        levels.append(np.tile(np.concatenate(
-            [scipy.linalg.eigh(H, eigvals_only=True) for H in split]), mult))
-        blocks.append({"method": "dense", "sizes": [len(H) for H in split]})
+        sizes = []
+        for H, k in symmetry_blocks(n, terms, masks, w, (step, 0)):
+            levels.append(np.tile(scipy.linalg.eigh(H, eigvals_only=True), k * mult))
+            sizes += [len(H)] * k
+        blocks.append({"method": "dense", "sizes": sizes})
     return SpectrumResult(np.sort(np.concatenate(levels)),
                           info={"blocks": blocks, "sectors": 2 ** len(masks)})
 
@@ -482,99 +496,93 @@ def _permute_bits(labels: np.ndarray, perm) -> np.ndarray:
     return out
 
 
-def _is_symmetry(perm, terms, masks, signs, gauge: PauliString = PauliString()) -> bool:
+def _is_symmetry(perm, terms, masks, signs, gauge: int = 0) -> bool:
     """Whether ``g = gauge * T``, ``T`` the site permutation ``j -> perm[j]``,
     maps the term list onto itself, coefficients included, and the set of
-    ``(mask, sign)`` pairs onto itself.  The gauge is a ``prod sx`` string:
-    it commutes with every mask and flips the sign of each moved term that
-    it anticommutes with."""
+    ``(mask, sign)`` pairs onto itself.  ``gauge`` is the site mask of a
+    ``prod sx`` string: it commutes with every mask and flips the sign of
+    each moved term with an odd number of Y or Z factors on its sites."""
     moved = Counter()
     for c, ps in terms:
         image = PauliString(tuple((perm[s], ax) for s, ax in ps.factors), ps.phase)
-        moved[c if gauge.commutes_with(image) else -c, image] += 1
+        moved[-c if (image.z & gauge).bit_count() % 2 else c, image] += 1
     image = _permute_bits(np.asarray(masks, dtype=np.uint64), perm).tolist()
     return moved == Counter(terms) and set(zip(image, signs)) == set(zip(masks, signs))
 
 
-def symmetry_blocks(n: int, terms, masks=(), signs=()) -> list[np.ndarray]:
-    """The :func:`dense_matrix_from_terms` block, split by the group ``G``
-    generated by those of three candidates that are exact symmetries of the
-    block (:func:`_is_symmetry`): reversal ``j -> n - 1 - j`` and, for even
-    ``n``, the half-shift ``j -> j + n/2 mod n``, plain and times ``prod sx``
-    over sites ``n/2 .. n-1``, which carries a sign-twisted closing bond
-    onto itself.
+def symmetry_blocks(n, terms, masks=(), signs=(), generator=None
+                    ) -> list[tuple[np.ndarray, int]]:
+    """The :func:`dense_matrix_from_terms` block, split into ``(block,
+    multiplicity)`` pairs by the cyclic group of one signed site permutation
+    ``generator = (perm, gauge)``: ``g = gauge * T``, ``T`` the site
+    permutation ``j -> perm[j]``, ``gauge`` the site mask of a ``prod sx``
+    string (a twisted ring's closing bond rides along with ``sx`` on one
+    site).
 
-    On the block's rows each candidate ``g`` is a signed permutation
-    ``g |b> = s_g(b) |g b>``: the site permutation, then the gauge string
-    (in the Hadamard frame a ``prod sx`` is the bit parity of ``b`` on its
-    sites).  It joins ``G`` only where it squares to one and commutes with
-    every element already in ``G``, both checked on the rows and signs, and
-    not where it equals one of them (on 2 sites the half-shift is the
-    reversal).  The gauged half-shift squares to the all-sites flip, so it
-    splits a twisted ring's parity +1 block and is refused in the parity -1
-    one.
+    On the block's rows ``g |b> = s(b) |g b>`` (in the Hadamard frame the
+    gauge is the bit parity of ``b`` on its sites).  ``g`` is used only where
+    it is a symmetry of the block (:func:`_is_symmetry`) and its order ``N``
+    on the rows gives ``g^N = sigma``, one sign on every row.  Its characters
+    are the momenta ``theta = pi k / N`` with ``k = 2m + delta``, ``delta =
+    0`` for ``sigma = +1`` and ``1`` for ``sigma = -1``.  A representative
+    ``a`` (least row of its orbit) with period ``p`` and ``g^p |a> = sigma_a
+    |a>`` lives at ``theta`` iff ``k p = N [sigma_a = -1] (mod 2N)``, and
+    ``B[b, a] = sum_c H[c, a] t_c e^(-i theta l_c) sqrt(p_a / p_b)`` over the
+    entries of row ``a``, where ``g^(l_c) |c> = t_c |b>``.  ``H`` is real, so
+    ``theta`` and ``2 pi - theta`` share their levels: each pair is solved
+    once with multiplicity 2; ``theta`` in ``{0, pi}`` gives a real block,
+    the others complex Hermitian ones (Sandvik, arXiv:1101.3281).
 
-    ``G`` is abelian and every element squares to one, so each real
-    character ``chi`` gets one block on the orbit representatives ``a``
-    (least rows; site permutations commute with the Hadamard frame) at which ``chi(g) s_g(a) = 1`` for every ``g`` of the
-    stabilizer: ``B[a, b] = sqrt(|O_a| |O_b|) / |G| * sum_g chi(g) s_g(b)
-    H[a, g b]``; with reversal alone, the even and odd halves.  The blocks
-    hold every level of the block; without a symmetry the list is the one
-    whole block.  Where a symmetry applies the whole block is never built:
-    each ``B`` is summed from the compiled operator's diagonal and merged
-    gathers at the representative rows (at most one entry per flip mask),
-    the entry ``H[a, c]`` landing on ``b``, the representative of ``c = g
-    b``, with weight ``chi(g) s_g(c) sqrt(|Stab_b| / |Stab_a|)``.
+    The pieces are summed from the compiled operator's diagonal and merged
+    gathers at the representative rows, so the whole block is never built.
+    It comes back whole, ``[(H, 1)]``, without a generator, where ``g`` is no
+    symmetry or ``g^N`` is no one sign, and at ``2^n / 2^len(masks) <=
+    DENSE_WHOLE_STATES`` states, where splitting costs more than it saves.
     """
-    candidates = [([n - 1 - j for j in range(n)], PauliString())]
-    if n % 2 == 0:
-        shift = [(j + n // 2) % n for j in range(n)]
-        upper = PauliString(tuple((j, "X") for j in range(n // 2, n)))
-        candidates += [(shift, PauliString()), (shift, upper)]
-    gens = [(perm, gauge) for perm, gauge in candidates
-            if _is_symmetry(perm, terms, masks, signs, gauge)]
-    if not gens:
-        return [dense_matrix_from_terms(n, terms, masks, signs)]
+    if (generator is None or (1 << n) >> len(masks) <= DENSE_WHOLE_STATES
+            or not _is_symmetry(generator[0], terms, masks, signs, generator[1])):
+        return [(dense_matrix_from_terms(n, terms, masks, signs), 1)]
     op = _dense_block(n, terms, masks, signs)
-    orbit = np.arange(op.dim)[None]           # orbit[g, i]: the row g sends row i to
-    sign = np.ones((1, op.dim))               # sign[g, i]: its sign s_g(i)
-    for perm, gauge in gens:                  # bit i of g: generator i applied
-        # the gauge in the block's frame: Hadamard for a parity block, z basis
-        # for the whole space
-        labels, s, _ = _pauli_kernel(_permute_bits(op.basis, perm),
-                                     gauge.hadamard() if masks else gauge)
-        row = np.searchsorted(op.basis, labels)
-        # refuse g unless it squares to one, commutes with every element so
-        # far and is none of them
-        if (np.any(row[row] != orbit[0]) or np.any(s * s[row] < 0)
-                or np.any(orbit[:, row] != row[orbit])
-                or np.any(sign[:, row] * s != s[orbit] * sign)
-                or np.any(np.all(orbit == row, axis=1) & np.all(sign == s, axis=1))):
-            continue
-        sign = np.concatenate([sign, s[orbit] * sign])
-        orbit = np.concatenate([orbit, row[orbit]])
-    # every g is an involution, so the g that sends a row to its
-    # representative also sends the representative back to the row, with
-    # the same sign
-    rep_of, g_of = orbit.min(axis=0), orbit.argmin(axis=0)
+    # g in the block's frame: Hadamard for a parity block, z basis for the
+    # whole space
+    sites, gauge = generator
+    sx = PauliString(tuple((j, "X") for j in range(n) if gauge >> j & 1))
+    labels, s, _ = _pauli_kernel(_permute_bits(op.basis, sites),
+                                 sx.hadamard() if masks else sx)
+    row = np.searchsorted(op.basis, labels)
+    # g^k |i> = sign[k, i] |orbit[k, i]>, up to the first k = N at which g^N
+    # is diagonal
+    orbit, sign = [np.arange(op.dim)], [np.ones(op.dim)]
+    while len(orbit) == 1 or np.any(orbit[-1] != orbit[0]):
+        sign.append(sign[-1] * s[orbit[-1]])
+        orbit.append(row[orbit[-1]])
+    orbit, sign, N = np.array(orbit), np.array(sign), len(orbit) - 1
+    if np.any(sign[N] != sign[N, 0]):
+        return [(op.dense(), 1)]
+    delta = int(sign[N, 0] < 0)
+    rep_of, steps = orbit.min(axis=0), orbit.argmin(axis=0)  # steps[c] = l_c
     reps = np.flatnonzero(rep_of == np.arange(op.dim))
-    fixed = orbit[:, reps] == reps            # g stabilizes representative a
-    scale = 1.0 / np.sqrt(fixed.sum(axis=0))  # sqrt(|O_a| / |G|)
-    group = np.arange(len(orbit))
-    chi = 1.0 - 2.0 * (np.bitwise_count(group[:, None] & group) & 1)  # chi[t, g]
-    keep = ~np.any(fixed & (chi[:, :, None] * sign[:, reps] < 0), axis=1)  # keep[t, a]
-    # H[a, c] for each representative a: its diagonal, then one entry per gather
+    period = np.argmax(orbit[1:, reps] == reps, axis=0) + 1
+    odd = sign[period, reps] < 0              # sigma_a = -1
+    # H[c, a] for each representative a: its diagonal, then one entry per gather
     cols = np.stack([reps] + [perm[reps] for perm, _ in op._gathers])
     vals = np.stack([op._diag[reps]] + [wp[reps] for _, wp in op._gathers])
-    target = np.searchsorted(reps, rep_of[cols])
-    vals *= scale / scale[target] * sign[g_of[cols], cols]
+    target, shift = np.searchsorted(reps, rep_of[cols]), steps[cols]
+    vals *= sign[shift, cols] * np.sqrt(period / period[target])
+    roots = np.exp(-1j * np.pi / N * np.arange(2 * N))  # e^(-i pi j / N)
     blocks = []
-    for t in group[keep.any(axis=1)]:
-        pos, m = np.cumsum(keep[t]) - 1, int(keep[t].sum())
-        live = keep[t] & keep[t][target]
-        flat = (pos * m + pos[target])[live]
-        weights = (vals * chi[t, g_of[cols]])[live]
-        blocks.append(np.bincount(flat, weights, minlength=m * m).reshape(m, m))
+    for k in range(delta, N + 1, 2):          # theta = pi k / N in [0, pi]
+        keep = (k * period - N * odd) % (2 * N) == 0
+        if not keep.any():
+            continue
+        pos, m = np.cumsum(keep) - 1, int(keep.sum())
+        live = keep & keep[target]
+        flat = (pos[target] * m + pos)[live]
+        weights = (vals * roots[k * shift % (2 * N)])[live]
+        B = np.bincount(flat, weights.real, minlength=m * m)
+        if 0 < k < N:
+            B = B + 1j * np.bincount(flat, weights.imag, minlength=m * m)
+        blocks.append((B.reshape(m, m), 1 + (0 < k < N)))
     return blocks
 
 

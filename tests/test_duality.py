@@ -182,8 +182,8 @@ def test_dual_register_spectrum_matches_chain_tensor_sum(hs):
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_dense_chain_levels_never_densify_the_ring(monkeypatch, parity):
-    # reversal and the half-shift split the parity block, so its symmetry
-    # blocks are filled from the compiled operator and no dense() runs
+    # the translation splits the 512-state parity block into momentum
+    # blocks, filled from the compiled operator, so no dense() runs
     import plaqising.ed as ed
 
     shapes = []
@@ -205,9 +205,9 @@ def test_dense_chain_levels_never_densify_the_ring(monkeypatch, parity):
 @pytest.mark.parametrize("length", [9, 10, 12])
 @pytest.mark.parametrize("parity", [1, -1])
 def test_dense_chain_levels_of_twisted_rings_match_the_fermions(length, parity):
-    # the twisted closing bond maps onto itself under reversal and, on even
-    # rings, under the half-shift times prod tx over one half; that second
-    # symmetry squares to the spin flip, so it splits the parity +1 blocks
+    # the translation times tx on site 0 carries the twisted closing bond
+    # along; its L-th power is the spin flip, so the parity -1 blocks take
+    # the half-odd momenta
     sp = TFIMChainSpec(length, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
     np.testing.assert_allclose(_dense_chain_levels(sp, parity),
                                ring_sector_levels(sp, parity), rtol=0, atol=1e-10)

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plaqising import (
     Boundary,
@@ -43,7 +43,7 @@ from plaqising.ed import (
     symmetry_blocks,
 )
 from plaqising.errors import InvalidSpec, NotConverged, SiteOutOfRange
-from plaqising.freefermion import TFIMChainSpec, chain_terms
+from plaqising.freefermion import TFIMChainSpec, chain_terms, ring_sector_levels
 from plaqising.lattice import ChainBoundary, site_diagonals
 from plaqising.pauli import sigma_x
 
@@ -322,199 +322,238 @@ def test_lanczos_with_k_above_the_block_returns_every_level():
                                rtol=0, atol=1e-12)
 
 
-def _halves_hold_the_block(halves, n, terms, masks=(), signs=()):
+def _pieces_hold_the_block(pieces, n, terms, masks=(), signs=()):
     whole = scipy.linalg.eigvalsh(dense_matrix_from_terms(n, terms, masks, signs))
-    split = np.sort(np.concatenate([scipy.linalg.eigvalsh(H) for H in halves]))
+    split = np.sort(np.concatenate([np.tile(scipy.linalg.eigvalsh(H), k)
+                                    for H, k in pieces]))
     np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
 
 
-def test_mirror_blocks_split_the_4x3_loop_sectors():
-    # one loop on 4x3: reversal and the half-shift (two rows down) are both
-    # symmetries, so each sector splits four ways; the trivial character
-    # holds the 560 orbits of the even sector
-    hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 0.9, 1.1)
-    terms, masks = hamiltonian_terms(hs), [2**12 - 1]
-    sizes = []
-    for w in ((1,), (-1,)):
-        halves = symmetry_blocks(12, terms, masks, w)
-        sizes.append(tuple(H.shape[0] for H in halves))
-        _halves_hold_the_block(halves, 12, terms, masks, w)
-    assert sizes == [(560, 496, 496, 496), (512, 512, 512, 512)]
+def _sizes(pieces):
+    return [(H.shape[0], k) for H, k in pieces]
 
 
-def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
-    # 3x3 torus: reversal sends loop b to (1 - b) mod 3, so w0 != w1 breaks it
-    hs = torus33(0.8, 1.2)
-    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    (whole,) = symmetry_blocks(9, terms, masks, (1, -1, 1))
-    np.testing.assert_array_equal(whole, dense_matrix_from_terms(9, terms, masks,
-                                                                 (1, -1, 1)))
-    halves = symmetry_blocks(9, terms, masks, (-1, -1, 1))
-    assert [H.shape[0] for H in halves] == [36, 28]
-    _halves_hold_the_block(halves, 9, terms, masks, (-1, -1, 1))
-    # an open chain whose sector flipped one edge field
-    flipped = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
-                            edge_fields=((0, -1.0), (5, 1.0)))
-    (whole,) = symmetry_blocks(6, chain_terms(flipped))
-    assert whole.shape == (64, 64)
-    mirrored = TFIMChainSpec(6, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
-                             edge_fields=((0, 1.0), (5, 1.0)))
-    halves = symmetry_blocks(6, chain_terms(mirrored))
-    assert [H.shape[0] for H in halves] == [36, 28]
-    _halves_hold_the_block(halves, 6, chain_terms(mirrored))
+def _diagonal_step(rows, cols):
+    """The torus step (r, c) -> (r - 1, c + 1), which keeps every loop."""
+    return [(s // cols - 1) % rows * cols + (s + 1) % cols for s in range(rows * cols)], 0
 
 
-@pytest.mark.parametrize("twist, sizes", [
-    (1, [(560, 496, 496, 496), (512, 512, 512, 512)]),
-    # the gauged half-shift carries the twisted bond onto itself; it squares
-    # to the spin-flip parity, so only the parity +1 block splits four ways
-    (-1, [(544, 480, 512, 512), (1024, 1024)]),
-], ids=["untwisted", "twisted"])
-def test_symmetry_blocks_split_the_12_site_ring(twist, sizes):
-    ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
-    terms, masks = chain_terms(ring), (2**12 - 1,)
-    split = []
-    for parity in (1, -1):
-        blocks = symmetry_blocks(12, terms, masks, (parity,))
-        split.append(tuple(H.shape[0] for H in blocks))
-        _halves_hold_the_block(blocks, 12, terms, masks, (parity,))
-    assert split == sizes
-
-
-def test_symmetry_blocks_reject_the_half_shift_on_3x4():
-    # on 3x4, j -> j + 6 is no lattice translation: reversal alone splits
-    hs = HamiltonianSpec(LatticeSpec(3, 4, Boundary.PERIODIC), 0.9, 1.1)
-    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    sizes = []
-    for w in ((1,), (-1,)):
-        blocks = symmetry_blocks(12, terms, masks, w)
-        sizes.append(tuple(H.shape[0] for H in blocks))
-        _halves_hold_the_block(blocks, 12, terms, masks, w)
-    assert sizes == [(1056, 992), (1024, 1024)]
-
-
-def _symmetry_blocks_oracle(n, terms, masks, signs, gens):
-    """The block densified, then per real character chi of the group that
-    the signed ``gens`` generate: B = sqrt(|O_a| |O_b|) / |G| sum_g chi(g)
-    s_g(b) H[a, g b], summed as whole ``np.ix_`` gathers of the dense block.
-    A generator ``(perm, gauge)`` moves the sites, then applies ``prod tx``
-    over the sites of ``gauge``: in the Hadamard frame the sign
-    ``(-1)^popcount(b & gauge)`` of the moved label ``b``."""
-    H = dense_matrix_from_terms(n, terms, masks, signs)
-    labels = np.array([b for b in range(2**n) if all(
-        bin(b & m).count("1") % 2 == (s == -1) for m, s in zip(masks, signs))])
-    orbit, sign = [], []                      # row g sends row i to, and its sign
-    for g in range(2 ** len(gens)):           # bit i of g: generator i applied
-        moved, s_g = labels, np.ones(len(labels))
-        for i, (perm, gauge) in enumerate(gens):
-            if g >> i & 1:
-                assert masks or not gauge     # a gauge is diagonal in this frame only
-                moved = sum(((moved >> j) & 1) << k for j, k in enumerate(perm))
-                s_g = s_g * np.array([(-1) ** bin(b & gauge).count("1") for b in moved])
-        orbit.append(np.searchsorted(labels, moved))
-        sign.append(s_g)
-    orbit = np.array(orbit)
-    reps = np.array([i for i in range(len(labels)) if orbit[:, i].min() == i])
-    stab = [np.flatnonzero(orbit[:, a] == a) for a in reps]
-    blocks = []
-    for t in range(len(orbit)):
-        chi = [(-1) ** bin(t & g).count("1") for g in range(len(orbit))]
-        kept = [i for i, st in enumerate(stab)
-                if all(chi[g] * sign[g][reps[i]] == 1 for g in st)]
-        if not kept:
-            continue
-        rows = reps[kept]
-        size = len(orbit) / np.array([len(stab[i]) for i in kept])  # |O_a|
-        B = sum(chi[g] * H[np.ix_(rows, orbit[g][rows])] * sign[g][rows]
-                for g in range(len(orbit)))
-        blocks.append(B * np.sqrt(np.outer(size, size)) / len(orbit))
-    return blocks
+def _translation(n, twisted=False):
+    """j -> j + 1 on a ring, times sx on site 0 where its closing bond is twisted."""
+    return [(j + 1) % n for j in range(n)], int(twisted)
 
 
 def _reversal(n):
     return [n - 1 - j for j in range(n)], 0
 
 
-def _half_shift(n):
-    return [(j + n // 2) % n for j in range(n)], 0
+# momentum blocks of a 2048-state block under an order-12 step: theta = 0
+# and pi once, the five pairs theta, 2 pi - theta twice; at g^12 = -1 the six
+# pairs of half-odd momenta
+_EVEN_MOMENTA = [(180, 1), (165, 2), (174, 2), (166, 2), (176, 2), (165, 2), (176, 1)]
+_ODD_SECTOR = [(172, 1), (170, 2), (170, 2), (172, 2), (170, 2), (170, 2), (172, 1)]
+_HALF_ODD = [(170, 2), (172, 2), (170, 2), (170, 2), (172, 2), (170, 2)]
 
 
-def _gauged_half_shift(n):
-    return _half_shift(n)[0], (1 << n) - (1 << n // 2)
+def test_mirror_blocks_split_the_4x3_loop_sectors():
+    # one loop on 4x3: the diagonal step has order 12 and keeps it, so each
+    # 2048-state sector splits into 12 momenta, solved as 7 blocks
+    hs = HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 0.9, 1.1)
+    terms, masks = hamiltonian_terms(hs), [2**12 - 1]
+    sizes = []
+    for w in ((1,), (-1,)):
+        pieces = symmetry_blocks(12, terms, masks, w, _diagonal_step(4, 3))
+        sizes.append(_sizes(pieces))
+        _pieces_hold_the_block(pieces, 12, terms, masks, w)
+    assert sizes == [_EVEN_MOMENTA, _ODD_SECTOR]
+
+
+def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
+    # 3x3 torus: reversal sends loop b to (1 - b) mod 3, so w0 != w1 breaks it
+    hs = torus33(0.8, 1.2)
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    ((whole, k),) = symmetry_blocks(9, terms, masks, (1, -1, 1), _reversal(9))
+    assert k == 1
+    np.testing.assert_array_equal(whole, dense_matrix_from_terms(9, terms, masks,
+                                                                 (1, -1, 1)))
+    # on the whole 512-state space reversal is a symmetry: two mirror halves
+    halves = symmetry_blocks(9, terms, (), (), _reversal(9))
+    assert _sizes(halves) == [(272, 1), (240, 1)]
+    _pieces_hold_the_block(halves, 9, terms)
+    # an open chain whose sector flipped one edge field
+    flipped = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
+                            edge_fields=((0, -1.0), (7, 1.0)))
+    assert _sizes(symmetry_blocks(8, chain_terms(flipped), generator=_reversal(8))) == [(256, 1)]
+    mirrored = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
+                             edge_fields=((0, 1.0), (7, 1.0)))
+    halves = symmetry_blocks(8, chain_terms(mirrored), generator=_reversal(8))
+    assert _sizes(halves) == [(136, 1), (120, 1)]
+    _pieces_hold_the_block(halves, 8, chain_terms(mirrored))
+
+
+@pytest.mark.parametrize("twist, sizes", [
+    (1, [_EVEN_MOMENTA, _ODD_SECTOR]),
+    # the translation times sx on site 0 carries the twisted bond along; its
+    # 12th power is the spin flip, so the parity -1 block takes the half-odd
+    # momenta
+    (-1, [_ODD_SECTOR, _HALF_ODD]),
+], ids=["untwisted", "twisted"])
+def test_symmetry_blocks_split_the_12_site_ring(twist, sizes):
+    ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
+    terms, masks = chain_terms(ring), (2**12 - 1,)
+    split = []
+    for parity in (1, -1):
+        pieces = symmetry_blocks(12, terms, masks, (parity,), _translation(12, twist == -1))
+        split.append(_sizes(pieces))
+        _pieces_hold_the_block(pieces, 12, terms, masks, (parity,))
+    assert split == sizes
+
+
+def test_symmetry_blocks_split_the_3x4_loop_sectors():
+    # on 3x4 the diagonal step has order lcm(3, 4) = 12, as on 4x3
+    hs = HamiltonianSpec(LatticeSpec(3, 4, Boundary.PERIODIC), 0.9, 1.1)
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    sizes = []
+    for w in ((1,), (-1,)):
+        pieces = symmetry_blocks(12, terms, masks, w, _diagonal_step(3, 4))
+        sizes.append(_sizes(pieces))
+        _pieces_hold_the_block(pieces, 12, terms, masks, w)
+    assert sizes == [_EVEN_MOMENTA, _ODD_SECTOR]
+
+
+def _symmetry_blocks_oracle(n, terms, masks, signs, generator):
+    """The block densified, then per momentum theta of the cyclic group of
+    the signed ``generator``: B[b, a] = sqrt(p_a p_b) / N sum_k e^(-i theta
+    k) s_k(a) H[b, g^k a], summed as whole ``np.ix_`` gathers of the dense
+    block.  ``(perm, gauge)`` moves the sites, then applies ``prod tx`` over
+    the sites of ``gauge``: in the Hadamard frame the sign ``(-1)^popcount(b
+    & gauge)`` of the moved label ``b``.  A representative is kept where its
+    momentum state sum_k e^(-i theta k) g^k |a> is not zero, and theta runs
+    over [0, pi], each theta in between standing for 2 pi - theta too."""
+    H = dense_matrix_from_terms(n, terms, masks, signs)
+    labels = np.array([b for b in range(2**n) if all(
+        bin(b & m).count("1") % 2 == (s == -1) for m, s in zip(masks, signs))])
+    perm, gauge = generator
+    assert masks or not gauge                 # a gauge is diagonal in this frame only
+    orbit, sign = [np.arange(len(labels))], [np.ones(len(labels))]
+    moved = labels
+    while len(orbit) == 1 or np.any(orbit[-1] != orbit[0]):
+        moved = sum(((moved >> j) & 1) << k for j, k in enumerate(perm))
+        sign.append(sign[-1] * np.array([(-1) ** bin(b & gauge).count("1") for b in moved]))
+        orbit.append(np.searchsorted(labels, moved))
+    N, sigma = len(orbit) - 1, sign[-1][0]
+    assert np.all(sign[-1] == sigma)
+    reps = np.array([i for i in range(len(labels)) if min(o[i] for o in orbit) == i])
+    period = np.array([next(k for k in range(1, N + 1) if orbit[k][a] == a) for a in reps])
+    blocks = []
+    for theta in np.pi * np.arange(0 if sigma > 0 else 1, N + 1, 2) / N:
+        norm = np.abs(sum(np.exp(-1j * theta * k) * sign[k][reps] * (orbit[k][reps] == reps)
+                          for k in range(N)))
+        kept = norm > 0.5
+        if not kept.any():
+            continue
+        rows, p = reps[kept], period[kept]
+        B = sum(np.exp(-1j * theta * k) * H[np.ix_(rows, orbit[k][rows])] * sign[k][rows]
+                for k in range(N))
+        twofold = not (np.isclose(theta, 0) or np.isclose(theta, np.pi))
+        blocks.append((B * np.sqrt(np.outer(p, p)) / N, 2 if twofold else 1))
+    return blocks
 
 
 def _torus_sector(rows, cols, w):
     hs = HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), 0.9, 1.1)
-    return hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice), w
+    return (hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice), w,
+            _diagonal_step(rows, cols))
 
 
-def _ring_parity_block(twist, parity):
-    ring = TFIMChainSpec(12, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=twist)
-    return 12, chain_terms(ring), (2**12 - 1,), (parity,)
+def _ring_parity_block(twist, parity, n=12, field=0.9, bond=1.0):
+    ring = TFIMChainSpec(n, ChainBoundary.PERIODIC_CHAIN, field, bond, twist=twist)
+    return n, chain_terms(ring), (2**n - 1,), (parity,), _translation(n, twist == -1)
 
 
 _SYMMETRY_CASES = {
-    "4x3+": (_torus_sector(4, 3, (1,)), [_reversal(12), _half_shift(12)]),
-    "4x3-": (_torus_sector(4, 3, (-1,)), [_reversal(12), _half_shift(12)]),
-    "3x3": (_torus_sector(3, 3, (-1, -1, 1)), [_reversal(9)]),
-    "3x4+": (_torus_sector(3, 4, (1,)), [_reversal(12)]),
-    "3x4-": (_torus_sector(3, 4, (-1,)), [_reversal(12)]),
-    "ring+": (_ring_parity_block(1, 1), [_reversal(12), _half_shift(12)]),
-    "ring-": (_ring_parity_block(1, -1), [_reversal(12), _half_shift(12)]),
-    "twisted+": (_ring_parity_block(-1, 1), [_reversal(12), _gauged_half_shift(12)]),
-    "twisted-": (_ring_parity_block(-1, -1), [_reversal(12)]),
-    "open": ((10, chain_terms(TFIMChainSpec(
+    "4x3+": _torus_sector(4, 3, (1,)),
+    "4x3-": _torus_sector(4, 3, (-1,)),
+    # the whole 512-state space of the 3x3 torus, in the z basis
+    "3x3": (9, hamiltonian_terms(torus33(0.9, 1.1)), (), (), _diagonal_step(3, 3)),
+    "3x4+": _torus_sector(3, 4, (1,)),
+    "3x4-": _torus_sector(3, 4, (-1,)),
+    "ring+": _ring_parity_block(1, 1),
+    "ring-": _ring_parity_block(1, -1),
+    "twisted+": _ring_parity_block(-1, 1),
+    "twisted-": _ring_parity_block(-1, -1),
+    "open": (10, chain_terms(TFIMChainSpec(
         10, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, edge_fields=((0, 1.0), (9, 1.0)))),
-        (), ()), [_reversal(10)]),
+        (), (), _reversal(10)),
 }
 
 
 @pytest.mark.parametrize("case", list(_SYMMETRY_CASES))
 def test_symmetry_blocks_match_the_dense_gather_sums(case):
-    (n, terms, masks, signs), gens = _SYMMETRY_CASES[case]
-    blocks = symmetry_blocks(n, terms, masks, signs)
-    oracle = _symmetry_blocks_oracle(n, terms, masks, signs, gens)
-    assert [B.shape for B in blocks] == [B.shape for B in oracle]
-    for B, ref in zip(blocks, oracle):
+    blocks = symmetry_blocks(*_SYMMETRY_CASES[case])
+    oracle = _symmetry_blocks_oracle(*_SYMMETRY_CASES[case])
+    assert _sizes(blocks) == _sizes(oracle)
+    for (B, _), (ref, _) in zip(blocks, oracle):
         np.testing.assert_allclose(B, ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(B, B.conj().T, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("case", ["4x3+", "ring+", "twisted+"])
+@pytest.mark.parametrize("case", ["4x3+", "3x4+", "ring+", "twisted+", "twisted-"])
 def test_symmetry_blocks_never_build_the_whole_block(case):
     # the 2048-state block would take 2048^2 * 8 bytes dense
-    (n, terms, masks, signs), _ = _SYMMETRY_CASES[case]
     tracemalloc.start()
     try:
-        symmetry_blocks(n, terms, masks, signs)
+        symmetry_blocks(*_SYMMETRY_CASES[case])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2048**2 * 8
 
 
-def test_symmetry_blocks_refuse_the_gauged_half_shift_at_odd_parity():
-    # the gauged half-shift is a symmetry of the twisted ring's terms, but it
-    # squares to the spin flip, -1 in this block: only reversal splits it
-    n, terms, masks, signs = _ring_parity_block(-1, -1)
-    tx_upper_half = PauliString(tuple((j, "X") for j in range(n // 2, n)))
-    assert _is_symmetry(_half_shift(n)[0], terms, masks, signs, tx_upper_half)
-    blocks = symmetry_blocks(n, terms, masks, signs)
-    assert [H.shape[0] for H in blocks] == [1024, 1024]
-    _halves_hold_the_block(blocks, n, terms, masks, signs)
+@settings(max_examples=20)
+@given(st.integers(9, 11), st.floats(0.1, 2.0), st.floats(0.1, 2.0),
+       st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_momentum_blocks_hold_every_ring_block(n, field, bond, twist, parity):
+    n, terms, masks, signs, step = _ring_parity_block(twist, parity, n, field, bond)
+    _pieces_hold_the_block(symmetry_blocks(n, terms, masks, signs, step),
+                           n, terms, masks, signs)
 
 
-@pytest.mark.parametrize("parity, sizes", [(1, [16, 16]), (-1, [32])])
-def test_symmetry_blocks_check_the_square_of_a_lone_gauged_half_shift(parity, sizes):
-    # fields of period 3 on a twisted 6-site ring break reversal but keep the
-    # gauged half-shift, which alone must square to one to split a block
-    n = 6
-    terms = [(-(1.0 + j % 3), sigma_x(j)) for j in range(n)]
-    terms += [(-1.0 if j < n - 1 else 1.0, PauliString(((j, "Z"), ((j + 1) % n, "Z"))))
-              for j in range(n)]
-    masks, signs = ((1 << n) - 1,), (parity,)
-    blocks = symmetry_blocks(n, terms, masks, signs)
-    assert [H.shape[0] for H in blocks] == sizes
-    _halves_hold_the_block(blocks, n, terms, masks, signs)
+@pytest.mark.parametrize("parity", [1, -1])
+def test_symmetry_blocks_follow_the_sign_of_the_nth_power(parity):
+    # on the twisted ring the 12th power of the gauged translation is the
+    # spin flip, i.e. the block's parity: +1 gives the momenta 2 pi m / 12,
+    # -1 the half-odd ones pi (2m + 1) / 12, which pair up without a real
+    # block; the levels are the fermions'
+    n, terms, masks, signs, step = _ring_parity_block(-1, parity)
+    pieces = symmetry_blocks(n, terms, masks, signs, step)
+    assert [k for _, k in pieces] == ([1, 2, 2, 2, 2, 2, 1] if parity == 1 else [2] * 6)
+    assert all(np.iscomplexobj(H) == (k == 2) for H, k in pieces)
+    ring = TFIMChainSpec(n, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
+    levels = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(H), k) for H, k in pieces]))
+    np.testing.assert_allclose(levels, ring_sector_levels(ring, parity), rtol=0, atol=1e-12)
+
+
+def test_symmetry_blocks_keep_small_and_asymmetric_blocks_whole():
+    # a 64-state 3x3 sector goes whole, with its generator a symmetry
+    hs = torus33(0.8, 1.2)
+    terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
+    assert _is_symmetry(_diagonal_step(3, 3)[0], terms, masks, (1, 1, 1))
+    ((H, k),) = symmetry_blocks(9, terms, masks, (1, 1, 1), _diagonal_step(3, 3))
+    assert k == 1
+    np.testing.assert_array_equal(H, dense_matrix_from_terms(9, terms, masks, (1, 1, 1)))
+    # the ungauged translation of a twisted ring is no symmetry
+    n, terms, masks, signs, _ = _ring_parity_block(-1, 1, n=10)
+    ((H, k),) = symmetry_blocks(n, terms, masks, signs, _translation(n))
+    assert k == 1
+    np.testing.assert_array_equal(H, dense_matrix_from_terms(n, terms, masks, signs))
+    # with the odd sites' parity fixed, (sx_0 T^2)^5 on 10 sites is the even
+    # sites' parity, which is no one sign on the 512 rows
+    terms = [(-1.0 - j % 2, sigma_x(j)) for j in range(10)]
+    odd = (sum(1 << j for j in range(1, 10, 2)),)
+    ((H, k),) = symmetry_blocks(10, terms, odd, (1,), ([(j + 2) % 10 for j in range(10)], 1))
+    assert k == 1
+    np.testing.assert_array_equal(H, dense_matrix_from_terms(10, terms, odd, (1,)))
 
 
 @pytest.mark.parametrize("build", [dense_matrix_from_terms, symmetry_blocks])
@@ -566,9 +605,9 @@ def test_full_spectrum_is_the_per_sector_dense_union():
     hs = torus33(0.8, 1.2)
     res = full_spectrum(hs)
     assert (len(res.info["blocks"]), res.info["sectors"]) == (4, 8)
-    # one entry per orbit (1, 3, 3 and 1 sectors); w0 != w1 in (1, -1, -1)
-    # breaks reversal
-    assert [b["sizes"] for b in res.info["blocks"]] == [[36, 28], [36, 28], [64], [36, 28]]
+    # one entry per orbit (1, 3, 3 and 1 sectors); each 64-state sector is
+    # solved whole
+    assert [b["sizes"] for b in res.info["blocks"]] == [[64], [64], [64], [64]]
     brute = _sector_union(hs, lambda op: scipy.linalg.eigvalsh(op.dense()))
     np.testing.assert_allclose(res.eigenvalues, brute, rtol=0, atol=1e-12)
 
