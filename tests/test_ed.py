@@ -347,6 +347,12 @@ def _reversal(n):
     return [n - 1 - j for j in range(n)], 0
 
 
+def _gauged_half_shift(n):
+    """j -> j + n/2 on a twisted ring, times sx on its upper half: the square
+    is the spin flip."""
+    return [(j + n // 2) % n for j in range(n)], (1 << n) - (1 << n // 2)
+
+
 # momentum blocks of a 2048-state block under an order-12 step: theta = 0
 # and pi once, the five pairs theta, 2 pi - theta twice; at g^12 = -1 the six
 # pairs of half-odd momenta
@@ -532,6 +538,41 @@ def test_symmetry_blocks_follow_the_sign_of_the_nth_power(parity):
     ring = TFIMChainSpec(n, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
     levels = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(H), k) for H, k in pieces]))
     np.testing.assert_allclose(levels, ring_sector_levels(ring, parity), rtol=0, atol=1e-12)
+
+
+def test_symmetry_blocks_split_the_gauged_half_shift_at_odd_parity():
+    # the gauged half-shift is a symmetry of the twisted ring's terms and
+    # squares to the spin flip, -1 in this block: its momenta pi / 2 and
+    # 3 pi / 2 are one complex pair holding the fermions' levels
+    n, terms, masks, signs, _ = _ring_parity_block(-1, -1)
+    perm, gauge = _gauged_half_shift(n)
+    assert _is_symmetry(perm, terms, masks, signs, gauge)
+    ((H, k),) = symmetry_blocks(n, terms, masks, signs, (perm, gauge))
+    assert (H.shape[0], k, np.iscomplexobj(H)) == (1024, 2, True)
+    ring = TFIMChainSpec(n, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0, twist=-1)
+    np.testing.assert_allclose(np.sort(np.tile(np.linalg.eigvalsh(H), k)),
+                               ring_sector_levels(ring, -1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("parity, sizes", [(1, [(1024, 1), (1024, 1)]), (-1, [(1024, 2)])])
+def test_symmetry_blocks_check_the_square_of_a_lone_gauged_half_shift(parity, sizes):
+    # fields of period 3 on a twisted 12-site ring break reversal and the
+    # translation but keep the gauged half-shift, which alone splits the
+    # block by the sign of its square: theta = 0 and pi at +1, the pair
+    # pi / 2, 3 pi / 2 at -1
+    n = 12
+    terms = [(-(1.0 + j % 3), sigma_x(j)) for j in range(n)]
+    terms += [(-1.0 if j < n - 1 else 1.0, PauliString(((j, "Z"), ((j + 1) % n, "Z"))))
+              for j in range(n)]
+    masks, signs = ((1 << n) - 1,), (parity,)
+    assert not _is_symmetry(_reversal(n)[0], terms, masks, signs)
+    assert not _is_symmetry(_translation(n)[0], terms, masks, signs, 1)
+    pieces = symmetry_blocks(n, terms, masks, signs, _gauged_half_shift(n))
+    oracle = _symmetry_blocks_oracle(n, terms, masks, signs, _gauged_half_shift(n))
+    assert _sizes(pieces) == _sizes(oracle) == sizes
+    for (B, _), (ref, _) in zip(pieces, oracle):
+        np.testing.assert_allclose(B, ref, rtol=0, atol=1e-13)
+    _pieces_hold_the_block(pieces, n, terms, masks, signs)
 
 
 def test_symmetry_blocks_keep_small_and_asymmetric_blocks_whole():
