@@ -14,10 +14,11 @@ Each diagonal loop ``W_b`` (``prod sx`` over a site diagonal) commutes with
 so a Z2 block is a list of labels closed under the rotated terms.
 :func:`parity_block` builds both the ``2^d`` loop sectors of every 2D spectrum
 and the spin-flip blocks of the dual chains (symmetry-block ED, Sandvik
-arXiv:1101.3281).  Site permutations that map the terms and masks onto
-themselves (:func:`_is_symmetry`) save work twice: the spectra solve one
-loop sector per column-translation orbit (:func:`_sector_orbits`), and one
-generator from the caller, a translation on a torus or ring and reversal
+arXiv:1101.3281).  Two symmetries save work.  On a torus the column
+translation sends loop ``b`` to loop ``b + 1``, so the orbits are label
+rotations: the spectra solve one loop sector per rotation class of its
+label (:func:`_sector_orbits`); on an open lattice each sector stands alone.
+One generator from the caller, a translation on a torus or ring and reversal
 on an open lattice or chain, splits a block into its momentum blocks,
 filled straight from its compiled operator (:func:`symmetry_blocks`).  The
 generator may come times a ``prod sx`` gauge string, a signed permutation
@@ -30,9 +31,9 @@ Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
 whole block.  Terms with one flip mask are merged when the operator compiles
 (in the Hadamard frame every ``sx`` is diagonal), so a matvec is one diagonal
-product plus one gather per distinct mask.  Blocks of up to
-``DENSE_GROUND_STATES`` states are solved dense; larger ones by a Lanczos
-recursion with full reorthogonalization and a deterministic start vector.
+product plus one gather per distinct mask.  Lanczos solves every
+ground-state block: a recursion with full reorthogonalization and a
+deterministic start vector.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .lattice import (
 from .pauli import PauliString, sigma_x
 
 DENSE_MAX_SPINS = 14       # full_spectrum budget
-DENSE_GROUND_STATES = 512  # operator_ground_spectrum uses Lanczos above this
 DENSE_WHOLE_STATES = 128   # symmetry_blocks densifies blocks this small whole
 LANCZOS_MAX_SPINS = 20
 DEGENERACY_TOL = 1e-8      # eigenvalues this close to E0 count as ground space
@@ -248,19 +248,17 @@ def _loop_masks(spec: LatticeSpec) -> list[int]:
 
 def _sector_orbits(hs: HamiltonianSpec) -> list[tuple[tuple[int, ...], int]]:
     """``(representative, multiplicity)`` per orbit of the loop sectors under
-    the column translation, which maps a sector onto an isospectral one where
-    it is a symmetry of the terms and masks; elsewhere (open lattices) each
-    sector stands alone.  Representatives come first in ``product`` order."""
-    masks, m = _loop_masks(hs.lattice), hs.lattice.cols
-    shift = [s - s % m + (s + 1) % m for s in range(hs.n_spins)]
-    moved = _permute_bits(np.asarray(masks, dtype=np.uint64), shift).tolist()
-    symmetric = _is_symmetry(shift, hamiltonian_terms(hs), masks, [1] * len(masks))
+    the column translation.  On a torus it sends loop ``b`` (sites with ``r +
+    c = b mod d``) to loop ``b + 1`` and keeps every term, so the orbits are
+    label rotations: the rotation class of ``w`` is isospectral.  On an open
+    lattice each sector stands alone.  Representatives come first in
+    ``product`` order."""
+    d = len(site_diagonals(hs.lattice))
+    turns = d if hs.lattice.boundary is Boundary.PERIODIC else 1
     rep: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in product((1, -1), repeat=len(masks)):
-        v = w
-        while v not in rep:
-            rep[v] = w
-            v = tuple(v[moved.index(mask)] for mask in masks) if symmetric else w
+    for w in product((1, -1), repeat=d):
+        for i in range(turns):
+            rep.setdefault(w[i:] + w[:i], w)
     return list(Counter(rep.values()).items())
 
 
@@ -393,16 +391,17 @@ def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
 def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
     """The sorted union of every loop-sector block's ``k`` lowest levels.
 
-    One block per translation orbit is solved, its levels repeated once per
-    sector of the orbit (:func:`_sector_orbits`; ``info`` lists 6
-    ``"blocks"`` for 16 ``"sectors"`` on 4x4).  The union is not cut to
-    ``k``: its gap needs from each block only the lowest level and, if that
-    is in the ground band, the next, so ``k = 2`` gives the
-    degeneracy-tolerant gap (cut to ``k``, a topological multiplet split by
-    less than ``DEGENERACY_TOL`` would read as a gap of 0).  A Lanczos block
-    may return a degenerate level once or more (4x4, ``g = h = 0.93``:
-    sector ``(1, -1, -1, 1)`` gives its fourfold lowest level twice, its
-    translates once), so only the lowest level and the gap are exact.
+    Lanczos solves one block per orbit, and the orbits are label rotations
+    on a torus (:func:`_sector_orbits`; ``info`` lists 6 ``"blocks"`` for
+    16 ``"sectors"`` on 4x4).  Each block's levels are repeated once per
+    sector of its orbit.  The union is not cut to ``k``: its gap needs from
+    each block only the lowest level and, if that is in the ground band, the
+    next, so ``k = 2`` gives the degeneracy-tolerant gap (cut to ``k``, a
+    topological multiplet split by less than ``DEGENERACY_TOL`` would read
+    as a gap of 0).  A block may return a degenerate level once or more
+    (4x4, ``g = h = 0.93``: sector ``(1, -1, -1, 1)`` gives its fourfold
+    lowest level twice, its translates once), so only the lowest level and
+    the gap are exact.
     """
     orbits = _sector_orbits(hs)
     parts = [operator_ground_spectrum(op, k)
@@ -416,23 +415,17 @@ def ground_spectrum(hs: HamiltonianSpec, k: int = 2) -> SpectrumResult:
 def operator_ground_spectrum(
     op: HamiltonianOperator, k: int = 2, want_vectors: bool = False
 ) -> SpectrumResult:
-    """The ``k`` lowest levels of a precompiled operator (dense or Lanczos).
+    """The ``k`` lowest levels of a precompiled operator: Lanczos for every
+    ground-state block, whatever its size.
 
-    Blocks of up to ``DENSE_GROUND_STATES`` (512) states are solved dense and
-    return the lowest ``k`` eigenvalues with multiplicity.  Larger ones go to
-    Lanczos, which returns the ``k`` lowest converged Ritz values: each is a
-    level of the block, but a degenerate level may come back once or more
-    (see :func:`_lanczos`).  The lowest level and the gap agree on both
-    paths, and a ``k`` above the block returns every level on both.
+    They are the ``k`` lowest converged Ritz values of :func:`_lanczos`:
+    each is a level of the block, but a degenerate level may come back once
+    or more, so the lowest level and the gap are exact.  A ``k`` above the
+    block returns every level.
     """
     if k < 1:
         raise InvalidSpec("k must be >= 1")
-    if op.dim <= DENSE_GROUND_STATES:
-        out = scipy.linalg.eigh(op.dense(), eigvals_only=not want_vectors)
-        vals, vecs = (out[0][:k], out[1][:, :k]) if want_vectors else (out[:k], None)
-        info = {"method": "dense"}
-    else:
-        vals, vecs, info = _lanczos(op, k, want_vectors)
+    vals, vecs, info = _lanczos(op, k, want_vectors)
     return SpectrumResult(np.asarray(vals), eigenvectors=vecs, info=info)
 
 
@@ -510,11 +503,10 @@ def _is_symmetry(perm, terms, masks, signs, gauge: int = 0) -> bool:
     return moved == Counter(terms) and set(zip(image, signs)) == set(zip(masks, signs))
 
 
-def symmetry_blocks(n, terms, masks=(), signs=(), generator=None
-                    ) -> list[tuple[np.ndarray, int]]:
+def symmetry_blocks(n, terms, masks, signs, generator) -> list[tuple[np.ndarray, int]]:
     """The :func:`dense_matrix_from_terms` block, split into ``(block,
-    multiplicity)`` pairs by the cyclic group of one signed site permutation
-    ``generator = (perm, gauge)``: ``g = gauge * T``, ``T`` the site
+    multiplicity)`` pairs by the cyclic group of one signed site permutation,
+    the required ``generator = (perm, gauge)``: ``g = gauge * T``, ``T`` the site
     permutation ``j -> perm[j]``, ``gauge`` the site mask of a ``prod sx``
     string (a twisted ring's closing bond rides along with ``sx`` on one
     site).
@@ -535,11 +527,11 @@ def symmetry_blocks(n, terms, masks=(), signs=(), generator=None
 
     The pieces are summed from the compiled operator's diagonal and merged
     gathers at the representative rows, so the whole block is never built.
-    It comes back whole, ``[(H, 1)]``, without a generator, where ``g`` is no
-    symmetry or ``g^N`` is no one sign, and at ``2^n / 2^len(masks) <=
+    It comes back whole, ``[(H, 1)]``, where ``g`` is no symmetry or
+    ``g^N`` is no one sign, and at ``2^n / 2^len(masks) <=
     DENSE_WHOLE_STATES`` states, where splitting costs more than it saves.
     """
-    if (generator is None or (1 << n) >> len(masks) <= DENSE_WHOLE_STATES
+    if ((1 << n) >> len(masks) <= DENSE_WHOLE_STATES
             or not _is_symmetry(generator[0], terms, masks, signs, generator[1])):
         return [(dense_matrix_from_terms(n, terms, masks, signs), 1)]
     op = _dense_block(n, terms, masks, signs)

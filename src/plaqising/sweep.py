@@ -138,6 +138,11 @@ def run_coupling_sweep(cfg: CouplingSweepConfig) -> tuple[list[dict], dict]:
         raise InvalidSpec("a sweep needs at least two points")
     if cfg.route not in ("ed", "dual"):
         raise InvalidSpec("route must be 'ed' or 'dual'")
+    LatticeSpec(cfg.rows, cfg.cols, Boundary.PERIODIC)  # the size check comes first
+    ring = math.lcm(cfg.rows, cfg.cols)  # sites of one diagonal loop
+    if not (0 <= cfg.string_steps < ring - 1 and 1 <= cfg.plaquette_count < ring):
+        raise InvalidSpec(f"need 0 <= string_steps < {ring - 1} and 1 <= plaquette_count"
+                          f" < {ring}: a string is shorter than the ring length {ring}")
     rows = [_sweep_point(cfg, t) for t in range(cfg.steps)]
     phi1 = [r["phi1"] for r in rows]
     phi2 = [r["phi2"] for r in rows]
@@ -229,8 +234,9 @@ class CritCorrConfig:
 
 
 def run_crit_corr(cfg: CritCorrConfig) -> tuple[list[dict], dict]:
-    if cfg.n_max < 1:
-        raise InvalidSpec("n_max must be at least 1")
+    if not 1 <= cfg.n_max < cfg.length:
+        raise InvalidSpec(f"n_max = {cfg.n_max} must be at least 1 and below"
+                          f" length = {cfg.length}")
     chain = TFIMChainSpec(cfg.length, ChainBoundary.PERIODIC_CHAIN, cfg.scale, cfg.scale)
     sol = bdg_solve(chain)
     mx = magnetization_x(sol, 1)

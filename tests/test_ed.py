@@ -5,6 +5,7 @@ to 1e-10; spectral comparisons against independent constructions to 1e-8.
 """
 
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -244,14 +245,21 @@ def test_ground_spectrum_matches_dense_head():
     assert abs(res.gap - gap_from_levels(levels)) < 1e-8
 
 
-def test_solver_switch_counts_states():
-    # the 4x3 torus sector holds 2048 states (Lanczos), the 3x3 one 64 (dense)
-    for rows, n_states, method in ((4, 2048, "lanczos"), (3, 64, "dense")):
-        lattice = LatticeSpec(rows, 3, Boundary.PERIODIC)
-        hs = HamiltonianSpec(lattice, 1.0, 1.0)
-        op = sector_operator(hs, (1,) * len(site_diagonals(lattice)))
-        assert op.dim == n_states
-        assert operator_ground_spectrum(op, k=1).info["method"] == method
+def test_every_ground_block_is_solved_by_lanczos():
+    # one solver whatever the block's size: every 64-state sector of the 3x3
+    # torus and of the open 3x4 lattice against a dense solve of the same
+    # block; a degenerate level may come back once or more (see _lanczos),
+    # but each returned value is a level of the block
+    open34 = HamiltonianSpec(LatticeSpec(3, 4, Boundary.OPEN), 0.9, 1.1)
+    for hs in (torus33(0.8, 1.2), open34):
+        for w in product((1, -1), repeat=len(_loop_masks(hs.lattice))):
+            op = sector_operator(hs, w)
+            res = operator_ground_spectrum(op, 2)
+            dense = scipy.linalg.eigvalsh(op.dense())
+            assert (op.dim, res.info["method"]) == (64, "lanczos")
+            assert abs(res.eigenvalues[0] - dense[0]) <= 1e-12, w
+            for v in res.eigenvalues:
+                assert np.min(np.abs(dense - v)) <= 1e-12, w
 
 
 def test_lanczos_branch_agrees_with_dense():
@@ -389,10 +397,10 @@ def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
     # an open chain whose sector flipped one edge field
     flipped = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
                             edge_fields=((0, -1.0), (7, 1.0)))
-    assert _sizes(symmetry_blocks(8, chain_terms(flipped), generator=_reversal(8))) == [(256, 1)]
+    assert _sizes(symmetry_blocks(8, chain_terms(flipped), (), (), _reversal(8))) == [(256, 1)]
     mirrored = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
                              edge_fields=((0, 1.0), (7, 1.0)))
-    halves = symmetry_blocks(8, chain_terms(mirrored), generator=_reversal(8))
+    halves = symmetry_blocks(8, chain_terms(mirrored), (), (), _reversal(8))
     assert _sizes(halves) == [(136, 1), (120, 1)]
     _pieces_hold_the_block(halves, 8, chain_terms(mirrored))
 
@@ -597,12 +605,18 @@ def test_symmetry_blocks_keep_small_and_asymmetric_blocks_whole():
     np.testing.assert_array_equal(H, dense_matrix_from_terms(10, terms, odd, (1,)))
 
 
-@pytest.mark.parametrize("build", [dense_matrix_from_terms, symmetry_blocks])
+def _translated_blocks(n, terms, masks, signs):
+    return symmetry_blocks(n, terms, masks, signs, _translation(n))
+
+
+@pytest.mark.parametrize("build", [dense_matrix_from_terms, _translated_blocks],
+                         ids=["dense_matrix_from_terms", "symmetry_blocks"])
 @pytest.mark.parametrize("masks, signs", [((), (-1,)), ((3,), ()), ((3,), (1, 1))],
                          ids=["signs-without-masks", "masks-without-signs", "extra-sign"])
 def test_unpaired_block_labels_are_rejected_before_allocating(build, masks, signs):
     # an empty masks once sent the signs' block to the whole z-basis space;
-    # its 2^14 labels alone would take 2^14 * 8 bytes
+    # its 2^14 labels alone would take 2^14 * 8 bytes; symmetry_blocks gets
+    # the ring translation, a symmetry of every block here
     terms = chain_terms(TFIMChainSpec(14, ChainBoundary.PERIODIC_CHAIN, 0.9, 1.0))
     tracemalloc.start()
     try:
@@ -612,6 +626,23 @@ def test_unpaired_block_labels_are_rejected_before_allocating(build, masks, sign
     finally:
         tracemalloc.stop()
     assert peak < (1 << 14) * 8
+
+
+def _term_image_orbits(hs):
+    """The orbits by the term-image rule: where the column translation maps
+    the terms and loop masks onto themselves, sector ``w`` goes to the
+    sector whose masks it moves onto; elsewhere each sector stands alone."""
+    masks, m, n = _loop_masks(hs.lattice), hs.lattice.cols, hs.n_spins
+    shift = [s - s % m + (s + 1) % m for s in range(n)]
+    moved = [sum(1 << shift[j] for j in range(n) if mask >> j & 1) for mask in masks]
+    symmetric = _is_symmetry(shift, hamiltonian_terms(hs), masks, [1] * len(masks))
+    rep = {}
+    for w in product((1, -1), repeat=len(masks)):
+        v = w
+        while v not in rep:
+            rep[v] = w
+            v = tuple(v[moved.index(mask)] for mask in masks) if symmetric else w
+    return list(Counter(rep.values()).items())
 
 
 def test_sector_orbits_follow_the_column_translation():
@@ -625,6 +656,20 @@ def test_sector_orbits_follow_the_column_translation():
     orbits = _sector_orbits(open34)
     assert [w for w, _ in orbits] == list(product((1, -1), repeat=6))
     assert {m for _, m in orbits} == {1}
+    # the label rotations against the term images: d = gcd(N, M) = 4, 3, 2, 3
+    # on the tori (4x6 at h = 0), and an open lattice at g = 0, whose field
+    # terms alone the wrapped column shift would keep
+    for rows, cols, boundary, g, h in ((4, 4, Boundary.PERIODIC, 1.0, 1.0),
+                                       (3, 3, Boundary.PERIODIC, 0.8, 1.2),
+                                       (4, 6, Boundary.PERIODIC, 1.0, 0.0),
+                                       (6, 9, Boundary.PERIODIC, 0.7, 1.3),
+                                       (3, 4, Boundary.OPEN, 0.0, 1.0)):
+        hs = HamiltonianSpec(LatticeSpec(rows, cols, boundary), g, h)
+        assert _sector_orbits(hs) == _term_image_orbits(hs), (rows, cols)
+    assert [m for _, m in _sector_orbits(
+        HamiltonianSpec(LatticeSpec(4, 6, Boundary.PERIODIC), 1, 1))] == [1, 2, 1]
+    assert [m for _, m in _sector_orbits(
+        HamiltonianSpec(LatticeSpec(6, 9, Boundary.PERIODIC), 1, 1))] == [1, 3, 3, 1]
 
 
 def _sector_union(hs, levels):

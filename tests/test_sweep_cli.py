@@ -330,6 +330,48 @@ def test_cli_too_few_points_is_bad_input(tmp_path, capsys, argv, ini):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["ed", "dual"])
+@pytest.mark.parametrize("argv, ring", [
+    (["--rows", "3", "--cols", "3"], 3),
+    (["--string-steps", "3"], 4),
+    (["--plaquettes", "4"], 4),
+    (["--plaquettes", "5"], 4),
+    (["--plaquettes", "0"], 4),
+], ids=["3x3-default-strings", "sites-cover-the-loop", "plaquettes-cover-the-ring",
+        "plaquettes-wrap", "no-plaquettes"])
+def test_cli_sweep_strings_that_cover_a_loop_are_bad_input(tmp_path, capsys, monkeypatch,
+                                                           route, argv, ring):
+    # a string of lcm(rows, cols) sites is the conserved loop, and a longer
+    # one wraps: bad input on both routes before any point is solved, not a
+    # physics verdict (exit 3) or a measured wrapped product; an empty
+    # plaquette string once came after the first ground-state solve
+    def never(*args):
+        raise AssertionError("a sweep point was solved")
+
+    monkeypatch.setattr(plaqising.sweep, "_sweep_point", never)
+    out = tmp_path / "out"
+    assert main(["sweep", "--route", route, *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"ring length {ring}" in err
+    assert not out.exists()
+
+
+def test_cli_crit_corr_separation_must_stay_inside_the_ring(tmp_path, capsys):
+    for n_max in ("30", "20"):
+        out = tmp_path / n_max
+        assert main(["crit-corr", "--length", "20", "--n-max", n_max,
+                     "--out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"n_max = {n_max}" in err and "length = 20" in err
+        assert not out.exists()
+    # the longest separation on a 20-site ring is 19 (a physics verdict
+    # there is no input error)
+    assert main(["crit-corr", "--length", "20", "--n-max", "19",
+                 "--out", str(tmp_path / "19")]) != EXIT_BAD_INPUT
+    lines = (tmp_path / "19" / "crit-corr.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines if not ln.startswith("#")][-1] == "19"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--rows", "abc"],
     ["sweep", "--route", "foo"],
