@@ -17,6 +17,25 @@ brute-force reach.  Subpackages:
 - ``sweep`` / ``cli``  batch experiments and the command-line front end
 """
 
+import os
+import sys
+
+# numpy and scipy each load their own OpenBLAS, each with one thread per
+# core.  After a call, a pool's idle workers spin 2^28 cycles (~134 ms at
+# 2 GHz) before they sleep, so a scipy call right after a numpy one (or the
+# reverse) shares the cores with the other pool's spinning threads.  At
+# 2^24 cycles (~8 ms) the idle pool sleeps in time, while a Lanczos loop's
+# GEMVs, under 1 ms apart, still find warm threads.  On 2 cores this cut
+# the 4x3 duality-check's 165-180-state eigvalsh calls from up to 13.5 ms
+# to at most 5.3 ms.  Both libraries read the variable when they load, so
+# it is set before any import of numpy; a value already set wins.  It
+# changes only when idle threads sleep, never how work is split, so every
+# result is unchanged.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+# the value both OpenBLAS builds read, or None where numpy loaded before it
+_blas_thread_timeout = (None if "numpy" in sys.modules
+                        else os.environ["OPENBLAS_THREAD_TIMEOUT"])
+
 from .duality import (
     DualModel,
     dual_lattice_gap,

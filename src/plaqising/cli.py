@@ -16,7 +16,9 @@ Every run writes ``<command>.csv`` (or ``.json``) plus ``<command>.meta.json``
 into ``--out``.  Data files carry a ``#`` comment header (sign convention,
 config digest) and no timestamps, so reruns are byte-identical; volatile
 details live in the sidecar: ``created_utc`` and the ``run`` block (the
-process's peak RSS in MB and the numpy and scipy versions).
+process's peak RSS in MB, the numpy and scipy versions, and ``blas``: each
+loaded OpenBLAS with its file name, build config, thread count and the
+``OPENBLAS_THREAD_TIMEOUT`` it read, see ``plaqising/__init__.py``).
 
 Each config value has one path from text.  An INI file passed with
 ``--config`` supplies values in a section named after the subcommand, keyed
@@ -32,7 +34,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import resource
@@ -43,6 +47,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import _blas_thread_timeout
 from . import sweep as sweeplib
 from .errors import (
     InvalidSpec,
@@ -212,6 +217,36 @@ def _write_json(path: Path, rows: list[dict], comments: list[str]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _blas() -> tuple[dict, ...]:
+    """Each OpenBLAS loaded in this process (numpy and scipy bring one each):
+    its file name, ``*_get_config`` string, thread count and the idle-spin
+    exponent it read (None where numpy loaded before plaqising set it).
+    Read once, after the first run has loaded both; empty without /proc."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return ()
+    paths = sorted({ln.split()[-1] for ln in maps
+                    if "openblas" in ln.lower() and ln.split()[-1].startswith("/")})
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        entry = {"library": Path(path).name, "thread_timeout": _blas_thread_timeout}
+        # the symbol names of the scipy-openblas wheels (64_: 64-bit ints)
+        for stem in ("scipy_openblas{}64_", "scipy_openblas{}",
+                     "openblas{}64_", "openblas{}"):
+            config, threads = (getattr(lib, stem.format(f), None)
+                               for f in ("_get_config", "_get_num_threads"))
+            if config is not None and threads is not None:
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                entry.update(config=config().decode(), threads=threads())
+                break
+        out.append(entry)
+    return tuple(out)
+
+
 def run_command(args: argparse.Namespace) -> int:
     cfg, runner = _resolve_config(args)
     rows, meta = runner(cfg)
@@ -238,7 +273,8 @@ def run_command(args: argparse.Namespace) -> int:
         "data_file": data_path.name,
         "results": meta,
         "run": {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                "numpy": np.__version__, "scipy": scipy.__version__},
+                "numpy": np.__version__, "scipy": scipy.__version__,
+                "blas": _blas()},
     }
     (out_dir / f"{stem}.meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n"

@@ -23,6 +23,7 @@ deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,16 @@ def plaquette_string(
     return ps
 
 
+def _check_wrap(spec: LatticeSpec, r: int, what: str) -> None:
+    """The wrap rule of both routes: on a torus a string covers at most one
+    diagonal loop, ``ell = lcm(N, M)`` sites or plaquettes (the whole loop
+    included); a longer one raises :class:`NotMappable`."""
+    if spec.boundary is Boundary.PERIODIC:
+        ell = math.lcm(spec.rows, spec.cols)
+        if r > ell:
+            raise NotMappable(f"{what} exceeds the ring length {ell}")
+
+
 # ----------------------------------------------------------------------
 # direct (2D exact-diagonalization) route
 # ----------------------------------------------------------------------
@@ -143,6 +154,8 @@ def sx_string_expectation_ed(
     hs: HamiltonianSpec, seg: DiagonalSegment, state: np.ndarray | None = None
 ) -> float:
     """``<prod sx>`` on a 2D eigenstate (ground sector by default)."""
+    r = seg.n_steps + 1
+    _check_wrap(hs.lattice, r, f"segment of {r} sites")
     if state is None:
         state, _ = ground_state_for_measurement(hs)
     return expectation(state, sx_string(hs.lattice, seg).hadamard()).real
@@ -156,6 +169,7 @@ def plaquette_string_expectation_ed(
     state: np.ndarray | None = None,
 ) -> float:
     """``<prod F>`` on a 2D eigenstate (ground sector by default)."""
+    _check_wrap(hs.lattice, r, f"string of {r} plaquettes")
     if state is None:
         state, _ = ground_state_for_measurement(hs)
     ps = plaquette_string(hs.lattice, start_row, start_col, r)
@@ -195,19 +209,17 @@ def sx_string_expectation_dual(
     positions ``k, k + 1`` of one ring; site ``m`` of the segment is then
     the bond ``(k + m, k + m + 1) mod ell``.  A segment of exactly ``ell``
     sites is the whole conserved loop, whose label is +1 in the ground
-    sector; a longer one raises :class:`NotMappable`.
+    sector; a longer one raises :class:`NotMappable`, as on the ED route.
     """
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
+    r = seg.n_steps + 1
+    _check_wrap(hs.lattice, r, f"segment of {r} sites")
     model = _dual_model(hs, _cache)
     spec = hs.lattice
     first = spec.site_index(seg.start_row, seg.start_col)
     (ci, start), _ = _site_image(spec, first)
-    ell = model.chains[ci].length
-    r = seg.n_steps + 1
-    if r > ell:
-        raise NotMappable(f"segment of {r} sites exceeds the ring length {ell}")
-    if r == ell:
+    if r == model.chains[ci].length:
         return 1.0
     sol = _dual_chain_solution(model, ci, _cache)
     return zz_correlator(sol, start + 1, start + 1 + r)
@@ -223,15 +235,13 @@ def plaquette_string_expectation_dual(
     """Ground-sector ``<prod F>`` via the dual disorder determinant."""
     if hs.lattice.boundary is not Boundary.PERIODIC:
         raise NotMappable("dual string evaluation needs the torus chains")
+    _check_wrap(hs.lattice, r, f"string of {r} plaquettes")
     model = _dual_model(hs, _cache)
     spec = hs.lattice
     base = spec.site_index(start_row, start_col)
     ci, k = plaquette_chain_position(spec, base)
-    ell = model.chains[ci].length
-    if r > ell:
-        raise NotMappable(f"string of {r} plaquettes exceeds the ring length {ell}")
     sol = _dual_chain_solution(model, ci, _cache)
-    if r == ell:
+    if r == model.chains[ci].length:
         # whole-ring product: the chain parity, +1 in the ground sector
         return 1.0
     return disorder_parameter(sol, r, start=k + 1)

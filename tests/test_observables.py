@@ -325,6 +325,40 @@ def test_whole_ring_sx_segment_is_not_a_two_point_function():
             sx_string_expectation_dual(hs, DiagonalSegment(2, 0, 3))
 
 
+def test_both_routes_refuse_strings_longer_than_the_ring(monkeypatch):
+    # one wrap rule: on the 4x4 torus (ring length 4) a 5-plaquette or
+    # 6-site string raises the same NotMappable on both routes, the ED route
+    # before it solves; a whole-ring string keeps its value, +1, on both
+    import plaqising.observables as observables
+
+    hs = torus(4, 4, 0.6, 0.4)
+    state, _ = ground_state_for_measurement(hs)
+    whole = DiagonalSegment(3, 0, 3)
+    for ed in (plaquette_string_expectation_ed(hs, 3, 0, 4, state=state),
+               sx_string_expectation_ed(hs, whole, state=state)):
+        assert ed == pytest.approx(1.0, abs=1e-9)
+    assert plaquette_string_expectation_dual(hs, 3, 0, 4) == 1.0
+    assert sx_string_expectation_dual(hs, whole) == 1.0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the wrap check")
+
+    monkeypatch.setattr(observables, "ground_state_for_measurement", unreachable)
+    monkeypatch.setattr(observables, "map_hamiltonian", unreachable)
+    too_long = DiagonalSegment(3, 0, 5)
+    for ed, dual, args, msg in (
+        (plaquette_string_expectation_ed, plaquette_string_expectation_dual,
+         (3, 0, 5), "string of 5 plaquettes exceeds the ring length 4"),
+        (sx_string_expectation_ed, sx_string_expectation_dual,
+         (too_long,), "segment of 6 sites exceeds the ring length 4"),
+    ):
+        for route in (ed, dual):
+            with pytest.raises(NotMappable, match=msg):
+                route(hs, *args)
+    with pytest.raises(NotMappable, match="ring length 4"):
+        plaquette_string_expectation_ed(hs, 3, 0, 5, state=state)
+
+
 def test_dual_sweep_builds_one_model_per_point(monkeypatch):
     import plaqising.observables as observables
     from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep

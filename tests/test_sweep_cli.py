@@ -464,13 +464,55 @@ def test_cli_values_hold_across_blas_thread_counts(tmp_path):
             assert abs(fx - fy) <= 1e-12 * abs(fy) + 1e-12, (x, y)
 
 
-def test_cli_sidecar_records_the_run(tmp_path):
+def test_cli_values_are_unchanged_by_the_blas_idle_spin(tmp_path):
+    # plaqising sets OPENBLAS_THREAD_TIMEOUT to 24 before numpy loads, and a
+    # value already set wins; it changes only when idle BLAS threads sleep,
+    # so the data files of the default and of OpenBLAS's own 28 are identical
+    src = str(Path(plaqising.__file__).resolve().parents[1])
+    ini = tmp_path / "small.ini"
+    ini.write_text("[exponents]\nlength = 512\nseparation = 100\n"
+                   "string-length = 150\nordered-grid = 0.80, 0.89, 0.98\n"
+                   "disordered-grid = 1.02, 1.13, 1.25\n")
+    argvs = [["duality-check", "--rows", "4", "--cols", "3", "--g", "0.95",
+              "--h", "1.07"], ["exponents", "--config", str(ini)]]
+    data = {}
+    for timeout in (None, "28"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = src
+        if timeout:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        out = tmp_path / f"timeout-{timeout or 'default'}"
+        for argv in argvs:
+            subprocess.run([sys.executable, "-m", "plaqising.cli", *argv, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            blas = _read_sidecar(out, argv[0])["run"]["blas"]
+            assert blas and {b["thread_timeout"] for b in blas} == {timeout or "24"}
+            data[timeout, argv[0]] = (out / f"{argv[0]}.csv").read_bytes()
+    for argv in argvs:
+        assert data[None, argv[0]] == data["28", argv[0]], argv[0]
+
+
+def test_cli_sidecar_records_the_run(tmp_path, monkeypatch):
     assert main(["crit-corr", "--length", "512", "--n-max", "3",
                  "--out", str(tmp_path)]) == EXIT_OK
     run = _read_sidecar(tmp_path, "crit-corr")["run"]
-    assert set(run) == {"peak_rss_mb", "numpy", "scipy"}
+    assert set(run) == {"peak_rss_mb", "numpy", "scipy", "blas"}
     assert run["peak_rss_mb"] > 0
     assert (run["numpy"], run["scipy"]) == (np.__version__, scipy.__version__)
+    # each loaded OpenBLAS, read once per process; the idle-spin exponent is
+    # unknown (None) where numpy loaded before plaqising
+    for lib in run["blas"]:
+        assert set(lib) == {"library", "config", "threads", "thread_timeout"}
+        assert "openblas" in lib["library"] and lib["config"].startswith("OpenBLAS")
+        assert lib["threads"] >= 1
+        assert lib["thread_timeout"] == plaqising._blas_thread_timeout
+    assert cli._blas() is cli._blas()
+
+    def no_proc(self, *args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(Path, "read_text", no_proc)
+    assert cli._blas.__wrapped__() == ()
 
 
 def test_cli_json_output(tmp_path):
