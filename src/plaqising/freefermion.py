@@ -26,11 +26,14 @@ polar factor ``G(i, j) = <B_i A_j> = (U Vh)^T`` from ``Z = U diag(s) Vh``.
 The many-body ground energy is ``-1/2 sum_k eps_k`` exactly (field constants
 cancel).
 
-Wick blocks
------------
-Every string correlator is a determinant of a block
-``T[a, b] = G(rows[a], cols[b])`` with 0-based site indices, gathered in one
-NumPy indexing step:
+Strings
+-------
+Every string is a Majorana monomial ``sign * prod_k B_{b_k} A_{a_k}`` on one
+chain (0-based sites, pairs in order) with value ``sign * det G[b, a]``, read
+by one function, :func:`_wick`, under one index rule, one whole-ring rule and
+one twist rule: a bond across a ring's closing bond carries the ring's
+``twist``.  The block ``T[a, b] = G(rows[a], cols[b])`` is gathered in one
+NumPy indexing step by :func:`_toeplitz_from`:
 
 * open chains index the materialized block ``G[:m, :m]`` directly; an index
   outside it (negative ones included) raises :class:`IndexOutOfRange`;
@@ -145,12 +148,13 @@ class BdGSolution:
     chain, and on a ring those of the even spin-parity (correlator) grid.
     ``ground_energy`` is the many-body ground energy (on a ring, the lower
     of the two spin-parity blocks' lowest levels).  The correlators read the
-    Majorana correlator ``G(i,j) = <B_i A_j>`` only through the Wick-block
-    gather :func:`_toeplitz_from`.  An open chain holds ``G`` of its Gaussian
-    vacuum in ``_G`` (only the leading ``m x m`` block, ``8 m^2`` bytes, when
-    solved with ``corr_size = m``; nothing with ``corr_size = 0``); a ring
-    holds one row of ``G`` in ``_gvec`` (``8 L`` bytes), for the lowest
-    state of its even spin-parity block.
+    Majorana correlator ``G(i,j) = <B_i A_j>`` only through the one string
+    reader :func:`_wick` and its block gather :func:`_toeplitz_from`.  An
+    open chain holds ``G`` of its Gaussian vacuum in ``_G`` (only the
+    leading ``m x m`` block, ``8 m^2`` bytes, when solved with
+    ``corr_size = m``; nothing with ``corr_size = 0``); a ring holds one row
+    of ``G`` in ``_gvec`` (``8 L`` bytes), for the lowest state of its even
+    spin-parity block.
     """
 
     chain: TFIMChainSpec
@@ -461,60 +465,62 @@ def _toeplitz_from(sol: BdGSolution, row_offsets, col_offsets) -> np.ndarray:
     return sol._G[np.ix_(rows, cols)]
 
 
-def _check_pair(sol: BdGSolution, i: int, j: int) -> None:
-    if sol.chain.boundary is ChainBoundary.PERIODIC_CHAIN:
-        if not (1 <= i < j and j - i < sol.L):
-            raise IndexOutOfRange(
-                f"need 1 <= i < j with j - i < L = {sol.L}, got ({i}, {j})"
-            )
-        return
-    if not (1 <= i < j <= sol.L):
-        raise IndexOutOfRange(f"need 1 <= i < j <= L = {sol.L}, got ({i}, {j})")
+def _wick(sol: BdGSolution, bs, as_, sign: int) -> float:
+    """``sign * det G[bs, as_]``: the ground-state value of the Majorana
+    monomial ``sign * prod_k B_{bs[k]} A_{as_[k]}`` (0-based sites).
+
+    1. Index rule: the first site ``bs[0] + 1`` is in ``1..L``; ``bs`` and
+       ``as_`` each ascend within fewer than ``L`` positions (at most one
+       whole ring, no Majorana twice); on an open chain every site is inside
+       the materialized block (:func:`_toeplitz_from` raises otherwise).
+    2. A pair with ``B`` and ``A`` on different laps of a ring is a bond
+       across the closing bond.  The block's wrap sign follows the fermion
+       grid, which a twist swaps, while ``tz_L tz_1 = P B_L A_1`` does not
+       change; so the pair carries ``twist``.
+    3. ``L`` pairs on a ring cover it whole: that block is orthogonal, so
+       the value is its sign, exactly ``+-1``.
+    """
+    L = sol.L
+    bs, as_ = np.asarray(bs, dtype=np.intp), np.asarray(as_, dtype=np.intp)
+    if not (bs.size and 0 <= bs[0] < L and all(
+            (np.diff(p) > 0).all() and p[-1] - p[0] < L for p in (bs, as_))):
+        raise IndexOutOfRange(f"B sites {bs + 1}, A sites {as_ + 1}: need a first"
+                              f" site in 1..{L}, ascending within one ring")
+    sign *= sol.chain.twist ** int(np.count_nonzero(bs // L != as_ // L))
+    s, logdet = np.linalg.slogdet(_toeplitz_from(sol, bs, as_))
+    if s == 0:
+        return 0.0
+    if bs.size == L and sol.chain.boundary is ChainBoundary.PERIODIC_CHAIN:
+        return float(sign * s)
+    return float(sign * s * math.exp(logdet))
 
 
 def magnetization_x(sol: BdGSolution, i: int) -> float:
-    """``<tx_i>`` (1-based site)."""
-    if not 1 <= i <= sol.L:
-        raise IndexOutOfRange(f"site {i} outside 1..{sol.L}")
-    return float(_toeplitz_from(sol, [i - 1], [i - 1])[0, 0])
+    """``<tx_i>`` (1-based site): the monomial ``tx_i = B_i A_i``."""
+    return _wick(sol, [i - 1], [i - 1], 1)
 
 
 def zz_correlator(sol: BdGSolution, i: int, j: int) -> float:
-    """``<tz_i tz_j>`` (1-based, i < j) via the r x r Wick determinant.
-
-    ``tz_i tz_j = prod_{m=i}^{j-1} (-B_m A_{m+1})``, so the value is
-    ``(-1)^r det[ G(i-1+a, i+b) ]_{a,b=0..r-1}`` with ``r = j - i``.  For
-    periodic chains this is the expectation in the even block's lowest
-    state, exact as long as the string does not wrap (i.e. for the shorter
-    of the two arcs).
+    """``<tz_i tz_j>`` (1-based, ``i < j``): the ``r = j - i`` pairs of
+    ``prod_{m=i}^{j-1} (-B_m A_{m+1})``, sign ``(-1)^r``.  On a ring, in the
+    even block's lowest state for any ``j - i <= L`` (a bond across the
+    closing bond carries the twist); ``j = i + L`` is ``tz_i^2``, exactly 1.
     """
-    _check_pair(sol, i, j)
-    r = j - i
-    rows = [i - 1 + a for a in range(r)]
-    cols = [i + b for b in range(r)]
-    T = _toeplitz_from(sol, rows, cols)
-    sign, logdet = np.linalg.slogdet(T)
-    return 0.0 if sign == 0 else float((-1) ** r * sign * math.exp(logdet))
+    return _wick(sol, range(i - 1, j - 1), range(i, j), (-1) ** (j - i))
 
 
 def xx_correlator(sol: BdGSolution, i: int, j: int) -> float:
-    """``<tx_i tx_j>`` (1-based, i < j): two-contraction Wick formula."""
-    _check_pair(sol, i, j)
-    T = _toeplitz_from(sol, [i - 1, j - 1], [i - 1, j - 1])
-    return float(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0])
+    """``<tx_i tx_j>`` (1-based, ``i < j``, ``j - i < L`` on a ring): the
+    monomial ``B_i A_i B_j A_j``."""
+    return _wick(sol, [i - 1, j - 1], [i - 1, j - 1], 1)
 
 
 def disorder_parameter(sol: BdGSolution, r: int, start: int = 1) -> float:
-    """``<prod_{j=start..start+r-1} tx_j>``: an r x r block determinant of G.
+    """``<prod_{j=start..start+r-1} tx_j>``: an ``r x r`` block determinant.
 
-    The default segment is anchored at the first site.  For periodic chains
-    positions past ``L`` wrap (with the grid's boundary sign), so any window
-    of ``r <= L`` sites is allowed; ``r = L`` is the spin-flip parity.
+    ``start`` is in ``1..L`` (default 1).  On a ring a window of ``r <= L``
+    sites may wrap past site ``L``; ``r = L`` is the spin-flip parity,
+    exactly 1 in the even block.
     """
-    if r < 1 or r > sol.L or (sol.chain.boundary is ChainBoundary.OPEN_CHAIN
-                              and not 1 <= start <= start + r - 1 <= sol.L):
-        raise IndexOutOfRange(f"segment [{start}, {start + r - 1}] outside 1..{sol.L}")
-    rows = list(range(start - 1, start - 1 + r))
-    T = _toeplitz_from(sol, rows, rows)
-    sign, logdet = np.linalg.slogdet(T)
-    return float(0.0 if sign == 0 else sign * math.exp(logdet))
+    sites = range(start - 1, start - 1 + r)
+    return _wick(sol, sites, sites, 1)

@@ -12,6 +12,9 @@ Two families of strings live on the anti-diagonals:
 Both can be evaluated directly on a 2D eigenstate (small lattices) or through
 the free-fermion solution of the dual chain (any size, torus only: dual
 strings on an open lattice are not implemented and raise ``NotMappable``).
+A dual string is one Majorana monomial on one ring, read by the one Wick
+reader of :mod:`plaqising.freefermion` (a whole loop gives its label, exactly
++1).  Both routes check a string's length before any solve.
 The direct route measures in one loop sector: the Hamiltonian is solved
 only on the states with a fixed eigenvalue of every conserved diagonal loop
 (all ``+1`` by default), which after a Hadamard on every spin is a fixed bit
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualModel, _site_image, map_hamiltonian
+from .duality import _site_image, map_hamiltonian
 from .ed import (
     HamiltonianSpec,
     expectation,
@@ -116,9 +119,11 @@ def plaquette_string(
 
 
 def _check_wrap(spec: LatticeSpec, r: int, what: str) -> None:
-    """The wrap rule of both routes: on a torus a string covers at most one
-    diagonal loop, ``ell = lcm(N, M)`` sites or plaquettes (the whole loop
-    included); a longer one raises :class:`NotMappable`."""
+    """The length rule of both routes: a string covers at least one site or
+    plaquette (else :class:`InvalidSpec`) and on a torus at most one diagonal
+    loop, ``ell = lcm(N, M)`` (else :class:`NotMappable`)."""
+    if r < 1:
+        raise InvalidSpec(f"{what} is empty")
     if spec.boundary is Boundary.PERIODIC:
         ell = math.lcm(spec.rows, spec.cols)
         if r > ell:
@@ -156,9 +161,10 @@ def sx_string_expectation_ed(
     """``<prod sx>`` on a 2D eigenstate (ground sector by default)."""
     r = seg.n_steps + 1
     _check_wrap(hs.lattice, r, f"segment of {r} sites")
+    ps = sx_string(hs.lattice, seg)
     if state is None:
         state, _ = ground_state_for_measurement(hs)
-    return expectation(state, sx_string(hs.lattice, seg).hadamard()).real
+    return expectation(state, ps.hadamard()).real
 
 
 def plaquette_string_expectation_ed(
@@ -170,31 +176,31 @@ def plaquette_string_expectation_ed(
 ) -> float:
     """``<prod F>`` on a 2D eigenstate (ground sector by default)."""
     _check_wrap(hs.lattice, r, f"string of {r} plaquettes")
+    ps = plaquette_string(hs.lattice, start_row, start_col, r)
     if state is None:
         state, _ = ground_state_for_measurement(hs)
-    ps = plaquette_string(hs.lattice, start_row, start_col, r)
     return expectation(state, ps.hadamard()).real
 
 
 # ----------------------------------------------------------------------
 # dual (free-fermion) route, torus only
 # ----------------------------------------------------------------------
-def _dual_model(hs: HamiltonianSpec, cache: dict | None) -> DualModel:
-    """The dual model of ``hs``, built once per ``cache`` (one sweep point)."""
-    if cache is None:
-        return map_hamiltonian(hs)
+def _check_dual(hs: HamiltonianSpec, r: int, what: str) -> None:
+    """Torus and length check of both dual strings, before any solve."""
+    if hs.lattice.boundary is not Boundary.PERIODIC:
+        raise NotMappable("dual string evaluation needs the torus chains")
+    _check_wrap(hs.lattice, r, what)
+
+
+def _ring_solution(hs: HamiltonianSpec, ci: int, cache: dict | None = None) -> BdGSolution:
+    """Dual ring ``ci`` of ``hs``; the model and each ring are built once per
+    ``cache`` (one sweep point)."""
+    cache = {} if cache is None else cache
     if "model" not in cache:
         cache["model"] = map_hamiltonian(hs)
-    return cache["model"]
-
-
-def _dual_chain_solution(model: DualModel, ci: int, cache: dict | None = None) -> BdGSolution:
-    if cache is not None and ci in cache:
-        return cache[ci]
-    sol = bdg_solve(model.chains[ci])
-    if cache is not None:
-        cache[ci] = sol
-    return sol
+    if ci not in cache:
+        cache[ci] = bdg_solve(cache["model"].chains[ci])
+    return cache[ci]
 
 
 def sx_string_expectation_dual(
@@ -208,21 +214,14 @@ def sx_string_expectation_dual(
     based at ``(r, c - 1)`` and ``(r - 1, c)``, which sit at consecutive
     positions ``k, k + 1`` of one ring; site ``m`` of the segment is then
     the bond ``(k + m, k + m + 1) mod ell``.  A segment of exactly ``ell``
-    sites is the whole conserved loop, whose label is +1 in the ground
-    sector; a longer one raises :class:`NotMappable`, as on the ED route.
+    sites is the whole conserved loop, ``tz_k^2``, whose determinant is
+    exactly +1; a longer one raises :class:`NotMappable`, as on the ED route.
     """
-    if hs.lattice.boundary is not Boundary.PERIODIC:
-        raise NotMappable("dual string evaluation needs the torus chains")
     r = seg.n_steps + 1
-    _check_wrap(hs.lattice, r, f"segment of {r} sites")
-    model = _dual_model(hs, _cache)
+    _check_dual(hs, r, f"segment of {r} sites")
     spec = hs.lattice
-    first = spec.site_index(seg.start_row, seg.start_col)
-    (ci, start), _ = _site_image(spec, first)
-    if r == model.chains[ci].length:
-        return 1.0
-    sol = _dual_chain_solution(model, ci, _cache)
-    return zz_correlator(sol, start + 1, start + 1 + r)
+    (ci, start), _ = _site_image(spec, spec.site_index(seg.start_row, seg.start_col))
+    return zz_correlator(_ring_solution(hs, ci, _cache), start + 1, start + 1 + r)
 
 
 def plaquette_string_expectation_dual(
@@ -232,16 +231,9 @@ def plaquette_string_expectation_dual(
     r: int,
     _cache: dict | None = None,
 ) -> float:
-    """Ground-sector ``<prod F>`` via the dual disorder determinant."""
-    if hs.lattice.boundary is not Boundary.PERIODIC:
-        raise NotMappable("dual string evaluation needs the torus chains")
-    _check_wrap(hs.lattice, r, f"string of {r} plaquettes")
-    model = _dual_model(hs, _cache)
+    """Ground-sector ``<prod F>`` via the dual disorder determinant; a whole
+    ring is the chain parity, exactly +1 in the ground sector."""
+    _check_dual(hs, r, f"string of {r} plaquettes")
     spec = hs.lattice
-    base = spec.site_index(start_row, start_col)
-    ci, k = plaquette_chain_position(spec, base)
-    sol = _dual_chain_solution(model, ci, _cache)
-    if r == model.chains[ci].length:
-        # whole-ring product: the chain parity, +1 in the ground sector
-        return 1.0
-    return disorder_parameter(sol, r, start=k + 1)
+    ci, k = plaquette_chain_position(spec, spec.site_index(start_row, start_col))
+    return disorder_parameter(_ring_solution(hs, ci, _cache), r, start=k + 1)

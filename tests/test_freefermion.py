@@ -272,6 +272,31 @@ def test_correlator_index_validation():
         zz_correlator(sol, 0, 2)
     with pytest.raises(IndexOutOfRange):
         zz_correlator(sol, 2, 6)
+    # one rule on a ring too: the first site is in 1..L, and a string spans
+    # at most one whole ring
+    ring = bdg_solve(TFIMChainSpec(6, RING, 1.4, bond=1.0))
+    for start in (-2, 0, 7, 100):
+        with pytest.raises(IndexOutOfRange):
+            disorder_parameter(ring, 3, start)
+    for read, args in ((zz_correlator, (10, 12)), (zz_correlator, (0, 2)),
+                       (zz_correlator, (3, 3)), (zz_correlator, (2, 9)),
+                       (xx_correlator, (1, 7)), (xx_correlator, (4, 4)),
+                       (xx_correlator, (7, 8)), (magnetization_x, (7,)),
+                       (magnetization_x, (0,))):
+        with pytest.raises(IndexOutOfRange):
+            read(ring, *args)
+
+
+@pytest.mark.parametrize("L", [3, 4, 12])
+@pytest.mark.parametrize("g_I", [0.0, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("twist", [1, -1])
+def test_whole_ring_strings_are_exactly_one(L, g_I, twist):
+    # a block over the whole ring is orthogonal: prod tx is the even
+    # block's parity and tz_i tz_{i+L} is tz_i^2, both exactly +1
+    sol = bdg_solve(TFIMChainSpec(L, RING, g_I, bond=1.0, twist=twist))
+    for i in range(1, L + 1):
+        assert disorder_parameter(sol, L, i) == 1.0, i
+        assert zz_correlator(sol, i, i + L) == 1.0, i
 
 
 def test_truncated_correlator_block():
@@ -295,14 +320,16 @@ def test_truncated_correlator_block():
 def test_ring_wick_block_equals_corr(twist, g_I):
     # every window of the ring, those across the wrap included, against the
     # lowest state of the dense spin-flip block prod tx = +1.  In that
-    # block's Hadamard frame a tx string is diagonal: (-1)^popcount(b & mask).
+    # block's Hadamard frame a tx string is diagonal: (-1)^popcount(b & mask),
+    # and tz_i tz_j flips bits i and j.
     # A twisted ring below g_I = 1 keeps even parity on the periodic grid,
     # whose vacuum is odd, so the state is not the bare vacuum there.
     L = 8
     spec = TFIMChainSpec(L, RING, g_I, bond=1.0, twist=twist)
     op = parity_block(L, chain_terms(spec), [(1 << L) - 1], [1])
     _, vecs = np.linalg.eigh(op.dense())
-    weight = vecs[:, 0] ** 2
+    vec = vecs[:, 0]
+    weight = vec ** 2
     sol = bdg_solve(spec)
     for r in range(1, L + 1):
         for start in range(1, L + 1):
@@ -310,6 +337,11 @@ def test_ring_wick_block_equals_corr(twist, g_I):
             odd = np.bitwise_count(op.basis & np.uint64(mask)) & np.uint64(1)
             mu = float(weight @ np.where(odd == 1, -1.0, 1.0))
             assert abs(disorder_parameter(sol, r, start) - mu) < 1e-10, (r, start)
+            # the pair (start, start + r) crosses the closing bond once
+            # start + r > L; that bond carries the twist
+            flip = np.uint64((1 << (start - 1)) ^ (1 << ((start - 1 + r) % L)))
+            zz = float(vec @ vec[np.searchsorted(op.basis, op.basis ^ flip)])
+            assert abs(zz_correlator(sol, start, start + r) - zz) < 1e-10, (start, r)
 
 
 @pytest.mark.parametrize("rows,cols", [

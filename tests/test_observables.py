@@ -41,7 +41,7 @@ from plaqising.observables import (
 )
 from plaqising.pauli import sigma_x
 from plaqising.ed import _loop_masks, _parity_labels, parity_block, sector_operator
-from plaqising.observables import _dual_chain_solution
+from plaqising.observables import _ring_solution
 
 
 def torus(n, m, g=1.0, h=1.0):
@@ -250,8 +250,7 @@ def test_local_sx_is_uniform_and_matches_the_dual_bond():
     prof = np.array([expectation(state, sigma_x(j).hadamard()).real
                      for j in range(hs.n_spins)])
     assert np.ptp(prof) < 1e-8
-    model = map_hamiltonian(hs)
-    sol = _dual_chain_solution(model, 0)
+    sol = _ring_solution(hs, 0)
     assert prof[0] == pytest.approx(zz_correlator(sol, 1, 2), abs=1e-8)
 
 
@@ -326,9 +325,9 @@ def test_whole_ring_sx_segment_is_not_a_two_point_function():
 
 
 def test_both_routes_refuse_strings_longer_than_the_ring(monkeypatch):
-    # one wrap rule: on the 4x4 torus (ring length 4) a 5-plaquette or
-    # 6-site string raises the same NotMappable on both routes, the ED route
-    # before it solves; a whole-ring string keeps its value, +1, on both
+    # one length rule: on the 4x4 torus (ring length 4) a 5-plaquette or
+    # 6-site string raises the same NotMappable on both routes, before either
+    # solves; a whole-ring string keeps its value, +1, on both
     import plaqising.observables as observables
 
     hs = torus(4, 4, 0.6, 0.4)
@@ -357,6 +356,17 @@ def test_both_routes_refuse_strings_longer_than_the_ring(monkeypatch):
                 route(hs, *args)
     with pytest.raises(NotMappable, match="ring length 4"):
         plaquette_string_expectation_ed(hs, 3, 0, 5, state=state)
+    # an empty string is one InvalidSpec on both routes, also before a solve
+    for route in (plaquette_string_expectation_ed, plaquette_string_expectation_dual):
+        for r in (0, -1):
+            with pytest.raises(InvalidSpec, match=f"string of {r} plaquettes"):
+                route(hs, 3, 0, r)
+    # on an open lattice the ED route builds its string before it solves
+    flat = open_lat(3, 4, 0.6, 0.4)
+    with pytest.raises(SiteOutOfRange):
+        plaquette_string_expectation_ed(flat, 1, 1, 3)
+    with pytest.raises(SiteOutOfRange):
+        sx_string_expectation_ed(flat, DiagonalSegment(1, 1, 2))
 
 
 def test_dual_sweep_builds_one_model_per_point(monkeypatch):
