@@ -26,6 +26,25 @@ polar factor ``G(i, j) = <B_i A_j> = (U Vh)^T`` from ``Z = U diag(s) Vh``.
 The many-body ground energy is ``-1/2 sum_k eps_k`` exactly (field constants
 cancel).
 
+Open chains fold ``Z`` with the site reversal ``R``: ``Z^T = R Z R``, so
+``M = R Z`` is symmetric, nonzero only at ``i + j = L - 1`` (``2f``) and
+``i + j = L - 2`` (``-2b``).  In the path order ``L-1, 0, L-2, 1, ...`` it is
+tridiagonal, with off-diagonal ``2f, -2b, 2f, ...`` and a zero diagonal but
+for its last entry (``-2b`` for even ``L``, ``2f`` for odd ``L``).  One
+tridiagonal eigensolve ``M = Q diag(theta) Q^T`` gives everything:
+
+* the mode energies are ``|theta|``;
+* ``G = sign(M) R = (1 - 2 N N^T) R``, with ``N`` the eigenvectors of
+  ``theta < 0`` in site order;
+* a mode below :func:`_sv_noise_floor` (the edge mode of ``f < b``, an
+  exact zero at ``f = 0``) has no computable sign.  ``det M = det R (2f)^L``
+  fixes it, and it is ``+``: the edge vector ``v0 ~ (f/b)^(L-1-j)`` has
+  ``v0^T M v0 = (R v0)^T Z v0 >= 0``, the pairing ``u^T Z v >= 0`` of the
+  edge vectors ``u = R v``.  So it stays out of ``N``;
+* ``G G^T - 1 = 4 N E N^T`` with ``E = N^T N - 1``, so
+  ``4 ||E||_F (1 + ||E||_F)`` bounds ``max |G G^T - 1|``; above ``1e-8`` the
+  solve raises :class:`NumericalFailure`.
+
 Strings
 -------
 Every string is a Majorana monomial ``sign * prod_k B_{b_k} A_{a_k}`` on one
@@ -57,23 +76,13 @@ from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure, TooLarge
 from .lattice import ChainBoundary
 from .pauli import PauliString
 
-# The open-chain solve works on U and V (later G) in pieces, so that no
-# temporary is larger than _SLAB x L.  _SLAB rows per slab of G = V U^T and
-# of its check: each slab product repacks all of U, so narrower slabs cost
-# time (at L = 4096 on a 2-core Xeon, 256 rows took 10 % longer than one
-# whole product, 384 rows 6 %).  _PANEL columns per panel of Z^T U: a
-# narrow panel is copied into the C-ordered V within cache.
-_SLAB = 384
-_PANEL = 64
-
 
 def _sv_noise_floor(L: int, eps_max: float) -> float:
     """Smallest open-chain mode energy distinguishable from an exact zero mode.
 
-    Mode energies are measured as ``||Z^T u_k||``; for a true (underflowed)
-    zero mode the computed norm is pure eigenvector noise,
-    ``||Z^T eta|| <~ p(L) * machine_eps * ||Z||``, so anything below this
-    floor is replaced by the analytic edge mode.
+    The tridiagonal eigenvalues carry an absolute error of about
+    ``p(L) * machine_eps * ||M||``; a mode below this floor is an exact zero
+    as far as the solve can tell, and its energy is reported as 0.
     """
     return 32.0 * L * np.finfo(float).eps * max(eps_max, 1e-300)
 
@@ -152,9 +161,10 @@ class BdGSolution:
     reader :func:`_wick` and its block gather :func:`_toeplitz_from`.  An
     open chain holds ``G`` of its Gaussian vacuum in ``_G`` (only the
     leading ``m x m`` block, ``8 m^2`` bytes, when solved with
-    ``corr_size = m``; nothing with ``corr_size = 0``); a ring holds one row
-    of ``G`` in ``_gvec`` (``8 L`` bytes), for the lowest state of its even
-    spin-parity block.
+    ``corr_size = m``; nothing with ``corr_size = 0``) and the bound
+    ``orthogonality_bound >= max |G G^T - 1|`` that its solve checked (0
+    where no check ran); a ring holds one row of ``G`` in ``_gvec``
+    (``8 L`` bytes), for the lowest state of its even spin-parity block.
     """
 
     chain: TFIMChainSpec
@@ -163,41 +173,11 @@ class BdGSolution:
     _G: np.ndarray | None = None
     _gvec: np.ndarray | None = None  # periodic: G(i, i+r) = _gvec[r mod L] up to wrap sign
     _gvec_wrap_sign: int = -1  # -1 antiperiodic grid, +1 periodic grid
+    orthogonality_bound: float = 0.0
 
     @property
     def L(self) -> int:
         return self.chain.length
-
-
-def _open_Z(L: int, f: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of Z Z^T for an open chain (tridiagonal) as (diag, offdiag)."""
-    d = np.full(L, 4 * (f * f + b * b))
-    d[0] = 4 * f * f
-    e = np.full(L - 1, -4 * f * b)
-    return d, e
-
-
-def _apply_Zt_open(U: np.ndarray, f: float, b: float) -> np.ndarray:
-    """Z^T @ U for the open-chain Z (bidiagonal), without forming Z."""
-    out = 2 * f * U
-    out[:-1] -= 2 * b * U[1:]
-    return out
-
-
-def _orthogonality_deviation(G: np.ndarray) -> float:
-    """``max |G G^T - 1|`` over the entries on and above the diagonal.
-
-    ``G G^T`` is symmetric, so those entries hold its maximum.  They are
-    computed one row slab at a time, ``G[i:i+k] @ G[i:].T`` with
-    ``k = _SLAB``, so the only temporary is one ``k x L`` block (``8 k L``
-    bytes) besides ``G``.
-    """
-    dev = 0.0
-    for i in range(0, len(G), _SLAB):
-        C = G[i:i + _SLAB] @ G[i:].T
-        C[np.diag_indices(len(C))] -= 1.0
-        dev = max(dev, C.max(), -C.min())
-    return float(dev)
 
 
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
@@ -210,14 +190,13 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     that block's lowest state; its ground energy is the lower of the two
     blocks' lowest levels.
 
-    Memory on an open chain: at most two ``L x L`` float arrays
-    (``8 L^2`` bytes each) are live, plus one ``_SLAB x L`` slab.
-    They are the tridiagonal eigenvectors ``U`` and ``V = Z^T U``;
-    ``G = V U^T`` is written over ``V`` one row slab at a time, and ``U`` is
-    freed before the orthogonality check.  With ``corr_size = 0`` only
-    ``U`` is kept, and the energies are read from one ``L x _PANEL`` panel
-    of ``Z^T U`` at a time.  The LAPACK eigensolve alone also peaks at two
-    ``L x L`` arrays.
+    Memory on an open chain, in the order it is live: LAPACK's eigensolve
+    of the folded tridiagonal ``M`` (eigenvectors ``Q``, ``8 L^2`` bytes,
+    plus its workspace: about two ``L x L`` arrays at the peak); then ``N``,
+    the ``k ~ L / 2`` columns of ``Q`` with ``theta < 0`` in site order
+    (``8 L k`` bytes), after which ``Q`` is freed; then the ``k x k`` Gram
+    matrix of the orthogonality check and the ``m x m`` block of ``G``.
+    With ``corr_size = 0`` nothing after the eigensolve is built.
     """
     if chain.edge_fields:
         raise InvalidSpec("boundary tz fields break the quadratic form; use dense ED")
@@ -233,76 +212,45 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         )
 
     if chain.boundary is ChainBoundary.OPEN_CHAIN:
-        d, e = _open_Z(L, f, b)
-        _, U = scipy.linalg.eigh_tridiagonal(d, e)
-        # measure each mode energy as ||Z^T u_k||: unlike sqrt of the
-        # tridiagonal eigenvalue (absolute error ~ eps * lam_max, i.e. a large
-        # RELATIVE error for small modes), the directly computed norm is
-        # accurate to ~machine eps relative, which keeps small-but-real edge
-        # modes and the orthogonality of G at full precision.  U comes
-        # Fortran-ordered: each column panel is contiguous, so its norms sum
-        # every column as a whole-matrix norm would.  V is C-ordered, so
-        # its row slabs are contiguous for G below.
-        V = None if corr_size == 0 else np.empty((L, L))
-        eps = np.empty(L)
-        for c in range(0, L, _PANEL):
-            cols = slice(c, c + _PANEL)
-            panel = _apply_Zt_open(U[:, cols], f, b)
-            eps[cols] = np.linalg.norm(panel, axis=0)
-            if V is not None:
-                V[:, cols] = panel
+        # the fold M = R Z, tridiagonal in the path order L-1, 0, L-2, 1, ...
+        d = np.zeros(L)
+        d[-1] = 2 * f if L % 2 else -2 * b
+        e = np.where(np.arange(L - 1) % 2, -2 * b, 2 * f)
+        theta, Q = scipy.linalg.eigh_tridiagonal(d, e)
+        eps = np.abs(theta)
         small = eps < _sv_noise_floor(L, float(eps.max()))
-        eps = np.where(small, 0.0, eps)
-        if V is None:
-            return BdGSolution(
-                chain=chain,
-                energies=np.sort(eps),
-                ground_energy=-0.5 * float(eps.sum()),
-            )
-        V /= np.where(small, 1.0, eps)
-        if small.any():
-            # near-null modes: analytic edge vectors (right null of Z decays
-            # from the last site, left null from the first) paired so that
-            # u^T Z v >= 0; a zero mode needs f < b, so b > 0 here
-            g = f / b
-            jj = np.arange(L)
-            with np.errstate(under="ignore"):
-                v0 = np.power(g, (L - 1 - jj).astype(float)) if g > 0 else (jj == L - 1).astype(float)
-                u0 = np.power(g, jj.astype(float)) if g > 0 else (jj == 0).astype(float)
-            v0 /= np.linalg.norm(v0)
-            u0 /= np.linalg.norm(u0)
-            for idx in np.nonzero(small)[0]:
-                U[:, idx] = u0
-                sv = float(v0 @ _apply_Zt_open(u0[:, None], f, b)[:, 0])  # = u0^T Z v0
-                V[:, idx] = v0 if sv >= 0 else -v0
-        suspect = (~small) & (eps < 1e-4 * float(eps.max()))
-        for idx in np.nonzero(suspect)[0]:
-            # a mode far below the top of the band keeps an amplified share
-            # of the eigenvector noise after the 1/eps normalization; its
-            # true direction is fixed by orthogonality to the (accurate)
-            # rest of the frame, so project that out and renormalize.
-            # V (V^T v) includes v's own term v (v^T v), which is added back.
-            v = V[:, idx]
-            w = v - V @ (V.T @ v) + v * (v @ v)
-            V[:, idx] = w / np.linalg.norm(w)
-        # G = V U^T, written over V one row slab at a time; without U, G is
-        # then the only L x L array left
-        for i in range(0, L, _SLAB):
-            V[i:i + _SLAB] = V[i:i + _SLAB] @ U.T
-        G = V
-        del U, V
-        dev = _orthogonality_deviation(G)
-        if dev > 1e-8:
+        energies = np.sort(np.where(small, 0.0, eps))
+        ground_energy = -0.5 * float(energies.sum())
+        if corr_size == 0:
+            return BdGSolution(chain=chain, energies=energies, ground_energy=ground_energy)
+        # a sub-floor mode's computed sign is noise; det M fixes it to +
+        neg = (theta < 0) & ~small
+        # site s sits at path position 2s + 1 below the middle, 2(L - 1 - s) on
+        s = np.arange(L)
+        path_pos = np.where(2 * s + 1 < L, 2 * s + 1, 2 * (L - 1 - s))
+        N = Q[np.ix_(path_pos, np.flatnonzero(neg))]
+        del Q
+        # G G^T - 1 = 4 N E N^T with E = N^T N - 1, so this bounds max|G G^T - 1|
+        E = N.T @ N
+        E[np.diag_indices_from(E)] -= 1.0
+        gram = float(np.linalg.norm(E))
+        bound = 4 * gram * (1 + gram)
+        if bound > 1e-8:
             raise NumericalFailure(
-                f"Majorana correlator lost orthogonality (deviation {dev:.2e})"
+                f"Majorana correlator lost orthogonality (bound {bound:.2e})"
             )
-        if corr_size is not None:
-            G = np.ascontiguousarray(G[:corr_size, :corr_size])
+        # G = (1 - 2 N N^T) R: G(i, j) = [i + j = L - 1] - 2 N[i] . N[L - 1 - j]
+        m = L if corr_size is None else min(corr_size, L)
+        G = N[:m] @ N[::-1][:m].T
+        G *= -2.0
+        i = np.arange(L - m, m)
+        G[i, L - 1 - i] += 1.0
         return BdGSolution(
             chain=chain,
-            energies=np.sort(eps),
-            ground_energy=-0.5 * float(eps.sum()),
+            energies=energies,
+            ground_energy=ground_energy,
             _G=G,
+            orthogonality_bound=bound,
         )
 
     even, odd = ring_block(chain, 1), ring_block(chain, -1)

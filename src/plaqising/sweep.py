@@ -289,11 +289,13 @@ def _ordered_point(cfg: ExponentsConfig, g: float) -> dict:
     return {"branch": "ordered", "g_I": g, "abscissa": 1.0 - g, "value": val}
 
 
-def _disordered_point(cfg: ExponentsConfig, g: float) -> dict:
+def _disordered_point(cfg: ExponentsConfig, g: float) -> tuple[dict, float]:
+    """The row of one open-chain point and its solve's orthogonality bound."""
     chain = TFIMChainSpec(cfg.length, ChainBoundary.OPEN_CHAIN, g, 1.0)
     sol = bdg_solve(chain, corr_size=cfg.string_length)
     val = disorder_parameter(sol, cfg.string_length)
-    return {"branch": "disordered", "g_I": g, "abscissa": g - 1.0, "value": val}
+    row = {"branch": "disordered", "g_I": g, "abscissa": g - 1.0, "value": val}
+    return row, sol.orthogonality_bound
 
 
 def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
@@ -302,7 +304,8 @@ def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
     if cfg.string_length > cfg.length:
         raise InvalidSpec("string length exceeds the chain")
     ordered = [_ordered_point(cfg, g) for g in cfg.ordered_grid]
-    disordered = [_disordered_point(cfg, g) for g in cfg.disordered_grid]
+    points = [_disordered_point(cfg, g) for g in cfg.disordered_grid]
+    disordered = [row for row, _ in points]
     rows = ordered + disordered
     fit1 = fit_powerlaw([r["abscissa"] for r in ordered],
                         [r["value"] for r in ordered])
@@ -312,6 +315,7 @@ def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
         "beta1": fit1["slope"], "beta1_fit": fit1,
         "beta2": fit2["slope"], "beta2_fit": fit2,
         "beta1_reference": 0.25, "beta2_reference": 0.125,
+        "open_orthogonality_max": max(bound for _, bound in points),
     }
     # report only, outside the verdict: each branch against Pfeuty's closed
     # forms (1 - g^2)^(1/4) and (1 - g^-2)^(1/8), and the slopes fitted

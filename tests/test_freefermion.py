@@ -30,7 +30,7 @@ from plaqising import freefermion
 from plaqising.errors import IndexOutOfRange, NumericalFailure, TooLarge
 from plaqising.ed import dense_matrix_from_terms, parity_block
 from plaqising.freefermion import (
-    _orthogonality_deviation,
+    _sv_noise_floor,
     _toeplitz_from,
     chain_terms,
     ring_block,
@@ -359,17 +359,21 @@ def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
         _toeplitz_from(bare, [0], [0])
 
 
-def test_orthogonality_deviation_matches_full_product():
-    # the row-slab check against the whole product, on one slab, on sizes
-    # around the slab width and on three slabs, the last one short
-    rng = np.random.default_rng(3)
-    k = freefermion._SLAB
-    for n in (40, 1, k - 1, k, k + 1, 2 * k + 3):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        G = Q + 1e-9 * rng.standard_normal((n, n))
-        full = np.abs(G @ G.T - np.eye(n)).max()
-        assert 1e-10 < full < 1e-8, n
-        assert abs(_orthogonality_deviation(G) - full) < 1e-14, n
+def test_orthogonality_deviation_matches_full_product(monkeypatch):
+    # the Gram bound 4 ||E||_F (1 + ||E||_F), E = N^T N - 1, covers the whole
+    # product max |G G^T - 1| of the full G built from the same near-
+    # orthonormal N: both parities, the middle of the fold and past it
+    exact = freefermion.scipy.linalg.eigh_tridiagonal
+
+    def noisy(d, e):
+        w, Q = exact(d, e)
+        return w, Q + 1e-12 * np.random.default_rng(3).standard_normal(Q.shape)
+
+    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    for L in (2, 3, 40, 385, 771):
+        sol = bdg_solve(TFIMChainSpec(L, OPEN, 1.5, bond=1.0))
+        full = np.abs(sol._G @ sol._G.T - np.eye(L)).max()
+        assert 1e-12 < full <= sol.orthogonality_bound < 1e-8, L
 
 
 def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
@@ -385,23 +389,23 @@ def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
 
 
 def test_open_solve_trips_on_lost_orthogonality_past_the_first_slab(monkeypatch):
-    # noise only in the rows of U past the first slab, on three slabs
+    # noise only in the rows of Q past L / 2: the far half of the fold path
     exact = freefermion.scipy.linalg.eigh_tridiagonal
-    k = freefermion._SLAB
+    L = 771
 
     def noisy(d, e):
-        w, U = exact(d, e)
-        U[k:] += 1e-6 * np.random.default_rng(5).standard_normal(U[k:].shape)
-        return w, U
+        w, Q = exact(d, e)
+        Q[L // 2:] += 1e-6 * np.random.default_rng(5).standard_normal(Q[L // 2:].shape)
+        return w, Q
 
     monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
     with pytest.raises(NumericalFailure):
-        bdg_solve(TFIMChainSpec(2 * k + 3, OPEN, 1.5, bond=1.0))
+        bdg_solve(TFIMChainSpec(L, OPEN, 1.5, bond=1.0))
 
 
 # one chain of each kind the open solve handles: every mode well above zero,
-# a zero mode replaced by the analytic edge vectors, and a suspect mode
-# re-projected (above the noise floor, below 1e-4 of the top of the band)
+# a zero mode below the noise floor (signed by det M), and a suspect mode
+# (above the floor, below 1e-4 of the top of the band)
 def _mode_kind(sol) -> str:
     low, top = sol.energies[0], sol.energies[-1]
     return "zero" if low == 0.0 else "suspect" if low < 1e-4 * top else "gapped"
@@ -419,11 +423,15 @@ def test_energies_only_solve_equals_the_full_solve(L, f, kind):
 
 
 def _suspect_modes_by_gathers(spec: TFIMChainSpec) -> np.ndarray:
-    """``G`` of a chain without zero modes, each suspect mode re-projected
+    """``G = V U^T`` of a chain without zero modes from the eigenvectors
+    ``U`` of ``Z Z^T`` and ``V = Z^T U / eps``, each suspect mode re-projected
     against the L x (L - 1) gather of the other modes."""
     L, f, b = spec.length, spec.field, spec.bond
-    _, U = scipy.linalg.eigh_tridiagonal(*freefermion._open_Z(L, f, b))
-    V = freefermion._apply_Zt_open(U, f, b)
+    d = np.full(L, 4 * (f * f + b * b))
+    d[0] = 4 * f * f
+    _, U = scipy.linalg.eigh_tridiagonal(d, np.full(L - 1, -4 * f * b))
+    V = 2 * f * U
+    V[:-1] -= 2 * b * U[1:]
     eps = np.linalg.norm(V, axis=0)
     V /= eps
     for idx in np.nonzero(eps < 1e-4 * eps.max())[0]:
@@ -441,9 +449,37 @@ def test_suspect_reprojection_matches_the_gather_formula(L, f):
     assert np.abs(sol._G - _suspect_modes_by_gathers(spec)).max() <= 1e-12
 
 
+def _polar_factor_by_svd(L: int, f: float, b: float) -> np.ndarray:
+    """``G = (U Vh)^T`` from the SVD of the dense ``Z``.  Below the noise
+    floor the SVD's null pair has no computable relative sign, so it is
+    replaced by the analytic edge pair ``u0 ~ (f/b)^j``, ``v0 = R u0``."""
+    Z = 2 * f * np.eye(L) - 2 * b * np.eye(L, k=-1)
+    U, s, Vh = np.linalg.svd(Z)
+    if s[-1] < _sv_noise_floor(L, s[0]):
+        u0 = (f / b) ** np.arange(L)
+        u0 /= np.linalg.norm(u0)
+        U[:, -1], Vh[-1] = u0, u0[::-1]
+    return (U @ Vh).T
+
+
+# (64, 0.5) and the seven chains after the grid have a mode below the noise
+# floor and pin its sign: both parities of L, f = 0, and (40, 0.3) and
+# (41, 0.3), where LAPACK's eigensolve returns that mode negative
+@pytest.mark.parametrize("L,f,b", [
+    (L, f, b) for L in (2, 3, 9, 10, 33, 64)
+    for f, b in ((0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (1.3, 1.0), (0.7, 0.0))
+] + [(65, 0.5, 1.0), (200, 0.3, 1.0), (201, 0.3, 1.0), (40, 0.3, 1.0),
+     (41, 0.3, 1.0), (6, 0.0, 1.0), (7, 0.0, 1.0)])
+def test_folded_G_matches_the_svd_polar_factor(L, f, b):
+    G = bdg_solve(TFIMChainSpec(L, OPEN, f, bond=b))._G
+    assert np.abs(G - _polar_factor_by_svd(L, f, b)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("f,kind", [(1.5, "gapped"), (0.5, "zero"), (0.985, "suspect")])
 def test_open_solve_keeps_two_square_arrays_live(f, kind):
-    # the solve holds U and V (later G) plus one slab, about 2.4 x 8L^2 here
+    # the peak is LAPACK's eigensolve of the folded M: its eigenvectors Q
+    # and workspace, 2.01 x 8L^2 here.  N (L x L/2), the Gram matrix and G
+    # come after it and stay below it
     L = 1024
     tracemalloc.start()
     try:
@@ -452,7 +488,7 @@ def test_open_solve_keeps_two_square_arrays_live(f, kind):
     finally:
         tracemalloc.stop()
     assert _mode_kind(sol) == kind
-    assert peak <= 3 * 8 * L * L, peak / (8 * L * L)
+    assert peak <= 2.11 * 8 * L * L, peak / (8 * L * L)
 
 
 # ----------------------------------------------------------------------

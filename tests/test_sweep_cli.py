@@ -571,6 +571,7 @@ def test_cli_ini_tuple_and_float_grids(tmp_path):
     assert side["config"]["disordered_grid"] == [1.02, 1.13, 1.25]
     assert abs(side["results"]["beta1"] - 0.25) <= 0.03
     assert abs(side["results"]["beta2"] - 0.125) <= 0.02
+    assert 0 < side["results"]["open_orthogonality_max"] <= 1e-8
 
 
 def test_cli_ini_bool_switches_literal_mode(tmp_path):
