@@ -30,17 +30,21 @@ Open chains fold ``Z`` with the site reversal ``R``: ``Z^T = R Z R``, so
 ``M = R Z`` is symmetric, nonzero only at ``i + j = L - 1`` (``2f``) and
 ``i + j = L - 2`` (``-2b``).  In the path order ``L-1, 0, L-2, 1, ...`` it is
 tridiagonal, with off-diagonal ``2f, -2b, 2f, ...`` and a zero diagonal but
-for its last entry (``-2b`` for even ``L``, ``2f`` for odd ``L``).  One
-tridiagonal eigensolve ``M = Q diag(theta) Q^T`` gives everything:
+for its last entry (``-2b`` for even ``L``, ``2f`` for odd ``L``).  Its
+eigenvalues ``theta`` come from one eigenvalues-only tridiagonal solve; its
+eigenvectors are known in closed form (Pfeuty 1970; Lieb, Schultz & Mattis
+1961):
 
-* the mode energies are ``|theta|``;
+* the mode energies are ``|theta|``; a mode below :func:`_sv_noise_floor`
+  (the edge mode of ``f < b``, an exact zero at ``f = 0``) reads 0;
 * ``G = sign(M) R = (1 - 2 N N^T) R``, with ``N`` the eigenvectors of
-  ``theta < 0`` in site order;
-* a mode below :func:`_sv_noise_floor` (the edge mode of ``f < b``, an
-  exact zero at ``f = 0``) has no computable sign.  ``det M = det R (2f)^L``
-  fixes it, and it is ``+``: the edge vector ``v0 ~ (f/b)^(L-1-j)`` has
-  ``v0^T M v0 = (R v0)^T Z v0 >= 0``, the pairing ``u^T Z v >= 0`` of the
-  edge vectors ``u = R v``.  So it stays out of ``N``;
+  ``theta < 0`` in site order.  Those are standing waves
+  ``v_j = sin(k (j + 1))``, ``k`` a root in ``(0, pi)`` of
+  ``f sin(k (L + 1)) = b sin(k L)``, with ``eps = 2 |f - b e^{ik}|`` and
+  ``theta = 2f sin k / sin kL``.  The edge mode (imaginary ``k``) has
+  ``theta = 2f sinh kappa / sinh kappa L > 0``, so it is never in ``N``;
+* the closed-form negative modes must match the solve's, in number and in
+  energy within the noise floor, else :class:`NumericalFailure`;
 * ``G G^T - 1 = 4 N E N^T`` with ``E = N^T N - 1``, so
   ``4 ||E||_F (1 + ||E||_F)`` bounds ``max |G G^T - 1|``; above ``1e-8`` the
   solve raises :class:`NumericalFailure`.
@@ -161,7 +165,8 @@ class BdGSolution:
     reader :func:`_wick` and its block gather :func:`_toeplitz_from`.  An
     open chain holds ``G`` of its Gaussian vacuum in ``_G`` (only the
     leading ``m x m`` block, ``8 m^2`` bytes, when solved with
-    ``corr_size = m``; nothing with ``corr_size = 0``) and the bound
+    ``corr_size = m``; nothing with ``corr_size = 0``), built from the
+    closed-form eigenvectors of :func:`_negative_modes`, and the bound
     ``orthogonality_bound >= max |G G^T - 1|`` that its solve checked (0
     where no check ran); a ring holds one row of ``G`` in ``_gvec``
     (``8 L`` bytes), for the lowest state of its even spin-parity block.
@@ -180,6 +185,51 @@ class BdGSolution:
         return self.chain.length
 
 
+def _negative_modes(
+    f: float, b: float, L: int, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The modes of the folded open chain ``M = R Z`` with ``theta < 0`` and
+    energy at least ``floor``, in closed form: their energies, ascending, and
+    their unit eigenvectors in site order, one per column of an ``L x k``
+    array.
+
+    The real modes are standing waves ``v_j = sin(k (j + 1))`` with ``k`` a
+    root in ``(0, pi)`` of ``q(k) = (f sin k(L+1) - b sin kL) / sin k``.  The
+    roots are bracketed on ``8 (L + 1)`` grid cells and bisected 60 times,
+    all at once; ``q`` has the sign of its numerator inside ``(0, pi)`` and
+    the limits ``f (L+1) - b L`` at 0 and ``(-1)^L (f (L+1) + b L)`` at
+    ``pi``, where a float ``sin pi != 0`` would fake a root.  The signs of
+    ``theta = 2f sin k / sin kL`` and ``theta sin k = 2f sin kL - 2b sin
+    k(L-1)`` are both exact; the first does not cancel for ``f >= b``, the
+    second for ``f < b``.  The edge mode (imaginary ``k``) is positive.
+    """
+    cells = 8 * (L + 1)
+    grid = np.pi * np.arange(cells + 1) / cells
+
+    def q_nonneg(k):
+        return f * np.sin(k * (L + 1)) >= b * np.sin(k * L)
+
+    pos = q_nonneg(grid)
+    pos[0], pos[-1] = f * (L + 1) >= b * L, L % 2 == 0
+    cell = np.flatnonzero(pos[:-1] != pos[1:])
+    lo, hi, pos_lo = grid[cell], grid[cell + 1], pos[cell]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        right = q_nonneg(mid) == pos_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    k = 0.5 * (lo + hi)
+    eps = 2 * np.hypot(f - b * np.cos(k), b * np.sin(k))
+    if f >= b:
+        neg = np.sin(k * L) < 0
+    else:
+        neg = f * np.sin(k * L) < b * np.sin(k * (L - 1))
+    keep = neg & (eps >= floor)
+    N = np.multiply.outer(np.arange(1.0, L + 1), k[keep])
+    np.sin(N, out=N)
+    N /= np.sqrt(np.einsum("ij,ij->j", N, N))
+    return eps[keep], N
+
+
 def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution:
     """Solve one chain: mode energies and ground-state Majorana correlator.
 
@@ -190,13 +240,13 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     that block's lowest state; its ground energy is the lower of the two
     blocks' lowest levels.
 
-    Memory on an open chain, in the order it is live: LAPACK's eigensolve
-    of the folded tridiagonal ``M`` (eigenvectors ``Q``, ``8 L^2`` bytes,
-    plus its workspace: about two ``L x L`` arrays at the peak); then ``N``,
-    the ``k ~ L / 2`` columns of ``Q`` with ``theta < 0`` in site order
-    (``8 L k`` bytes), after which ``Q`` is freed; then the ``k x k`` Gram
-    matrix of the orthogonality check and the ``m x m`` block of ``G``.
-    With ``corr_size = 0`` nothing after the eigensolve is built.
+    Memory on an open chain, in the order it is live: LAPACK's
+    eigenvalues-only solve of the folded tridiagonal ``M`` (``theta``, a few
+    length-``L`` vectors); then ``N`` (``L x L/2``, ``4 L^2`` bytes), built in
+    place from its sine arguments, with the ``L``-vectors of its root search;
+    then the ``L/2 x L/2`` Gram matrix of the orthogonality check, freed
+    before the ``m x m`` block of ``G`` is built.  With ``corr_size = 0``
+    nothing after the eigenvalues is built.
     """
     if chain.edge_fields:
         raise InvalidSpec("boundary tz fields break the quadratic form; use dense ED")
@@ -216,24 +266,26 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
         d = np.zeros(L)
         d[-1] = 2 * f if L % 2 else -2 * b
         e = np.where(np.arange(L - 1) % 2, -2 * b, 2 * f)
-        theta, Q = scipy.linalg.eigh_tridiagonal(d, e)
+        theta = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
         eps = np.abs(theta)
-        small = eps < _sv_noise_floor(L, float(eps.max()))
+        floor = _sv_noise_floor(L, float(eps.max()))
+        small = eps < floor
         energies = np.sort(np.where(small, 0.0, eps))
         ground_energy = -0.5 * float(energies.sum())
         if corr_size == 0:
             return BdGSolution(chain=chain, energies=energies, ground_energy=ground_energy)
-        # a sub-floor mode's computed sign is noise; det M fixes it to +
-        neg = (theta < 0) & ~small
-        # site s sits at path position 2s + 1 below the middle, 2(L - 1 - s) on
-        s = np.arange(L)
-        path_pos = np.where(2 * s + 1 < L, 2 * s + 1, 2 * (L - 1 - s))
-        N = Q[np.ix_(path_pos, np.flatnonzero(neg))]
-        del Q
+        neg_eps, N = _negative_modes(f, b, L, floor)
+        solved = np.sort(eps[(theta < 0) & ~small])
+        if solved.shape != neg_eps.shape or np.any(np.abs(neg_eps - solved) > floor):
+            raise NumericalFailure(
+                f"closed-form modes disagree with the eigensolve: {neg_eps.size}"
+                f" vs {solved.size} with theta < 0"
+            )
         # G G^T - 1 = 4 N E N^T with E = N^T N - 1, so this bounds max|G G^T - 1|
         E = N.T @ N
         E[np.diag_indices_from(E)] -= 1.0
         gram = float(np.linalg.norm(E))
+        del E
         bound = 4 * gram * (1 + gram)
         if bound > 1e-8:
             raise NumericalFailure(

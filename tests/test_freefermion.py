@@ -362,14 +362,14 @@ def test_open_wick_block_rejects_out_of_block_indices(rows, cols):
 def test_orthogonality_deviation_matches_full_product(monkeypatch):
     # the Gram bound 4 ||E||_F (1 + ||E||_F), E = N^T N - 1, covers the whole
     # product max |G G^T - 1| of the full G built from the same near-
-    # orthonormal N: both parities, the middle of the fold and past it
-    exact = freefermion.scipy.linalg.eigh_tridiagonal
+    # orthonormal N: both parities, the middle of the chain and past it
+    exact = freefermion._negative_modes
 
-    def noisy(d, e):
-        w, Q = exact(d, e)
-        return w, Q + 1e-12 * np.random.default_rng(3).standard_normal(Q.shape)
+    def noisy(*args):
+        eps, N = exact(*args)
+        return eps, N + 1e-12 * np.random.default_rng(3).standard_normal(N.shape)
 
-    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    monkeypatch.setattr(freefermion, "_negative_modes", noisy)
     for L in (2, 3, 40, 385, 771):
         sol = bdg_solve(TFIMChainSpec(L, OPEN, 1.5, bond=1.0))
         full = np.abs(sol._G @ sol._G.T - np.eye(L)).max()
@@ -377,35 +377,100 @@ def test_orthogonality_deviation_matches_full_product(monkeypatch):
 
 
 def test_open_solve_trips_on_lost_orthogonality(monkeypatch):
-    exact = freefermion.scipy.linalg.eigh_tridiagonal
+    exact = freefermion._negative_modes
 
-    def noisy(d, e):
-        w, U = exact(d, e)
-        return w, U + 1e-6 * np.random.default_rng(5).standard_normal(U.shape)
+    def noisy(*args):
+        eps, N = exact(*args)
+        return eps, N + 1e-6 * np.random.default_rng(5).standard_normal(N.shape)
 
-    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    monkeypatch.setattr(freefermion, "_negative_modes", noisy)
     with pytest.raises(NumericalFailure):
         bdg_solve(TFIMChainSpec(12, OPEN, 1.5, bond=1.0))
 
 
 def test_open_solve_trips_on_lost_orthogonality_past_the_first_slab(monkeypatch):
-    # noise only in the rows of Q past L / 2: the far half of the fold path
-    exact = freefermion.scipy.linalg.eigh_tridiagonal
+    # noise only in the rows of N past L / 2: the far half of the chain
+    exact = freefermion._negative_modes
     L = 771
 
-    def noisy(d, e):
-        w, Q = exact(d, e)
-        Q[L // 2:] += 1e-6 * np.random.default_rng(5).standard_normal(Q[L // 2:].shape)
-        return w, Q
+    def noisy(*args):
+        eps, N = exact(*args)
+        N[L // 2:] += 1e-6 * np.random.default_rng(5).standard_normal(N[L // 2:].shape)
+        return eps, N
 
-    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", noisy)
+    monkeypatch.setattr(freefermion, "_negative_modes", noisy)
     with pytest.raises(NumericalFailure):
         bdg_solve(TFIMChainSpec(L, OPEN, 1.5, bond=1.0))
 
 
+@pytest.mark.parametrize("fault", ["drop", "shift"])
+def test_open_solve_trips_when_closed_form_misses_the_eigensolve(monkeypatch, fault):
+    # a lost root changes the count of theta < 0 modes; a moved one, its
+    # energy by far more than the noise floor
+    exact = freefermion._negative_modes
+
+    def faulty(*args):
+        eps, N = exact(*args)
+        if fault == "drop":
+            return eps[1:], N[:, 1:]
+        return eps + 1e-9 * (np.arange(eps.size) == 3), N
+
+    monkeypatch.setattr(freefermion, "_negative_modes", faulty)
+    with pytest.raises(NumericalFailure):
+        bdg_solve(TFIMChainSpec(40, OPEN, 1.5, bond=1.0))
+    assert bdg_solve(TFIMChainSpec(40, OPEN, 1.5, bond=1.0), corr_size=0).energies.size == 40
+
+
+def test_each_open_solve_asks_lapack_for_eigenvalues_once(monkeypatch):
+    exact = freefermion.scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(freefermion.scipy.linalg, "eigh_tridiagonal", spy)
+    for corr_size in (0, 10, None):
+        calls.clear()
+        bdg_solve(TFIMChainSpec(64, OPEN, 0.9, bond=1.0), corr_size=corr_size)
+        assert calls == [{"eigvals_only": True}], corr_size
+
+
+def _negative_projector_by_eigensolve(L: int, f: float, b: float) -> np.ndarray:
+    """``N N^T`` from every eigenvector of the folded ``M``: the columns with
+    ``theta < 0`` above the noise floor, rows moved from the path order
+    ``L-1, 0, L-2, 1, ...`` back to site order."""
+    d = np.zeros(L)
+    d[-1] = 2 * f if L % 2 else -2 * b
+    theta, Q = scipy.linalg.eigh_tridiagonal(d, np.where(np.arange(L - 1) % 2, -2 * b, 2 * f))
+    neg = (theta < 0) & (np.abs(theta) >= _sv_noise_floor(L, np.abs(theta).max()))
+    s = np.arange(L)
+    N = Q[np.where(2 * s + 1 < L, 2 * s + 1, 2 * (L - 1 - s))][:, neg]
+    return N @ N.T
+
+
+# both parities of L; either side of the threshold f = b L / (L + 1), where
+# the lowest standing wave turns into the edge mode; (600, 0.97), whose edge
+# mode is above the noise floor; vanishing and huge couplings
+@pytest.mark.parametrize("L,f,b", [
+    (L, f, 1.0) for L in (2, 3, 10, 11, 64, 65, 600, 601) for f in (0.5, 1.0, 1.3)
+] + [
+    (L, L / (L + 1) * (1 + s), 1.0) for L in (12, 13, 600, 601) for s in (1e-9, -1e-9)
+] + [(600, 0.97, 1.0)] + [
+    (L, f, b) for L in (12, 13, 601) for f, b in (
+        (0.0, 1.0), (1e-14, 1.0), (1e-300, 1.0), (1.0, 0.0), (1.0, 1e-14),
+        (1.0, 1e-300), (1e300, 1.0))
+])
+def test_closed_form_projector_matches_the_eigensolve(L, f, b):
+    G = bdg_solve(TFIMChainSpec(L, OPEN, f, bond=b))._G
+    # G = (1 - 2 N N^T) R, so N N^T = (1 - G R) / 2
+    projector = (np.eye(L) - G[:, ::-1]) / 2
+    assert np.abs(projector - _negative_projector_by_eigensolve(L, f, b)).max() <= 1e-13
+
+
 # one chain of each kind the open solve handles: every mode well above zero,
-# a zero mode below the noise floor (signed by det M), and a suspect mode
-# (above the floor, below 1e-4 of the top of the band)
+# a zero mode below the noise floor (read as 0, never in N), and a suspect
+# mode (above the floor, below 1e-4 of the top of the band)
 def _mode_kind(sol) -> str:
     low, top = sol.energies[0], sol.energies[-1]
     return "zero" if low == 0.0 else "suspect" if low < 1e-4 * top else "gapped"
@@ -477,18 +542,22 @@ def test_folded_G_matches_the_svd_polar_factor(L, f, b):
 
 @pytest.mark.parametrize("f,kind", [(1.5, "gapped"), (0.5, "zero"), (0.985, "suspect")])
 def test_open_solve_keeps_two_square_arrays_live(f, kind):
-    # the peak is LAPACK's eigensolve of the folded M: its eigenvectors Q
-    # and workspace, 2.01 x 8L^2 here.  N (L x L/2), the Gram matrix and G
-    # come after it and stay below it
+    # the eigenvalues-only solve holds a few L-vectors, 0.0065 x 8L^2 here;
+    # a full solve peaks at the L x L block of G next to N (L x L/2),
+    # 1.51 x 8L^2: the Gram matrix is freed before the block is built.
+    # Each bound is that peak plus 5 %
     L = 1024
-    tracemalloc.start()
-    try:
-        sol = bdg_solve(TFIMChainSpec(L, OPEN, f, bond=1.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peaks = {}
+    for corr_size in (0, None):
+        tracemalloc.start()
+        try:
+            sol = bdg_solve(TFIMChainSpec(L, OPEN, f, bond=1.0), corr_size=corr_size)
+            _, peaks[corr_size] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert _mode_kind(sol) == kind
-    assert peak <= 2.11 * 8 * L * L, peak / (8 * L * L)
+    assert peaks[0] <= 0.0068 * 8 * L * L, peaks[0] / (8 * L * L)
+    assert peaks[None] <= 1.59 * 8 * L * L, peaks[None] / (8 * L * L)
 
 
 # ----------------------------------------------------------------------
