@@ -11,8 +11,8 @@ brute-force reach.  Subpackages:
 
 - ``lattice``      geometry, plaquettes, diagonal chains, conserved loops
 - ``pauli`` / ``ed``  Pauli-string algebra and exact diagonalization
-- ``duality``      operator map, sector bookkeeping, spectrum checks
-- ``freefermion``  chain solver (spectra, gaps, correlators, strings)
+- ``duality``      chain map, sector bookkeeping, spectrum checks, torus gap
+- ``freefermion``  chain solver (mode energies, correlators, strings)
 - ``observables``  2D string order parameters via either route
 - ``sweep`` / ``cli``  batch experiments and the command-line front end
 """
@@ -42,7 +42,6 @@ from .duality import (
     duality_spectrum_check,
     full_dual_spectrum,
     map_hamiltonian,
-    map_operator,
     sector_chain_specs,
 )
 from .ed import (
@@ -72,9 +71,6 @@ from .freefermion import (
     bdg_solve,
     disorder_parameter,
     magnetization_x,
-    manybody_gap,
-    manybody_levels,
-    ring_sector_levels,
     xx_correlator,
     zz_correlator,
 )
@@ -83,7 +79,6 @@ from .lattice import (
     ChainBoundary,
     LatticeSpec,
     chain_decompose,
-    diagonal_loop_operator,
     enumerate_plaquettes,
     expected_chain_count,
     plaquette_chain_position,
@@ -117,18 +112,16 @@ __all__ = [
     "enumerate_plaquettes", "plaquette_operator",
     "chain_decompose", "plaquette_chain_position",
     "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
-    "diagonal_loop_operator",
     # ed
     "HamiltonianSpec", "SpectrumResult", "hamiltonian_terms",
     "apply_pauli_string", "expectation",
     "full_spectrum", "ground_spectrum",
     # duality
-    "DualModel", "map_hamiltonian", "map_operator",
+    "DualModel", "map_hamiltonian",
     "sector_chain_specs", "full_dual_spectrum", "duality_spectrum_check",
     "dual_lattice_gap",
     # freefermion
     "TFIMChainSpec", "BdGSolution", "bdg_solve",
-    "ring_sector_levels", "manybody_levels", "manybody_gap",
     "magnetization_x", "zz_correlator", "xx_correlator",
     "disorder_parameter",
     # observables

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, product as iproduct
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -44,16 +44,13 @@ from .lattice import (
     ChainBoundary,
     LatticeSpec,
     chain_decompose,
-    enumerate_plaquettes,
     plaquette_chain_position,
-    plaquette_operator,
     site_adjacent_plaquettes,
 )
 
 __all__ = [
     "DualModel",
     "map_hamiltonian",
-    "map_operator",
     "sector_chain_specs",
     "assemble_sector_spectrum",
     "duality_spectrum_check",
@@ -131,97 +128,15 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
 
 
 # ----------------------------------------------------------------------
-# operator mapping on the generated algebra
-# ----------------------------------------------------------------------
-def _xor_solve(vectors: list[int], target: int) -> list[int] | None:
-    """Indices of ``vectors`` whose XOR is ``target``, or ``None``.
-
-    The vectors enter an XOR basis in order, so only the earliest independent
-    ones are used, and on them the combination is unique.
-    """
-    basis: dict[int, tuple[int, int]] = {}   # leading bit -> (vector, indices)
-
-    def reduce(v: int, used: int) -> tuple[int, int]:
-        while v and (v.bit_length() - 1) in basis:
-            bv, bused = basis[v.bit_length() - 1]
-            v, used = v ^ bv, used ^ bused
-        return v, used
-
-    for i, v in enumerate(vectors):
-        v, used = reduce(v, 1 << i)
-        if v:
-            basis[v.bit_length() - 1] = (v, used)
-    rest, used = reduce(target, 0)
-    return None if rest else [i for i in range(len(vectors)) if used >> i & 1]
-
-
-def dual_site_offsets(model: DualModel) -> tuple[list[int], dict[int, int]]:
-    """Chain position offsets in the concatenated dual register, and the
-    coordinate assigned to each free 2D site (appended after all chains)."""
-    *offsets, end = accumulate((sp.length for sp in model.chains), initial=0)
-    return offsets, {s: end + i for i, s in enumerate(model.free_sites)}
-
-
-def map_operator(model: DualModel, ps) -> "PauliString":
-    """Image of a 2D Pauli string under the duality.
-
-    Defined on the algebra generated by the plaquette operators and the
-    single-site ``sx``; anything outside it raises :class:`NotMappable`.
-    The image acts on the concatenated chain register (chain 0 positions
-    first, then chain 1, ..., then one coordinate per free site).  Note the
-    conserved diagonal loops map to the identity: the plain dual copy is the
-    all-``+1`` sector.
-
-    The generators obey relations (the plaquette product along a closed chain
-    equals a product of diagonal loops), so composite inputs are resolved
-    only up to conserved chain parities; a generator itself always returns
-    its defining image, and composites use a fixed elimination order.
-    """
-    from .pauli import PauliString
-
-    spec = model.lattice
-    n = spec.n_sites
-    offsets, free_coord = dual_site_offsets(model)
-
-    generators: list[PauliString] = []
-    images: list[PauliString] = []
-    # sx generators
-    for s in range(n):
-        generators.append(PauliString(((s, "X"),)))
-        image = _site_image(spec, s)
-        if image:
-            images.append(PauliString(tuple((offsets[ci] + k, "Z") for ci, k in image)))
-        else:
-            images.append(PauliString(((free_coord[s], "X"),)))
-    # plaquette generators
-    for base in enumerate_plaquettes(spec):
-        generators.append(plaquette_operator(spec, base))
-        ci, k = plaquette_chain_position(spec, base)
-        images.append(PauliString(((offsets[ci] + k, "X"),)))
-
-    for gen, img in zip(generators, images):
-        if (gen.x, gen.z) == (ps.x, ps.z):
-            return img * PauliString(phase=ps.phase / gen.phase)
-
-    # one int per string: its X/Y sites, then its Y/Z sites above them
-    used = _xor_solve([gen.x | gen.z << n for gen in generators], ps.x | ps.z << n)
-    if used is None:
-        raise NotMappable("operator is outside the mapped algebra")
-    prod2d = PauliString(())
-    imgd = PauliString(())
-    for gi in used:
-        prod2d = prod2d * generators[gi]
-        imgd = imgd * images[gi]
-    # the generator product can differ from ps by a phase only, unless ps
-    # reaches site n or beyond, where its int aliases a string on the lattice
-    if (prod2d.x, prod2d.z) != (ps.x, ps.z):
-        raise NotMappable("operator is outside the mapped algebra")
-    return imgd * PauliString(phase=ps.phase / prod2d.phase)
-
-
-# ----------------------------------------------------------------------
 # sector-resolved spectra
 # ----------------------------------------------------------------------
+def _ring_sector(wa: int, wb: int, wc: int) -> tuple[int, int]:
+    """``(twist, spin parity)`` of torus ring ``a`` in a sector whose labels
+    read ``w_a, w_{a+1}, w_{a+2} = wa, wb, wc``: twist ``w_{a+1}``, parity
+    ``w_a * w_{a+2}``."""
+    return wb, wa * wc
+
+
 def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     """Chain specs (and constraints) of one symmetry sector.
 
@@ -237,8 +152,9 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     if model.lattice.boundary is Boundary.PERIODIC:
         d = model.n_diagonals
         for a, sp in enumerate(model.chains):
-            specs.append(replace(sp, twist=w[(a + 1) % d]))
-            parities.append(w[a] * w[(a + 2) % d])
+            twist, parity = _ring_sector(w[a], w[(a + 1) % d], w[(a + 2) % d])
+            specs.append(replace(sp, twist=twist))
+            parities.append(parity)
         return tuple(specs), tuple(parities), 0.0
 
     free_energy = 0.0
@@ -400,7 +316,7 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     and (b) the cheapest sector switch.  That is a closed min-plus walk of
     ``d`` steps over the states ``(w_a, w_{a+1}, flipped)``: the step to
     ``w_{a+2}`` costs ring ``a``'s block above the ground block, with the
-    twist and parity of :func:`sector_chain_specs`, and ``flipped`` records
+    twist and parity of :func:`_ring_sector`, and ``flipped`` records
     whether any label is ``-1``.  The ``d``-step walk is the min-plus power
     ``T^d``, taken by repeated squaring: min-plus products are associative,
     so at most ``2 log2 d`` products of 8x8 matrices give the same walk.
@@ -429,7 +345,7 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     for wa, wb, flipped in states:
         for wc in (1, -1):
             T[index[(wa, wb, flipped)], index[(wb, wc, flipped or wc == -1)]] = \
-                delta[(wb, wa * wc)]
+                delta[_ring_sector(wa, wb, wc)]
     walk = T  # T^d by squaring, reading d's bits from the top
     for bit in bin(d)[3:]:
         walk = np.min(walk[:, :, None] + walk[None], axis=1)

@@ -75,8 +75,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .ed import DEGENERACY_TOL, LANCZOS_MAX_SPINS, gap_from_levels
-from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure, TooLarge
+from .errors import IndexOutOfRange, InvalidSpec, NumericalFailure
 from .lattice import ChainBoundary
 from .pauli import PauliString
 
@@ -356,92 +355,23 @@ def ring_block(chain: TFIMChainSpec, spin_parity: int) -> RingBlock:
 def _ring_gvec(f: float, b: float, even: RingBlock) -> np.ndarray:
     """Majorana correlator row ``G(i, i+r)`` of the even spin-parity block's
     lowest state, via one inverse FFT on its grid ``k``:
-    ``G(i, i+r) = (1/L) sum_k e^{ikr} z_k / |z_k|`` with
-    ``z_k = f - b e^{-ik}`` for the grid's vacuum.  Where that vacuum is odd
-    (the periodic grid for ``f < b``), the lowest even state adds the
-    ``k = 0`` mode, whose occupation flips the sign of its term."""
+    ``G(i, i+r) = (1/L) sum_k e^{ikr} u_k`` with the unit phases
+    ``u_k = z_k / |z_k|``, ``z_k = f - b e^{-ik}``, for the grid's vacuum.
+    Where that vacuum is odd (the periodic grid for ``f < b``), the lowest
+    even state adds the ``k = 0`` mode, whose occupation flips the sign of
+    its term."""
     k = even.k
     z = f - b * np.exp(-1j * k)
     az = np.abs(z)
     if np.any(az < 1e-15):
-        f = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
+        u = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
     else:
-        f = z / az
+        u = z / az
     if even.pvac == -1:
-        f[0] = -f[0]
-    base = np.fft.ifft(f)  # index r: (1/L) sum_m e^{2 pi i m r / L} f_m
+        u[0] = -u[0]
+    base = np.fft.ifft(u)  # index r: (1/L) sum_m e^{2 pi i m r / L} u_m
     phase = np.exp(1j * k[0] * np.arange(len(k)))  # k[0] is the grid offset
     return np.real(phase * base)
-
-
-# ----------------------------------------------------------------------
-# many-body levels and gaps
-# ----------------------------------------------------------------------
-def _sums_by_count_parity(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All subset sums of ``eps`` split by even/odd subset size."""
-    even = np.zeros(1)
-    odd = np.zeros(0)
-    for e in eps:
-        even, odd = (
-            np.concatenate([even, odd + e]),
-            np.concatenate([odd, even + e]),
-        )
-    return even, odd
-
-
-def _check_level_budget(chain: TFIMChainSpec) -> None:
-    """``TooLarge`` before a level list of ``2^L`` float64 subset sums is
-    built for a chain longer than any lattice ED solves: a dual ring has at
-    most as many sites as its 2D lattice has spins, so no longer list has a
-    2D spectrum to be checked against."""
-    if chain.length > LANCZOS_MAX_SPINS:
-        raise TooLarge(
-            f"{chain.length} modes give 2^{chain.length} levels "
-            f"({8 << chain.length} bytes); level lists stop at "
-            f"{LANCZOS_MAX_SPINS} modes"
-        )
-
-
-def ring_sector_levels(
-    chain: TFIMChainSpec, spin_parity: int
-) -> np.ndarray:
-    """Every many-body level of one spin-parity block of a ring chain: the
-    vacuum of the block's grid (:func:`ring_block`) plus each subset of
-    modes whose size gives the block's parity."""
-    _check_level_budget(chain)
-    block = ring_block(chain, spin_parity)
-    even_s, odd_s = _sums_by_count_parity(block.eps)
-    return np.sort(block.evac + (even_s if block.pvac == spin_parity else odd_s))
-
-
-def manybody_levels(chain: TFIMChainSpec) -> np.ndarray:
-    """Full spin spectrum of the chain reconstructed from the mode energies."""
-    _check_level_budget(chain)
-    if chain.boundary is ChainBoundary.OPEN_CHAIN:
-        sol = bdg_solve(chain, corr_size=0)
-        even_s, odd_s = _sums_by_count_parity(sol.energies)
-        return np.sort(sol.ground_energy + np.concatenate([even_s, odd_s]))
-    return np.sort(
-        np.concatenate(
-            [ring_sector_levels(chain, +1), ring_sector_levels(chain, -1)]
-        )
-    )
-
-
-def manybody_gap(chain: TFIMChainSpec) -> float:
-    """Gap between the chain ground state and the first level above the
-    degeneracy band, combining both spin-parity blocks for rings."""
-    if chain.boundary is ChainBoundary.OPEN_CHAIN:
-        sol = bdg_solve(chain, corr_size=0)
-        above = sol.energies[sol.energies > DEGENERACY_TOL]
-        return float(above[0]) if above.size else 0.0
-    levels = []
-    for parity in (1, -1):
-        # a safe handful of each block's lowest levels, from its 8 lowest modes
-        block = ring_block(chain, parity)
-        even_s, odd_s = _sums_by_count_parity(block.eps[:8])
-        levels.append(block.evac + np.sort(even_s if block.pvac == parity else odd_s)[:8])
-    return gap_from_levels(np.concatenate(levels))
 
 
 # ----------------------------------------------------------------------

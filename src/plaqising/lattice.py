@@ -205,12 +205,3 @@ def site_diagonals(spec: LatticeSpec) -> list[tuple[int, ...]]:
         for c in range(m):
             diags[(r + c) % count].append(r * m + c)  # wraps only on a torus
     return [tuple(d) for d in diags]
-
-
-def diagonal_loop_operator(spec: LatticeSpec, which: int) -> PauliString:
-    """sx product over the site family ``site_diagonals(spec)[which]`` (a
-    conserved loop/line)."""
-    diags = site_diagonals(spec)
-    if not 0 <= which < len(diags):
-        raise InvalidSpec(f"diagonal {which} outside 0..{len(diags) - 1}")
-    return PauliString(tuple((s, "X") for s in diags[which]))

@@ -10,8 +10,8 @@ Conventions
   per site; ``phase`` is one of ``{1, -1, 1j, -1j}``.  It is stored as two
   site masks, ``x`` (the X and Y sites) and ``z`` (the Y and Z sites), and
   the phase: as ``Y = i X Z`` the operator is ``phase * i^|x & z| X^x Z^z``
-  (``|m|`` the popcount), so products, commutation and the Hadamard rotation
-  are exact integer arithmetic on the masks.  The constructor reads its
+  (``|m|`` the popcount), so products and the Hadamard rotation are exact
+  integer arithmetic on the masks.  The constructor reads its
   factor sequence left to right as an operator product, merging
   duplicate-site factors algebraically (``X*Y = i Z`` etc.).
 """
@@ -88,11 +88,6 @@ class PauliString:
         x, z, k = _product(self.x, self.z, other.x, other.z)
         return PauliString._of(x, z, k + _EXPONENT[self.phase] + _EXPONENT[other.phase])
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the two strings commute (they always either commute
-        or anticommute)."""
-        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
-
     def hadamard(self) -> "PauliString":
         """``U P U`` for ``U`` the Hadamard on every site: X -> Z, Y -> -Y,
         Z -> X, i.e. the masks swap and each Y site gives a -1."""
@@ -110,14 +105,6 @@ class PauliString:
         m = self.x | self.z
         return tuple(s for s in range(m.bit_length()) if m >> s & 1)
 
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x | self.z)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase in (1, -1)
-
     # ------------------------------------------------------------------
     # bit-kernel view (consumed by the ED module)
     # ------------------------------------------------------------------
@@ -131,13 +118,6 @@ class PauliString:
         k = _EXPONENT[self.phase] + (self.x & self.z).bit_count()
         return self.x, self.z, complex(_PHASES[k % 4])
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def sigma(axis: str, site: int) -> "PauliString":
-        return PauliString(((site, axis),))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " ".join(f"{ax}{site}" for site, ax in self.factors) or "1"
         pre = {1: "", -1: "-", 1j: "i", -1j: "-i"}[self.phase]
@@ -145,12 +125,4 @@ class PauliString:
 
 
 def sigma_x(site: int) -> PauliString:
-    return PauliString.sigma("X", site)
-
-
-def sigma_y(site: int) -> PauliString:
-    return PauliString.sigma("Y", site)
-
-
-def sigma_z(site: int) -> PauliString:
-    return PauliString.sigma("Z", site)
+    return PauliString(((site, "X"),))

@@ -299,10 +299,19 @@ def _disordered_point(cfg: ExponentsConfig, g: float) -> tuple[dict, float]:
 
 
 def run_exponents(cfg: ExponentsConfig) -> tuple[list[dict], dict]:
-    if cfg.separation >= cfg.length // 2:
-        raise InvalidSpec("plateau separation must stay below half the ring")
-    if cfg.string_length > cfg.length:
-        raise InvalidSpec("string length exceeds the chain")
+    if not 1 <= cfg.separation < cfg.length // 2:
+        raise InvalidSpec(f"separation = {cfg.separation} must be at least 1 and"
+                          f" below half the ring, {cfg.length // 2}")
+    if not 1 <= cfg.string_length <= cfg.length:
+        raise InvalidSpec(f"string_length = {cfg.string_length} must be at least 1"
+                          f" and at most length = {cfg.length}")
+    for name, grid, inside, where in (
+            ("ordered_grid", cfg.ordered_grid, lambda g: 0 <= g < 1, "in [0, 1)"),
+            ("disordered_grid", cfg.disordered_grid, lambda g: 1 < g < math.inf,
+             "above 1")):
+        if len(set(grid)) < 2 or not all(map(inside, grid)):
+            raise InvalidSpec(f"{name} = {grid} needs at least two distinct"
+                              f" values, each {where}")
     ordered = [_ordered_point(cfg, g) for g in cfg.ordered_grid]
     points = [_disordered_point(cfg, g) for g in cfg.disordered_grid]
     disordered = [row for row, _ in points]

@@ -13,15 +13,12 @@ from plaqising.duality import (
     DualModel,
     assemble_sector_spectrum,
     dual_lattice_gap,
-    dual_site_offsets,
     duality_spectrum_check,
     full_dual_spectrum,
     map_hamiltonian,
-    map_operator,
     sector_chain_specs,
     _dense_chain_levels,
     _tensor_sum,
-    _xor_solve,
 )
 from plaqising.ed import (
     HamiltonianSpec,
@@ -36,14 +33,12 @@ from plaqising.freefermion import (
     TFIMChainSpec,
     chain_terms,
     ring_block,
-    ring_sector_levels,
 )
 from plaqising.lattice import (
     Boundary,
     ChainBoundary,
     LatticeSpec,
     chain_decompose,
-    diagonal_loop_operator,
     enumerate_plaquettes,
     plaquette_chain_position,
     plaquette_operator,
@@ -51,6 +46,14 @@ from plaqising.lattice import (
 )
 from plaqising.pauli import PauliString
 from plaqising.sweep import _ed_torus_spectrum
+
+from oracles import (
+    _xor_solve,
+    diagonal_loop_operator,
+    dual_site_offsets,
+    map_operator,
+    ring_sector_levels,
+)
 
 
 def torus(n, m, g=1.0, h=1.0):

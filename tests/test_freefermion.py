@@ -20,9 +20,6 @@ from plaqising import (
     bdg_solve,
     disorder_parameter,
     magnetization_x,
-    manybody_gap,
-    manybody_levels,
-    ring_sector_levels,
     xx_correlator,
     zz_correlator,
 )
@@ -36,6 +33,8 @@ from plaqising.freefermion import (
     ring_block,
 )
 from plaqising.pauli import PauliString
+
+from oracles import manybody_gap, manybody_levels, ring_sector_levels
 
 OPEN = ChainBoundary.OPEN_CHAIN
 RING = ChainBoundary.PERIODIC_CHAIN

@@ -17,6 +17,17 @@ or an attribute, somewhere under ``src/``, ``tests/`` or ``bench/`` outside
 its own definition.  Imports and ``__all__`` strings do not count, so a
 helper whose last call site was removed fails even while it is exported.
 
+The public-surface check is by name across the package: every public
+module-level function and public method of ``src/plaqising`` must be loaded,
+as a name or an attribute, in some package module outside its own
+definition.  A function that only tests call belongs in ``tests/oracles.py``.
+The one exemption, by name, is ``cli._Parser.error``: argparse calls it.
+
+The route-independence check reads the imports of ``ed.py`` and
+``freefermion.py``, lazy ones included: neither module imports the other, so
+the 2D ED route and the free-fermion route that the duality check compares
+share no module but the Pauli and lattice layers.
+
 The export checks are by name per module: every ``__all__`` entry of a
 package module is bound at its top level (defined, assigned or imported),
 and the package ``__all__`` lists exactly the names ``__init__.py`` imports,
@@ -154,6 +165,83 @@ def test_the_check_sees_an_unnamed_definition():
     b = "from a import used, Exported\nprint(used())\n"
     assert _unnamed_definitions({"a.py": a}, [a, b]) == [
         "a.py line 3: recursive", "a.py line 5: Exported"]
+
+
+# public methods that a library calls rather than the package
+_CALLED_BY_A_LIBRARY = frozenset({"_Parser.error"})
+
+
+def _uncalled_public(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """Public module-level functions and methods of ``sources`` that no
+    source loads outside their own definition, unless ``exempt`` names them
+    as ``function`` or ``Class.method``."""
+    trees = {fname: ast.parse(source) for fname, source in sources.items()}
+    loads = Counter()
+    for tree in trees.values():
+        loads.update(_loaded_names(tree))
+    found = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            found += [f"{fname} line {fn.lineno}: {name}" for name, fn in defs
+                      if not fn.name.startswith("_") and name not in exempt
+                      and loads[fn.name] == _loaded_names(fn)[fn.name]]
+    return found
+
+
+def test_every_public_function_and_method_is_called_in_the_package():
+    sources = {p.name: p.read_text() for p in SRC}
+    assert _uncalled_public(sources, _CALLED_BY_A_LIBRARY) == []
+
+
+def test_the_check_sees_an_uncalled_public_function_and_method():
+    a = ("def used():\n    return 1\ndef unused(n):\n    return unused(n)\n"
+         "class Box:\n    def size(self):\n        return 2\n"
+         "    def spare(self):\n        return self.spare()\n"
+         "    def error(self):\n        pass\n"
+         "    def _private(self):\n        pass\n")
+    b = "from a import used, unused, Box\nprint(used(), Box().size())\n"
+    assert _uncalled_public({"a.py": a, "b.py": b}, {"Box.error"}) == [
+        "a.py line 3: unused", "a.py line 8: Box.spare"]
+    assert _uncalled_public({"a.py": a, "b.py": b}) == [
+        "a.py line 3: unused", "a.py line 8: Box.spare", "a.py line 10: Box.error"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The last dotted part of every module that ``source`` imports from or
+    imports, at any depth: ``from .ed import x`` and ``import pkg.ed`` give
+    ``ed``, and ``from . import ed`` gives ``ed`` too."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.split(".")[-1])
+            if not node.module or node.module == "plaqising":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module,other", [("ed", "freefermion"), ("freefermion", "ed")])
+def test_the_two_routes_import_nothing_from_each_other(module, other):
+    source = (ROOT / "src" / "plaqising" / f"{module}.py").read_text()
+    assert other not in _imported_modules(source)
+
+
+def test_the_check_sees_an_import_of_the_other_route():
+    src = ("from .errors import InvalidSpec\nimport numpy as np\n"
+           "def f():\n    from .ed import gap_from_levels\n"
+           "    from . import lattice\n    import plaqising.pauli\n"
+           "    from plaqising import sweep\n")
+    assert _imported_modules(src) == {
+        "errors", "numpy", "ed", "lattice", "pauli", "plaqising", "sweep"}
 
 
 def _undefined_exports(source: str) -> list[str]:

@@ -12,7 +12,6 @@ from plaqising import (
     LatticeSpec,
     SiteOutOfRange,
     chain_decompose,
-    diagonal_loop_operator,
     enumerate_plaquettes,
     expected_chain_count,
     plaquette_operator,
@@ -21,6 +20,8 @@ from plaqising import (
 )
 from plaqising import lattice
 from plaqising.pauli import PauliString, sigma_x
+
+from oracles import commutes_with, diagonal_loop_operator
 
 sizes = st.integers(min_value=2, max_value=6)
 torus_sizes = st.integers(min_value=3, max_value=6)
@@ -138,9 +139,9 @@ def test_transverse_term_anticommutes_exactly_with_adjacent_plaquettes(n, m, bou
         sx = sigma_x(site)
         for base, op in plaqs.items():
             if base in adj:
-                assert not sx.commutes_with(op)
+                assert not commutes_with(sx, op)
             else:
-                assert sx.commutes_with(op)
+                assert commutes_with(sx, op)
 
 
 @pytest.mark.parametrize(
@@ -155,11 +156,11 @@ def test_diagonal_loops_are_conserved(n, m, boundary):
     assert sorted(s for f in fams for s in f) == list(range(spec.n_sites))
     for b in range(len(fams)):
         W = diagonal_loop_operator(spec, b)
-        assert W.is_hermitian
+        assert W.phase in (1, -1)
         for b in enumerate_plaquettes(spec):
-            assert W.commutes_with(plaquette_operator(spec, b))
+            assert commutes_with(W, plaquette_operator(spec, b))
         for site in range(spec.n_sites):
-            assert W.commutes_with(sigma_x(site))
+            assert commutes_with(W, sigma_x(site))
 
 
 def test_site_diagonal_counts():

@@ -23,7 +23,6 @@ from plaqising.freefermion import zz_correlator
 from plaqising.lattice import (
     Boundary,
     LatticeSpec,
-    diagonal_loop_operator,
     enumerate_plaquettes,
     plaquette_operator,
     site_adjacent_plaquettes,
@@ -42,6 +41,8 @@ from plaqising.observables import (
 from plaqising.pauli import sigma_x
 from plaqising.ed import _loop_masks, _parity_labels, parity_block, sector_operator
 from plaqising.observables import _ring_solution
+
+from oracles import diagonal_loop_operator
 
 
 def torus(n, m, g=1.0, h=1.0):

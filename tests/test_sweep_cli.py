@@ -233,6 +233,31 @@ def test_exponents_validation():
                                       string_length=513))
 
 
+@pytest.mark.parametrize("argv, ini, field", [
+    (["--separation", "0"], "", "separation"),
+    (["--string-length", "0"], "", "string_length"),
+    ([], "ordered-grid = 1.2, 1.3", "ordered_grid"),
+    ([], "ordered-grid = 0.8", "ordered_grid"),
+    ([], "disordered-grid = 0.9, 1.1", "disordered_grid"),
+    ([], "disordered-grid = 1.1, 1.1", "disordered_grid"),
+], ids=["no-separation", "no-string", "ordered-above-1", "one-ordered-point",
+        "disordered-at-or-below-1", "one-distinct-disordered-point"])
+def test_cli_exponents_checks_every_range_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                           argv, ini, field):
+    def never(*args, **kwargs):
+        raise AssertionError("a chain was solved")
+
+    monkeypatch.setattr(plaqising.sweep, "bdg_solve", never)
+    config = tmp_path / "exponents.ini"
+    config.write_text(f"[exponents]\n{ini}\n")
+    out = tmp_path / "out"
+    assert main(["exponents", "--config", str(config), "--length", "1536", *argv,
+                 "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} = " in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # command line: exit codes and file layout
 # ----------------------------------------------------------------------
