@@ -47,7 +47,6 @@ from .duality import (
 from .ed import (
     HamiltonianSpec,
     SpectrumResult,
-    apply_pauli_string,
     expectation,
     full_spectrum,
     ground_spectrum,
@@ -114,7 +113,7 @@ __all__ = [
     "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
     # ed
     "HamiltonianSpec", "SpectrumResult", "hamiltonian_terms",
-    "apply_pauli_string", "expectation",
+    "expectation",
     "full_spectrum", "ground_spectrum",
     # duality
     "DualModel", "map_hamiltonian",

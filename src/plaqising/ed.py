@@ -127,24 +127,6 @@ def _pauli_kernel(ids: np.ndarray, ps: PauliString):
     return perm, signs, pref
 
 
-def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a state vector (new array, input untouched)."""
-    v = np.asarray(v)
-    dim = v.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
-        raise DimensionMismatch(f"state length {dim} is not a power of two")
-    if (ps.x | ps.z) >> n:
-        raise SiteOutOfRange(
-            f"operator touches site {(ps.x | ps.z).bit_length() - 1} "
-            f"but the state has only {n} spins"
-        )
-    perm, signs, pref = _pauli_kernel(np.arange(dim, dtype=np.uint64), ps)
-    if pref.imag == 0.0 and not np.iscomplexobj(v):
-        pref = pref.real
-    return pref * (signs * v)[perm.astype(np.intp)]
-
-
 class HamiltonianOperator:
     """Precompiled matrix-free real Pauli-term sum on ``n`` spins, for matvecs.
 
@@ -579,6 +561,30 @@ def symmetry_blocks(n, terms, masks, signs, generator) -> list[tuple[np.ndarray,
 
 
 def expectation(v: np.ndarray, ps: PauliString) -> complex:
-    """``<v|P|v>`` for a normalized state."""
-    w = apply_pauli_string(ps, v)
-    return complex(np.vdot(v, w))
+    """``<v|P|v>`` for a normalized state, summed over the labels where ``v``
+    is nonzero.
+
+    With ``P |c> = pref * s(c) |c ^ x>`` (:func:`_pauli_kernel`),
+    ``<v|P|v> = pref * sum_c conj(v[c ^ x]) * s(c) * v[c]``, and every term
+    with ``v[c] = 0`` drops out.  A loop-sector state scattered onto ``2^n``
+    labels is nonzero on at most one label in ``2^d``, so the sum runs over
+    its sector only.  It is a NumPy reduction, not a BLAS dot, so no BLAS
+    thread pool takes part and the value does not depend on the BLAS thread
+    count.
+    """
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"state has shape {v.shape}, not one vector")
+    dim = v.shape[0]
+    n = dim.bit_length() - 1
+    if dim < 1 or dim != 1 << n:
+        raise DimensionMismatch(f"state length {dim} is not a power of two")
+    if (ps.x | ps.z) >> n:
+        raise SiteOutOfRange(
+            f"operator touches site {(ps.x | ps.z).bit_length() - 1} "
+            f"but the state has only {n} spins"
+        )
+    ids = np.flatnonzero(v)
+    perm, signs, pref = _pauli_kernel(ids.astype(np.uint64), ps)
+    terms = np.conj(v[perm.astype(np.intp)]) * signs * v[ids]
+    return complex(pref * terms.sum())

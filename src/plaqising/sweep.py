@@ -196,6 +196,9 @@ def _ed_torus_spectrum(n: int, g: float, h: float) -> SpectrumResult:
 def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
     if any(n < 3 for n in cfg.sizes + cfg.ed_sizes):
         raise InvalidSpec("torus sizes start at 3")
+    if len(set(cfg.sizes)) < 2:
+        raise InvalidSpec(f"sizes = {cfg.sizes} needs at least two distinct values"
+                          " for the power-law fit")
     rows = [
         {"size": n, "gap": dual_lattice_gap(n, n, cfg.g, cfg.h)}
         for n in cfg.sizes

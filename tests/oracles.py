@@ -1,6 +1,6 @@
-"""Oracles that only the tests call: the Pauli commutation test, the loop
-operators, the operator image under the duality and the many-body level lists
-of a free-fermion chain.
+"""Oracles that only the tests call: the Pauli commutation test, a Pauli
+string applied on the full space, the loop operators, the operator image under
+the duality and the many-body level lists of a free-fermion chain.
 
 No run of the package needs them; each one checks a package result against
 an independent reading of the same physics.
@@ -13,7 +13,12 @@ from itertools import accumulate
 import numpy as np
 
 from plaqising.duality import DualModel, _site_image
-from plaqising.ed import DEGENERACY_TOL, LANCZOS_MAX_SPINS, gap_from_levels
+from plaqising.ed import (
+    DEGENERACY_TOL,
+    LANCZOS_MAX_SPINS,
+    _pauli_kernel,
+    gap_from_levels,
+)
 from plaqising.errors import InvalidSpec, NotMappable, TooLarge
 from plaqising.freefermion import TFIMChainSpec, bdg_solve, ring_block
 from plaqising.lattice import (
@@ -34,6 +39,15 @@ def commutes_with(a: PauliString, b: PauliString) -> bool:
     """True iff the two strings commute (they always either commute
     or anticommute)."""
     return ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2 == 0
+
+
+def apply_pauli_string(ps: PauliString, v: np.ndarray) -> np.ndarray:
+    """``P v`` on all ``2^n`` labels (new array, input untouched): the
+    full-space reading that ``ed.expectation`` restricts to the labels where
+    ``v`` is nonzero."""
+    v = np.asarray(v)
+    perm, signs, pref = _pauli_kernel(np.arange(v.shape[0], dtype=np.uint64), ps)
+    return pref * (signs * v)[perm.astype(np.intp)]
 
 
 def diagonal_loop_operator(spec: LatticeSpec, which: int) -> PauliString:

@@ -15,17 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 from plaqising import (
     Boundary,
+    DiagonalSegment,
     HamiltonianSpec,
     LatticeSpec,
     PauliString,
     TooLarge,
-    apply_pauli_string,
     enumerate_plaquettes,
     expectation,
     full_spectrum,
     ground_spectrum,
+    ground_state_for_measurement,
     hamiltonian_terms,
     plaquette_operator,
+    plaquette_string,
+    sx_string,
 )
 from plaqising.ed import (
     _RITZ_EVERY,
@@ -42,12 +45,22 @@ from plaqising.ed import (
     sector_operator,
     symmetry_blocks,
 )
-from plaqising.errors import InvalidSpec, NotConverged, SiteOutOfRange
+from plaqising.errors import (
+    DimensionMismatch,
+    InvalidSpec,
+    NotConverged,
+    SiteOutOfRange,
+)
 from plaqising.freefermion import TFIMChainSpec, chain_terms
 from plaqising.lattice import ChainBoundary, site_diagonals
 from plaqising.pauli import sigma_x
 
-from oracles import commutes_with, diagonal_loop_operator, ring_sector_levels
+from oracles import (
+    apply_pauli_string,
+    commutes_with,
+    diagonal_loop_operator,
+    ring_sector_levels,
+)
 
 
 def torus33(g=1.0, h=1.0):
@@ -777,6 +790,66 @@ def test_expectation_on_product_state():
     assert abs(expectation(v, PauliString(((2, "X"),))) - 1.0) < 1e-12
     assert abs(expectation(v, PauliString(((1, "Z"),)))) < 1e-12
     assert abs(expectation(v, PauliString(((0, "X"), (3, "Y"))))) < 1e-12
+
+
+def _random_string(rng, n: int, y_parity: int) -> PauliString:
+    """A random string on ``n`` spins whose Y count has the given parity, and
+    a random phase: an odd Y count gives an imaginary prefactor."""
+    axes = list(rng.choice(["I", "X", "Y", "Z"], n))
+    if axes.count("Y") % 2 != y_parity:
+        j = int(rng.integers(n))
+        axes[j] = "X" if axes[j] == "Y" else "Y"
+    phase = (1, -1, 1j, -1j)[rng.integers(4)]
+    return PauliString(tuple((j, a) for j, a in enumerate(axes) if a != "I"), phase)
+
+
+@pytest.mark.parametrize("y_parity", [0, 1], ids=["even-y", "odd-y"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expectation_matches_the_full_space_oracle(n, dtype, y_parity):
+    rng = np.random.default_rng([n, y_parity, dtype is complex])
+    for _ in range(8):
+        v = rng.standard_normal(2**n)
+        if dtype is complex:
+            v = v + 1j * rng.standard_normal(2**n)
+        v /= np.linalg.norm(v)
+        ps = _random_string(rng, n, y_parity)
+        assert abs(expectation(v, ps) - np.vdot(v, apply_pauli_string(ps, v))) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_expectation_on_loop_sector_states_matches_the_oracle(size):
+    # the sweep's strings (sx over 3 diagonal sites, 2 plaquettes) and the
+    # longer ones, on states that are zero outside one loop sector
+    spec = LatticeSpec(size, size, Boundary.PERIODIC)
+    strings = [sx_string(spec, DiagonalSegment(size - 1, 1, k)) for k in range(size)]
+    strings += [plaquette_string(spec, size - 1, 0, r) for r in range(1, size + 1)]
+    for g in (0.3, 0.7):
+        state, _ = ground_state_for_measurement(HamiltonianSpec(spec, g, 1.0 - g))
+        assert np.count_nonzero(state) < state.size
+        for ps in strings:
+            P = ps.hadamard()
+            oracle = np.vdot(state, apply_pauli_string(P, state))
+            assert abs(expectation(state, P) - oracle) <= 1e-13
+
+
+def test_expectation_of_the_zero_state_is_zero():
+    v = np.zeros(2**4)
+    for ps in (sigma_x(0), PauliString(((1, "Y"), (3, "Z")), 1j)):
+        assert expectation(v, ps) == 0
+
+
+@pytest.mark.parametrize("v, ps, error", [
+    (np.ones(6), sigma_x(0), DimensionMismatch),
+    (np.ones(0), sigma_x(0), DimensionMismatch),
+    (np.ones((4, 4)), sigma_x(0), DimensionMismatch),
+    (np.ones(8), sigma_x(3), SiteOutOfRange),
+    (np.ones(8), PauliString(((70, "Z"),)), SiteOutOfRange),
+], ids=["length-6", "empty", "matrix", "x-beyond", "z70"])
+def test_expectation_raises_its_typed_errors_itself(v, ps, error):
+    with pytest.raises(error) as info:
+        expectation(v, ps)
+    assert info.traceback[-1].name == "expectation"
 
 
 def test_operator_ground_spectrum_from_custom_terms():

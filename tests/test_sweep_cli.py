@@ -258,6 +258,18 @@ def test_cli_exponents_checks_every_range_before_any_solve(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", [["8"], ["8", "8"]], ids=["one-size", "one-distinct-size"])
+def test_cli_gap_scaling_checks_sizes_before_any_solve(tmp_path, capsys, monkeypatch, sizes):
+    def never(*args, **kwargs):
+        raise AssertionError("a torus gap was solved")
+
+    monkeypatch.setattr(plaqising.sweep, "dual_lattice_gap", never)
+    out = tmp_path / "out"
+    assert main(["gap-scaling", "--sizes", *sizes, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: sizes = ")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # command line: exit codes and file layout
 # ----------------------------------------------------------------------
@@ -487,6 +499,21 @@ def test_cli_values_hold_across_blas_thread_counts(tmp_path):
                 assert x == y
                 continue
             assert abs(fx - fy) <= 1e-12 * abs(fy) + 1e-12, (x, y)
+
+
+def test_cli_ed_sweep_is_independent_of_the_blas_thread_count(tmp_path):
+    # the ED-route strings are NumPy reductions over the state's loop sector,
+    # not BLAS dots, whose sums one BLAS thread and two ordered differently
+    # (14 phi cells by up to 6.7e-16 with a dot over all 2^16 labels)
+    src = str(Path(plaqising.__file__).resolve().parents[1])
+    data = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "plaqising.cli", "sweep", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        data[threads] = (out / "sweep.csv").read_bytes()
+    assert data["1"] == data["2"]
 
 
 def test_cli_values_are_unchanged_by_the_blas_idle_spin(tmp_path):
