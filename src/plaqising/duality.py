@@ -78,6 +78,16 @@ class DualModel:
     free_sites: tuple[int, ...]
     n_diagonals: int
 
+    def at(self, g: float, h: float) -> DualModel:
+        """The same map at the couplings ``(g, h)``: the lattice, free sites
+        and edge-field signs depend on the lattice only, so each chain keeps
+        them and takes ``field = g`` and ``bond = h``.  Equal to
+        ``map_hamiltonian`` of that lattice at ``(g, h)``; each chain spec
+        checks the couplings."""
+        # a torus repeats one ring spec d times: each distinct spec once
+        new = {sp: replace(sp, field=g, bond=h) for sp in set(self.chains)}
+        return replace(self, g=g, h=h, chains=tuple(new[sp] for sp in self.chains))
+
 
 def _site_image(spec: LatticeSpec, s: int) -> tuple[tuple[int, int], ...]:
     """``(chain, position)`` of each plaquette that ``sx_s`` anticommutes with.

@@ -31,7 +31,10 @@ Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
 whole block.  Terms with one flip mask are merged when the operator compiles
 (in the Hadamard frame every ``sx`` is diagonal), so a matvec is one diagonal
-product plus one gather per distinct mask.  Lanczos solves every
+product plus one gather per distinct mask.  A flip's gather rows depend on
+the block's labels only: the operators of one block may share its labels
+and row maps (:func:`parity_block`'s ``blocks``), so a coupling sweep finds
+them once and compiles only each point's weights.  Lanczos solves every
 ground-state block: a recursion with full reorthogonalization and a
 deterministic start vector.
 """
@@ -68,6 +71,7 @@ LANCZOS_MAX_SPINS = 20
 DEGENERACY_TOL = 1e-8      # eigenvalues this close to E0 count as ground space
 LANCZOS_RESIDUAL_TOL = 1e-10
 _RITZ_EVERY = 4            # Lanczos iterations between Ritz checks
+_HUGEPAGE_BYTES = 1 << 22  # numpy advises huge pages for arrays from this size up
 _SEED_NOISE = 1e-2         # relative amplitude of the deterministic seed noise
 _SEED_STREAM = 0xA5EED
 
@@ -138,22 +142,35 @@ class HamiltonianOperator:
     arithmetic is ever needed for this model.  With a ``basis`` (a sorted
     array of basis-state labels closed under every term) the operator acts
     on that block only: row ``i`` is label ``basis[i]``; without one it acts
-    on the block of all ``2^n`` labels, through the same compile.
+    on the block of all ``2^n`` labels, through the same compile.  A basis
+    whose labels are not strictly increasing, or not all below ``2^n``,
+    raises ``InvalidSpec`` before anything compiles.
+
+    ``rows`` maps a flip mask to the row reached from each row of
+    ``basis``.  The operators of one block may share it (see
+    :func:`parity_block`): a flip's rows depend on the labels only, so each
+    is computed, and checked to stay in the block, once, the first time a
+    term with that flip compiles.
     """
 
-    def __init__(self, n: int, terms, basis: np.ndarray | None = None):
+    def __init__(self, n: int, terms, basis: np.ndarray | None = None,
+                 rows: dict[int, np.ndarray] | None = None):
         if basis is None:
             if n > LANCZOS_MAX_SPINS:
                 raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
             basis = np.arange(1 << n, dtype=np.uint64)
+        elif np.any(basis[1:] <= basis[:-1]):
+            raise InvalidSpec("basis labels must be strictly increasing")
+        elif len(basis) and int(basis[-1]) >> n:
+            raise InvalidSpec(f"basis label {int(basis[-1])} is not below 2^{n}")
         self.basis = basis
+        self._rows = {} if rows is None else rows
         self._compile(n, terms)
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
         """Merge the terms on ``n`` spins over the rows of ``self.basis``."""
-        ids = self.basis
+        ids, rows = self.basis, self._rows
         self.dim = len(ids)
-        perms: dict[int, np.ndarray] = {}    # flip mask -> row reached from each row
         weights: dict[int, np.ndarray] = {}  # flip mask -> summed weight of each row
         for coeff, ps in terms:
             if (ps.x | ps.z) >> n:
@@ -166,13 +183,14 @@ class HamiltonianOperator:
             if flip in weights:
                 weights[flip] += coeff * pref.real * signs
                 continue
-            rows = np.searchsorted(ids, perm)
-            if np.any(np.take(ids, rows, mode="clip") != perm):
-                raise InvalidSpec("a term maps a basis label outside the basis")
-            perms[flip], weights[flip] = rows, coeff * pref.real * signs
-        perms.pop(0, None)
+            if flip and flip not in rows:  # flip 0 keeps every row
+                row = np.searchsorted(ids, perm)
+                if np.any(np.take(ids, row, mode="clip") != perm):
+                    raise InvalidSpec("a term maps a basis label outside the basis")
+                rows[flip] = row
+            weights[flip] = coeff * pref.real * signs
         self._diag = weights.pop(0, np.zeros(self.dim))
-        self._gathers = [(perms[f], w[perms[f]]) for f, w in weights.items()]
+        self._gathers = [(rows[f], w[rows[f]]) for f, w in weights.items()]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if v.shape[0] != self.dim:
@@ -207,20 +225,31 @@ def _parity_labels(n: int, masks, signs) -> np.ndarray:
     return labels[keep]
 
 
-def parity_block(n: int, terms, masks, signs) -> HamiltonianOperator:
+def parity_block(n: int, terms, masks, signs,
+                 blocks: dict | None = None) -> HamiltonianOperator:
     """``sum c P`` on the block where ``prod sx`` over the sites of each
     ``masks[i]`` is ``signs[i] = +-1``, in the Hadamard frame: row ``i`` is the
     rotated label ``op.basis[i]``.  A sign other than one ``+-1`` per mask,
     a mask outside the ``n`` sites or a term that breaks a block raises
-    ``InvalidSpec``."""
+    ``InvalidSpec``.
+
+    ``blocks`` keeps, per ``(n, masks, signs)``, the block's labels and the
+    row map of each flip it has compiled.  Every operator built through the
+    same dict shares them, so a coupling sweep finds its labels once and
+    only re-weights the terms; the weights are each operator's own, summed
+    exactly as in a fresh compile."""
     if n > LANCZOS_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
     if len(signs) != len(masks) or any(s not in (1, -1) for s in signs):
         raise InvalidSpec(f"need one +-1 sign per mask, got {tuple(signs)}")
     if any(mask >> n for mask in masks):
         raise InvalidSpec(f"a mask has a site outside the {n} spins")
-    labels = _parity_labels(n, masks, signs)
-    return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels)
+    blocks = {} if blocks is None else blocks
+    key = (n, tuple(masks), tuple(signs))
+    if key not in blocks:
+        blocks[key] = (_parity_labels(n, masks, signs), {})
+    labels, rows = blocks[key]
+    return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels, rows)
 
 
 def _loop_masks(spec: LatticeSpec) -> list[int]:
@@ -244,10 +273,13 @@ def _sector_orbits(hs: HamiltonianSpec) -> list[tuple[tuple[int, ...], int]]:
     return list(Counter(rep.values()).items())
 
 
-def sector_operator(hs: HamiltonianSpec, sector: tuple[int, ...]) -> HamiltonianOperator:
+def sector_operator(hs: HamiltonianSpec, sector: tuple[int, ...],
+                    blocks: dict | None = None) -> HamiltonianOperator:
     """``H`` on the loop sector ``W_b = sector[b]``, in the Hadamard frame:
-    row ``i`` is the rotated label ``op.basis[i]``."""
-    return parity_block(hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice), sector)
+    row ``i`` is the rotated label ``op.basis[i]``; ``blocks`` as in
+    :func:`parity_block`."""
+    return parity_block(hs.n_spins, hamiltonian_terms(hs), _loop_masks(hs.lattice),
+                        sector, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +348,18 @@ def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
     deterministic fresh direction; when none is left, that is the last
     iteration and every level found is returned (so a ``k`` above the block
     gives them all).
+
+    The Krylov basis starts with as many rows as stay under
+    ``_HUGEPAGE_BYTES`` (127 on a 4096-state block) and doubles when full,
+    up to ``max_iter``.  All ``max_iter = 220`` rows at once would be 7.2
+    MB there, which numpy advises for huge pages: whether the ~30 rows a
+    sweep point touches then cost one 2 MiB page more was left to the
+    address the basis got.
     """
     dim = op.dim
     if max_iter is None:
         max_iter = min(dim, max(220, 24 * k))
-    V = np.empty((max_iter, dim))
+    V = np.empty((min(max_iter, max(1, (_HUGEPAGE_BYTES - 1) // (8 * dim))), dim))
     alphas: list[float] = []
     betas: list[float] = []
     V[0] = _lanczos_seed(dim)
@@ -361,6 +400,8 @@ def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
                     },
                 )
         betas.append(beta)
+        if m == len(V):
+            V = np.concatenate((V, np.empty((min(m, max_iter - m), dim))))
         V[m] = w / norm
 
     vecs = None

@@ -14,7 +14,11 @@ the free-fermion solution of the dual chain (any size, torus only: dual
 strings on an open lattice are not implemented and raise ``NotMappable``).
 A dual string is one Majorana monomial on one ring, read by the one Wick
 reader of :mod:`plaqising.freefermion` (a whole loop gives its label, exactly
-+1).  Both routes check a string's length before any solve.
++1).  Both routes check a string's length before any solve.  A dual cache
+holds one point: a model cached at other couplings or on another lattice
+raises ``InvalidSpec``.  On the direct route a sweep shares one loop-sector
+block (labels and flip row maps) between its points through
+:func:`ground_state_for_measurement`'s ``_cache``.
 The direct route measures in one loop sector: the Hamiltonian is solved
 only on the states with a fixed eigenvalue of every conserved diagonal loop
 (all ``+1`` by default), which after a Hadamard on every spin is a fixed bit
@@ -134,7 +138,8 @@ def _check_wrap(spec: LatticeSpec, r: int, what: str) -> None:
 # direct (2D exact-diagonalization) route
 # ----------------------------------------------------------------------
 def ground_state_for_measurement(
-    hs: HamiltonianSpec, sector: tuple[int, ...] | None = None
+    hs: HamiltonianSpec, sector: tuple[int, ...] | None = None,
+    _cache: dict | None = None,
 ) -> tuple[np.ndarray, float]:
     """``(state, energy)`` of the lowest level of one loop sector, the state
     in the Hadamard frame it was solved in (the block eigenvector scattered
@@ -145,10 +150,14 @@ def ground_state_for_measurement(
     loop ``W_b`` (default all ``+1``, the sector of the global ground state).
     Where sectors are degenerate (topological multiplets at ``h = 0``, free
     spins at ``g = 0``) the label alone picks the state.
+
+    ``_cache`` (one per sweep) keeps the sector's labels and flip row maps
+    between calls, as ``blocks`` of :func:`~plaqising.ed.parity_block`; each
+    call compiles its own weights, and its operator is freed on return.
     """
     if sector is None:
         sector = (1,) * len(site_diagonals(hs.lattice))
-    op = sector_operator(hs, sector)
+    op = sector_operator(hs, sector, _cache)
     res = operator_ground_spectrum(op, k=1, want_vectors=True)
     state = np.zeros(1 << hs.n_spins)
     state[op.basis] = res.eigenvectors[:, 0]
@@ -194,12 +203,18 @@ def _check_dual(hs: HamiltonianSpec, r: int, what: str) -> None:
 
 def _ring_solution(hs: HamiltonianSpec, ci: int, cache: dict | None = None) -> BdGSolution:
     """Dual ring ``ci`` of ``hs``; the model and each ring are built once per
-    ``cache`` (one sweep point)."""
+    ``cache`` (one sweep point).  A sweep may seed ``cache["model"]`` with
+    its one map at this point's couplings (:meth:`DualModel.at`); a model of
+    another lattice or other couplings raises :class:`InvalidSpec`."""
     cache = {} if cache is None else cache
     if "model" not in cache:
         cache["model"] = map_hamiltonian(hs)
+    model = cache["model"]
+    if (model.lattice, model.g, model.h) != (hs.lattice, hs.g, hs.h):
+        raise InvalidSpec(f"the cached dual model is at (g, h) = ({model.g}, {model.h})"
+                          f" on {model.lattice}, not ({hs.g}, {hs.h}) on {hs.lattice}")
     if ci not in cache:
-        cache[ci] = bdg_solve(cache["model"].chains[ci])
+        cache[ci] = bdg_solve(model.chains[ci])
     return cache[ci]
 
 

@@ -5,6 +5,11 @@ Every runner returns ``(rows, meta)``: a list of plain dict rows (one CSV
 line each, deterministic order) and a metadata dict (fit results, verdicts,
 parameters).  Output files never embed timestamps - those live in the
 ``.meta.json`` sidecar - so reruns are byte-identical.
+
+A coupling sweep builds its lattice's structure once and re-weights it at
+each point: one dual map on the dual route, one loop-sector block (labels
+and flip row maps) on the ED route.  Each row is bitwise the row its point
+gives alone.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .duality import dual_lattice_gap, duality_spectrum_check
+from .duality import dual_lattice_gap, duality_spectrum_check, map_hamiltonian
 from .ed import (
     DENSE_MAX_SPINS,
     HamiltonianSpec,
@@ -100,22 +105,22 @@ class CouplingSweepConfig:
     endpoint_tol: float = 1e-8    # exact limits expected at g = 0 and h = 0
 
 
-def _sweep_point(cfg: CouplingSweepConfig, t: int) -> dict:
-    frac = t / (cfg.steps - 1)
-    g, h = frac, 1.0 - frac
-    spec = LatticeSpec(cfg.rows, cfg.cols, Boundary.PERIODIC)
-    hs = HamiltonianSpec(spec, g, h)
+def _sweep_point(cfg: CouplingSweepConfig, hs: HamiltonianSpec, t: int,
+                 shared: dict) -> dict:
+    """Row ``t`` at ``hs``; ``shared`` holds what the sweep built for its
+    lattice once: the dual model (``"model"``) or the ED loop-sector block."""
+    g, h = hs.g, hs.h
     sr = cfg.start_row if cfg.start_row is not None else cfg.rows - 1
     sc = cfg.start_col if cfg.start_col is not None else 1
     seg = DiagonalSegment(sr, sc, cfg.string_steps)
     if cfg.route == "dual":
-        cache: dict = {}
+        cache = {"model": shared["model"].at(g, h)}  # the ring solves stay per point
         phi1 = sx_string_expectation_dual(hs, seg, cache)
         phi2 = plaquette_string_expectation_dual(
             hs, sr, sc - 1, cfg.plaquette_count, cache)
         energy = math.nan
     else:
-        state, energy = ground_state_for_measurement(hs)
+        state, energy = ground_state_for_measurement(hs, _cache=shared)
         phi1 = sx_string_expectation_ed(hs, seg, state)
         phi2 = plaquette_string_expectation_ed(hs, sr, sc - 1, cfg.plaquette_count, state)
     gap = dual_lattice_gap(cfg.rows, cfg.cols, g, h)
@@ -133,17 +138,27 @@ def run_coupling_sweep(cfg: CouplingSweepConfig) -> tuple[list[dict], dict]:
     state (``"ed"``) or the dual chains (``"dual"``, where ``energy`` is
     nan).  On both routes the ``gap`` column is the dual-route torus gap,
     :func:`~plaqising.duality.dual_lattice_gap`.
+
+    The lattice's structure is built once per sweep, and each point only
+    re-weights it with its couplings: the dual route maps the lattice once
+    and takes each point's model from :meth:`DualModel.at`; the ED route
+    finds the loop sector's labels, and each flip's row map, once
+    (:func:`~plaqising.ed.parity_block`), and compiles each point's weights
+    afresh.  Every number is the one a point computed alone gives.
     """
     if cfg.steps < 2:
         raise InvalidSpec("a sweep needs at least two points")
     if cfg.route not in ("ed", "dual"):
         raise InvalidSpec("route must be 'ed' or 'dual'")
-    LatticeSpec(cfg.rows, cfg.cols, Boundary.PERIODIC)  # the size check comes first
+    spec = LatticeSpec(cfg.rows, cfg.cols, Boundary.PERIODIC)  # the size check comes first
     ring = math.lcm(cfg.rows, cfg.cols)  # sites of one diagonal loop
     if not (0 <= cfg.string_steps < ring - 1 and 1 <= cfg.plaquette_count < ring):
         raise InvalidSpec(f"need 0 <= string_steps < {ring - 1} and 1 <= plaquette_count"
                           f" < {ring}: a string is shorter than the ring length {ring}")
-    rows = [_sweep_point(cfg, t) for t in range(cfg.steps)]
+    fracs = [t / (cfg.steps - 1) for t in range(cfg.steps)]
+    points = [HamiltonianSpec(spec, frac, 1.0 - frac) for frac in fracs]
+    shared = {"model": map_hamiltonian(points[0])} if cfg.route == "dual" else {}
+    rows = [_sweep_point(cfg, hs, t, shared) for t, hs in enumerate(points)]
     phi1 = [r["phi1"] for r in rows]
     phi2 = [r["phi2"] for r in rows]
     tol = cfg.endpoint_tol

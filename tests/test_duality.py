@@ -159,6 +159,17 @@ def test_equal_models_compare_and_hash_equal(hs):
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("hs", [torus(4, 6), torus(4, 4), open_lat(4, 5), open_lat(3, 3)])
+@pytest.mark.parametrize("g,h", [(0.0, 1.0), (0.3, 0.7), (2.0, 0.0)])
+def test_reweighted_model_equals_a_fresh_map(hs, g, h):
+    # the map depends on the lattice only: re-weighting it is mapping anew,
+    # edge-field signs and free corners included
+    fresh = map_hamiltonian(HamiltonianSpec(hs.lattice, g, h))
+    assert map_hamiltonian(hs).at(g, h) == fresh
+    with pytest.raises(InvalidSpec):
+        map_hamiltonian(hs).at(-0.1, 1.0)
+
+
 # ----------------------------------------------------------------------
 # operator mapping
 # ----------------------------------------------------------------------

@@ -207,6 +207,52 @@ def test_sector_operator_merges_the_field_into_one_diagonal():
                                   -1.0 * (16 - 2.0 * np.bitwise_count(op.basis)))
 
 
+@pytest.mark.parametrize("n,m", [(4, 4), (3, 4), (3, 3)])
+def test_reweighted_operators_equal_fresh_compiles(n, m):
+    # one block dict across a sweep's couplings: the labels are found once,
+    # each flip's rows once (the plaquette flips at the first g > 0), and
+    # every operator's diagonal and gathers equal a fresh compile's bitwise
+    lattice = LatticeSpec(n, m, Boundary.PERIODIC)
+    sector = (1,) * len(site_diagonals(lattice))
+    blocks, first = {}, None
+    for g in (0.0, 0.25, 0.5, 0.75, 1.0):
+        hs = HamiltonianSpec(lattice, g, 1.0 - g)
+        op, fresh = sector_operator(hs, sector, blocks), sector_operator(hs, sector)
+        (labels, rows), = blocks.values()
+        assert op.basis is labels and op._rows is rows
+        if g:  # the same row arrays at every point: each flip's rows are found once
+            first = first or [perm for perm, _ in op._gathers]
+            assert all(perm is row for (perm, _), row in zip(op._gathers, first))
+        assert op._diag.tobytes() == fresh._diag.tobytes()
+        assert len(op._gathers) == len(fresh._gathers) == (n * m if g else 0)
+        for (perm, wp), (fperm, fwp) in zip(op._gathers, fresh._gathers):
+            assert perm.tobytes() == fperm.tobytes() and wp.tobytes() == fwp.tobytes()
+    assert len(rows) == n * m
+
+
+def test_parity_blocks_are_kept_apart_by_their_labels():
+    # a dict of blocks answers each (n, masks, signs) with its own labels
+    hs = torus33(0.6, 0.4)
+    blocks = {}
+    for w in ((1, 1, 1), (1, -1, 1), (1, 1, 1)):
+        op = sector_operator(hs, w, blocks)
+        assert op.dense().tobytes() == sector_operator(hs, w).dense().tobytes()
+    assert len(blocks) == 2
+
+
+@pytest.mark.parametrize("labels,rule", [
+    ([0, 0, 3, 3], "strictly increasing"),   # duplicates
+    ([3, 0], "strictly increasing"),         # closed, but unsorted
+    ([0, 3, 8, 11], "not below 2\\^2"),      # labels past the 2 spins
+], ids=["duplicate", "unsorted", "too-large"])
+def test_basis_is_checked_before_it_compiles(labels, rule):
+    # every basis here is closed under the one term, which pairs 0 <-> 3
+    # and 8 <-> 11; the rule that broke is named
+    with pytest.raises(InvalidSpec, match=rule):
+        HamiltonianOperator(2, [(1.0, sigma_x(0) * sigma_x(1))],
+                            np.array(labels, dtype=np.uint64))
+
+
 def test_field_only_spectrum_is_analytic():
     # g = 0: H = -h sum sx, levels -h(n - 2k) with binomial multiplicity
     from math import comb
@@ -341,6 +387,39 @@ def test_lanczos_with_k_above_the_block_returns_every_level():
     vals, _, _ = _lanczos(op, k=70, want_vectors=False)
     np.testing.assert_allclose(vals, scipy.linalg.eigvalsh(op.dense()),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 40])
+def test_lanczos_krylov_growth_changes_no_bit(monkeypatch, rows):
+    # 3x4, k = 4 takes 84 iterations in one allocation of the basis; one
+    # that starts at 1, 5 or 40 rows and doubles gives the same bits
+    import plaqising.ed as ed
+
+    hs = HamiltonianSpec(LatticeSpec(3, 4, Boundary.PERIODIC), 0.9, 1.0)
+    op = sector_operator(hs, (1,))
+    vals, vecs, info = _lanczos(op, k=4, want_vectors=True)
+    assert info["iterations"] == 84
+    monkeypatch.setattr(ed, "_HUGEPAGE_BYTES", rows * 8 * op.dim + 1)
+    other, other_vecs, other_info = _lanczos(op, k=4, want_vectors=True)
+    assert other_info == info
+    assert other.tobytes() == vals.tobytes() and other_vecs.tobytes() == vecs.tobytes()
+
+
+def test_krylov_basis_of_a_sweep_point_stays_under_the_huge_page_advice(monkeypatch):
+    # numpy advises huge pages for arrays from 4 MiB up; a 4x4 point's basis
+    # stays below, so only the rows it touches are resident
+    sizes = []
+    empty = np.empty
+
+    def recording(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(np, "empty", recording)
+    ground_state_for_measurement(HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC),
+                                                 0.5, 0.5))
+    assert 0 < max(sizes) < 1 << 22
 
 
 def _pieces_hold_the_block(pieces, n, terms, masks=(), signs=()):

@@ -1,6 +1,7 @@
 """String observables: the direct 2D route against the dual-chain route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,9 +371,11 @@ def test_both_routes_refuse_strings_longer_than_the_ring(monkeypatch):
         sx_string_expectation_ed(flat, DiagonalSegment(1, 1, 2))
 
 
-def test_dual_sweep_builds_one_model_per_point(monkeypatch):
+def test_dual_sweep_maps_its_lattice_once(monkeypatch):
+    # one map per sweep: each point re-weights it (DualModel.at), the
+    # h = 0 endpoint included, and no string maps the lattice again
     import plaqising.observables as observables
-    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+    import plaqising.sweep as sweep
 
     calls = []
 
@@ -381,11 +384,124 @@ def test_dual_sweep_builds_one_model_per_point(monkeypatch):
         return map_hamiltonian(hs)
 
     monkeypatch.setattr(observables, "map_hamiltonian", counting)
-    cfg = CouplingSweepConfig(rows=6, cols=6, route="dual")
-    run_coupling_sweep(cfg)
-    # every point, h = 0 included, builds its model once
-    assert len(calls) == cfg.steps
-    assert len(set(calls)) == cfg.steps
+    monkeypatch.setattr(sweep, "map_hamiltonian", counting)
+    cfg = sweep.CouplingSweepConfig(rows=6, cols=6, route="dual")
+    sweep.run_coupling_sweep(cfg)
+    assert len(calls) == 1
+
+
+def test_ed_sweep_finds_its_sector_labels_once(monkeypatch):
+    import plaqising.ed as ed
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _parity_labels(*args)
+
+    monkeypatch.setattr(ed, "_parity_labels", counting)
+    run_coupling_sweep(CouplingSweepConfig())
+    assert len(calls) == 1
+
+
+def test_ed_sweep_holds_one_operator_at_a_time():
+    # the shared block is labels and row maps only: the sweep's traced peak
+    # stays at one measurement's, so no earlier point's operator, weights or
+    # state is alive while the next is built
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    hs = torus(4, 4, 0.5, 0.5)
+    ground_state_for_measurement(hs)  # first-call allocations stay out
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: ground_state_for_measurement(hs))
+    sweep = peak(lambda: run_coupling_sweep(CouplingSweepConfig()))
+    assert sweep <= 1.05 * one, (sweep, one)
+    # between points the cache holds the block's one copy of the labels and
+    # row maps (32 KiB each on 4x4) and nothing else: no operator or state
+    cache = {}
+    tracemalloc.start()
+    try:
+        for g in (0.0, 0.3, 0.7, 1.0):
+            ground_state_for_measurement(torus(4, 4, g, 1.0 - g), _cache=cache)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (labels, rows), = cache.values()
+    assert held <= labels.nbytes + sum(r.nbytes for r in rows.values()) + 32 * 1024
+
+
+def _alone(cfg, t):
+    """Row ``t`` of ``cfg``'s sweep, computed on its own from a fresh
+    operator or model."""
+    from plaqising.duality import dual_lattice_gap
+
+    g = t / (cfg.steps - 1)
+    hs = torus(cfg.rows, cfg.cols, g, 1.0 - g)
+    sr, sc = cfg.rows - 1, 1
+    seg = DiagonalSegment(sr, sc, cfg.string_steps)
+    if cfg.route == "dual":
+        phi1 = sx_string_expectation_dual(hs, seg)
+        phi2 = plaquette_string_expectation_dual(hs, sr, sc - 1, cfg.plaquette_count)
+        energy = math.nan
+    else:
+        state, energy = ground_state_for_measurement(hs)
+        phi1 = sx_string_expectation_ed(hs, seg, state)
+        phi2 = plaquette_string_expectation_ed(hs, sr, sc - 1, cfg.plaquette_count, state)
+    return {"step": t, "g": hs.g, "h": hs.h, "phi1": phi1, "phi2": phi2,
+            "gap": dual_lattice_gap(cfg.rows, cfg.cols, hs.g, hs.h), "energy": energy}
+
+
+def _bits(row):
+    return {k: float(v).hex() for k, v in row.items()}
+
+
+@pytest.mark.parametrize("route", ["ed", "dual"])
+@pytest.mark.parametrize("n,m", [(4, 4), (3, 4), (3, 3)])
+def test_sweep_rows_equal_each_point_computed_alone(route, n, m):
+    # the sweep's one map or block changes no bit of any row; the grid holds
+    # both endpoints, g = 0 (no plaquette flips yet) and h = 0
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    cfg = CouplingSweepConfig(rows=n, cols=m, steps=5, string_steps=1,
+                              plaquette_count=2, route=route)
+    rows, _ = run_coupling_sweep(cfg)
+    assert (rows[0]["g"], rows[-1]["h"]) == (0.0, 0.0)
+    assert [_bits(r) for r in rows] == [_bits(_alone(cfg, t)) for t in range(cfg.steps)]
+
+
+@pytest.mark.parametrize("string", ["sx", "plaquettes"])
+def test_ring_cache_of_other_couplings_is_refused(string):
+    # a cache filled at one coupling must not answer for another: at the
+    # parent commit it returned the (0.3, 0.7) values at (0.8, 0.2)
+    seg = DiagonalSegment(3, 1, 2)
+
+    def measure(hs, cache=None):
+        if string == "sx":
+            return sx_string_expectation_dual(hs, seg, cache)
+        return plaquette_string_expectation_dual(hs, 3, 0, 2, cache)
+
+    cache = {}
+    first = measure(torus(4, 4, 0.3, 0.7), cache)
+    assert measure(torus(4, 4, 0.3, 0.7), cache) == first
+    with pytest.raises(InvalidSpec, match="cached dual model"):
+        measure(torus(4, 4, 0.8, 0.2), cache)
+    with pytest.raises(InvalidSpec, match="cached dual model"):
+        measure(torus(4, 8, 0.3, 0.7), cache)
+    right = {"sx": 0.13070791394614212, "plaquettes": 0.98294}[string]
+    assert measure(torus(4, 4, 0.8, 0.2)) == pytest.approx(right, abs=1e-5)
+    # a model re-weighted to the point's couplings is accepted
+    model = map_hamiltonian(torus(4, 4, 0.3, 0.7))
+    assert measure(torus(4, 4, 0.8, 0.2), {"model": model.at(0.8, 0.2)}) == \
+        measure(torus(4, 4, 0.8, 0.2))
 
 
 @pytest.mark.parametrize("s", [2, 3])
