@@ -79,7 +79,6 @@ from .lattice import (
     LatticeSpec,
     chain_decompose,
     enumerate_plaquettes,
-    expected_chain_count,
     plaquette_chain_position,
     plaquette_operator,
     site_adjacent_plaquettes,
@@ -110,7 +109,7 @@ __all__ = [
     "PauliString", "Boundary", "ChainBoundary", "LatticeSpec",
     "enumerate_plaquettes", "plaquette_operator",
     "chain_decompose", "plaquette_chain_position",
-    "expected_chain_count", "site_adjacent_plaquettes", "site_diagonals",
+    "site_adjacent_plaquettes", "site_diagonals",
     # ed
     "HamiltonianSpec", "SpectrumResult", "hamiltonian_terms",
     "expectation",

@@ -3,9 +3,11 @@
 The plaquette operators ``F_p`` along an anti-diagonal (step ``+x - y``)
 form chains: ``F_p -> tx`` at the plaquette's chain position, and the field
 ``sx_j`` at a site adjacent to plaquettes ``j - x`` and ``j - y`` becomes the
-Ising bond ``tz tz`` between their (consecutive) chain positions.  Boundary
-sites with a single adjacent plaquette become single-``tz`` edge fields; the
-two corner sites of an open lattice with no adjacent plaquette stay unmapped.
+Ising bond ``tz tz`` between their (consecutive) chain positions.  On an open
+lattice the two boundary sites of each diagonal that touch one plaquette
+each become a single-``tz`` end field, at the chain's two ends, and the two
+corner sites with no adjacent plaquette (sites ``0`` and ``n - 1``) stay
+unmapped.
 
 The map is one dual copy per symmetry sector.  The conserved diagonal
 ``prod sx`` loops ``W_b`` (one per site diagonal) have eigenvalues
@@ -16,9 +18,10 @@ other sectors are obtained by
   the diagonal of its plaquette bases mod ``d``) is restricted to spin-parity
   ``v_a = w_a * w_{(a+2) mod d}`` and its closing bond twisted by
   ``t_a = w_{(a+1) mod d}``;
-* open lattice (one label per site diagonal): the product of the edge-field
-  signs on the chain dual to diagonal ``b`` equals ``w_b``, and each free
-  corner site contributes energy ``-h * w_b``.
+* open lattice (one label per site diagonal ``b = r + c``): the chain dual
+  to diagonal ``b`` carries ``end_sign = w_b`` (the sign of its first end
+  field), and the free corners on diagonals ``0`` and ``N + M - 2``
+  contribute energy ``-h * w_0`` and ``-h * w_{N+M-2}``.
 
 The union over sectors reproduces the full 2D spectrum with multiplicity.
 """
@@ -80,8 +83,8 @@ class DualModel:
 
     def at(self, g: float, h: float) -> DualModel:
         """The same map at the couplings ``(g, h)``: the lattice, free sites
-        and edge-field signs depend on the lattice only, so each chain keeps
-        them and takes ``field = g`` and ``bond = h``.  Equal to
+        and end signs depend on the lattice only, so each chain keeps them
+        and takes ``field = g`` and ``bond = h``.  Equal to
         ``map_hamiltonian`` of that lattice at ``(g, h)``; each chain spec
         checks the couplings."""
         # a torus repeats one ring spec d times: each distinct spec once
@@ -92,7 +95,7 @@ class DualModel:
 def _site_image(spec: LatticeSpec, s: int) -> tuple[tuple[int, int], ...]:
     """``(chain, position)`` of each plaquette that ``sx_s`` anticommutes with.
 
-    Empty for a free corner, one entry for an edge field ``tz``, two for an
+    Empty for a free corner, one entry for an end field ``tz``, two for an
     Ising bond ``tz tz``.  A bond's positions must be consecutive on one
     chain, across a ring's closing bond too, or the site is not mappable.
     """
@@ -109,7 +112,12 @@ def _site_image(spec: LatticeSpec, s: int) -> tuple[tuple[int, int], ...]:
 
 
 def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
-    """Decompose the 2D model into its dual chains (all-``+1`` sector copy)."""
+    """Decompose the 2D model into its dual chains (all-``+1`` sector copy).
+
+    On an open lattice every chain ends in its two end fields
+    (``end_sign = 1``) and the free corners are sites ``0`` and ``n - 1``;
+    :func:`_site_image` is the per-site rule that this closed form
+    summarizes."""
     spec = hs.lattice
     chains = chain_decompose(spec)
 
@@ -120,20 +128,9 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
         ring = TFIMChainSpec(len(chains[0]), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
         return DualModel(spec, hs.g, hs.h, (ring,) * d, (), d)
 
-    # open lattice
-    edge_fields: list[list[tuple[int, float]]] = [[] for _ in chains]
-    free: list[int] = []
-    for s in range(spec.n_sites):
-        image = _site_image(spec, s)
-        if not image:
-            free.append(s)
-        elif len(image) == 1:
-            (ci, k), = image
-            edge_fields[ci].append((k, 1.0))
     specs = tuple(TFIMChainSpec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
-                                edge_fields=tuple(sorted(ef)))
-                  for bases, ef in zip(chains, edge_fields))
-    return DualModel(spec, hs.g, hs.h, specs, tuple(free),
+                                end_sign=1) for bases in chains)
+    return DualModel(spec, hs.g, hs.h, specs, (0, spec.n_sites - 1),
                      spec.rows + spec.cols - 1)
 
 
@@ -151,9 +148,9 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     """Chain specs (and constraints) of one symmetry sector.
 
     Returns ``(specs, parities, free_energy)``: per-chain
-    :class:`TFIMChainSpec` with the sector's twist/edge-sign flips applied,
-    the per-chain spin-parity restriction (``0`` for none), and the additive
-    energy of the free corner sites.
+    :class:`TFIMChainSpec` with the sector's twist (torus) or end sign
+    (open lattice) applied, the per-chain spin-parity restriction (``0`` for
+    none), and the additive energy of the free corner sites.
     """
     if len(w) != model.n_diagonals or any(x not in (1, -1) for x in w):
         raise InvalidSpec(f"sector label must be +-1^{model.n_diagonals}")
@@ -167,20 +164,10 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
             parities.append(parity)
         return tuple(specs), tuple(parities), 0.0
 
-    free_energy = 0.0
-    for s in model.free_sites:
-        r, c = model.lattice.site_rc(s)
-        free_energy += -model.h * w[r + c]
-    for a, sp in enumerate(model.chains):
-        if w[a + 1] == -1:  # chain a is dual to diagonal a + 1
-            if not sp.edge_fields:
-                raise InvalidSpec("open chain without edge fields cannot flip sector")
-            ef = list(sp.edge_fields)
-            ef[0] = (ef[0][0], -ef[0][1])
-            sp = replace(sp, edge_fields=tuple(ef))
-        specs.append(sp)
-        parities.append(0)
-    return tuple(specs), tuple(parities), free_energy
+    # chain a is dual to diagonal a + 1; the free corners lie on the first
+    # and last diagonals
+    return (tuple(replace(sp, end_sign=w[a + 1]) for a, sp in enumerate(model.chains)),
+            (0,) * len(model.chains), 0.0 + -model.h * w[0] + -model.h * w[-1])
 
 
 def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
@@ -194,7 +181,8 @@ def _dense_chain_levels(sp: TFIMChainSpec, parity: int = 0) -> np.ndarray:
     where the ring is twisted, which carries the twisted bond along; its
     ``L``-th power is the spin flip, so a twisted ring's ``parity = -1``
     block splits at half-odd momenta.  On an open chain it is reversal,
-    which splits the chain where its edge fields are mirror images.
+    which splits a chain whose end fields are mirror images
+    (``end_sign = +1``) and leaves an ``end_sign = -1`` chain whole.
     ``TooLarge`` comes above the dense spin budget before anything is
     allocated.
     """
@@ -277,39 +265,27 @@ def duality_spectrum_check(
     """
     levels_2d = full_spectrum(hs).eigenvalues
     model = map_hamiltonian(hs)
-
     if sector_resolved:
         dual = full_dual_spectrum(model)
-        n2, nd = len(levels_2d), len(dual)
-        dev = float(np.abs(levels_2d - dual).max()) if n2 == nd else math.inf
-        dual_sorted = dual
+        ours, theirs = levels_2d, dual
+        notes = ""
     else:
         parts = [_dense_chain_levels(sp) for sp in model.chains]
-        for _ in model.free_sites:
-            parts.append(np.array([-hs.h, hs.h]))
-        dual_all = _tensor_sum(parts)
-        d2d = _distinct(levels_2d, 0.5 * tol)
-        ddu = _distinct(dual_all, 0.5 * tol)
-        n2, nd = len(d2d), len(ddu)
-        dev = float(np.abs(d2d - ddu).max()) if n2 == nd else math.inf
-        dual_sorted = np.sort(dual_all)
-
-    e0_2d = float(levels_2d[0])
-    e0_du = float(dual_sorted[0])
-    gap2 = gap_from_levels(levels_2d)
-    gapd = gap_from_levels(dual_sorted)
-    passed = (n2 == nd) and dev <= tol
-    notes = ""
-    if not sector_resolved:
+        parts += [np.array([-hs.h, hs.h])] * len(model.free_sites)
+        dual = np.sort(_tensor_sum(parts))
+        ours, theirs = _distinct(levels_2d, 0.5 * tol), _distinct(dual, 0.5 * tol)
         notes = (
             "plain tensor-sum comparison; conserved-loop sectors are ignored, "
             "so excited levels need not match on a torus"
         )
+    n2, nd = len(ours), len(theirs)
+    dev = float(np.abs(ours - theirs).max()) if n2 == nd else math.inf
     return DualityReport(
         lattice=hs.lattice, g=hs.g, h=hs.h, sector_resolved=sector_resolved,
         n_levels_2d=n2, n_levels_dual=nd, max_deviation=dev,
-        ground_energy_2d=e0_2d, ground_energy_dual=e0_du,
-        gap_2d=gap2, gap_dual=gapd, tol=tol, passed=passed, notes=notes,
+        ground_energy_2d=float(levels_2d[0]), ground_energy_dual=float(dual[0]),
+        gap_2d=gap_from_levels(levels_2d), gap_dual=gap_from_levels(dual),
+        tol=tol, passed=n2 == nd and dev <= tol, notes=notes,
     )
 
 
@@ -334,10 +310,9 @@ def dual_lattice_gap(rows: int, cols: int, g: float, h: float) -> float:
     chain length - the reported gap is then the topological ground-space
     splitting, not a bulk gap.
     """
-    # validates the sizes and the couplings (finite, nonnegative, not both 0)
+    # validates the sizes (at least 3x3) and the couplings (finite,
+    # nonnegative, not both 0)
     HamiltonianSpec(LatticeSpec(rows, cols, Boundary.PERIODIC), g, h)
-    if min(rows, cols) < 3:
-        raise InvalidSpec("periodic duality requires at least 3 rows and columns")
     if h == 0:  # ED gives 4g; bench/reference/dual_torus.json pins 2g at step 10
         return 2.0 * g
     d = math.gcd(rows, cols)

@@ -143,8 +143,9 @@ class HamiltonianOperator:
     array of basis-state labels closed under every term) the operator acts
     on that block only: row ``i`` is label ``basis[i]``; without one it acts
     on the block of all ``2^n`` labels, through the same compile.  A basis
-    whose labels are not strictly increasing, or not all below ``2^n``,
-    raises ``InvalidSpec`` before anything compiles.
+    that is not a ``uint64`` array (it is not cast: a negative label would
+    wrap), or whose labels are not strictly increasing, or not all below
+    ``2^n``, raises ``InvalidSpec`` before anything compiles.
 
     ``rows`` maps a flip mask to the row reached from each row of
     ``basis``.  The operators of one block may share it (see
@@ -159,6 +160,9 @@ class HamiltonianOperator:
             if n > LANCZOS_MAX_SPINS:
                 raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
             basis = np.arange(1 << n, dtype=np.uint64)
+        elif not isinstance(basis, np.ndarray) or basis.dtype != np.uint64:
+            kind = basis.dtype if isinstance(basis, np.ndarray) else type(basis).__name__
+            raise InvalidSpec(f"basis must be a uint64 array, got {kind}")
         elif np.any(basis[1:] <= basis[:-1]):
             raise InvalidSpec("basis labels must be strictly increasing")
         elif len(basis) and int(basis[-1]) >> n:

@@ -5,8 +5,9 @@ Chain model
 ``H = -sum_j (field * tx_j + bond * tz_j tz_{j+1})`` on ``L`` sites, the
 closing bond present only for periodic chains (with an optional sign twist);
 critical at ``field = bond``, and ``bond = 0`` is a chain of free spins.
-Open chains may carry extra single-``tz`` boundary fields; :func:`bdg_solve`
-refuses them, and :mod:`plaqising.duality` solves those chains dense.
+An open chain may carry the two end fields ``-bond * (end_sign * tz_0 +
+tz_{L-1})``; :func:`bdg_solve` refuses them, and :mod:`plaqising.duality`
+solves those chains dense.
 
 Fermionization conventions (fixed; every formula below assumes them):
 
@@ -95,25 +96,25 @@ class TFIMChainSpec:
     """One transverse-field Ising chain (possibly a dual of a 2D lattice).
 
     ``H = -sum_j (field * tx_j + bond * tz_j tz_{j+1})
-    - bond * sum strength * tz_pos``.  ``edge_fields`` is a tuple of
-    ``(position, strength)`` single-``tz`` boundary terms (open chains only;
-    produced by the 2D duality at lattice boundaries).  ``twist = -1`` flips
-    the sign of the closing bond of a periodic chain (sector-resolved
-    duality).  ``bond = 0`` is the dual of the ``h = 0`` plaquette model.
+    - bond * (end_sign * tz_0 + tz_{L-1})``, the end fields present only
+    where ``end_sign`` is nonzero (open chains only: the 2D duality puts one
+    at each end of an open lattice's chain, and a loop sector flips the
+    first).  ``twist = -1`` flips the sign of the closing bond of a periodic
+    chain (sector-resolved duality).  ``bond = 0`` is the dual of the
+    ``h = 0`` plaquette model.
     """
 
     length: int
     boundary: ChainBoundary
     field: float
     bond: float
-    edge_fields: tuple[tuple[int, float], ...] = ()
+    end_sign: int = 0
     twist: int = 1
 
     def __post_init__(self):
         if self.length < 1:
             raise InvalidSpec("chain length must be positive")
-        couplings = (self.field, self.bond, *(s for _, s in self.edge_fields))
-        if not all(math.isfinite(c) for c in couplings):
+        if not (math.isfinite(self.field) and math.isfinite(self.bond)):
             raise InvalidSpec("chain couplings must be finite")
         if self.field < 0 or self.bond < 0:
             raise InvalidSpec("field and bond must be nonnegative magnitudes")
@@ -123,11 +124,10 @@ class TFIMChainSpec:
             raise InvalidSpec("twist must be +1 or -1")
         if self.twist == -1 and self.boundary is not ChainBoundary.PERIODIC_CHAIN:
             raise InvalidSpec("twist applies to periodic chains only")
-        if self.edge_fields and self.boundary is not ChainBoundary.OPEN_CHAIN:
-            raise InvalidSpec("edge fields apply to open chains only")
-        for pos, _ in self.edge_fields:
-            if not 0 <= pos < self.length:
-                raise InvalidSpec(f"edge field position {pos} outside chain")
+        if self.end_sign not in (1, 0, -1):
+            raise InvalidSpec(f"end_sign must be +1, 0 or -1, got {self.end_sign!r}")
+        if self.end_sign and self.boundary is not ChainBoundary.OPEN_CHAIN:
+            raise InvalidSpec("end fields apply to open chains only")
 
 
 def chain_terms(spec: TFIMChainSpec) -> list[tuple[float, PauliString]]:
@@ -144,8 +144,9 @@ def chain_terms(spec: TFIMChainSpec) -> list[tuple[float, PauliString]]:
             terms.append(
                 (-spec.bond * w, PauliString(((j, "Z"), ((j + 1) % L, "Z"))))
             )
-        for pos, strength in spec.edge_fields:
-            terms.append((-spec.bond * strength, PauliString(((pos, "Z"),))))
+        if spec.end_sign:
+            terms.append((-spec.bond * spec.end_sign, PauliString(((0, "Z"),))))
+            terms.append((-spec.bond, PauliString(((L - 1, "Z"),))))
     return terms
 
 
@@ -247,8 +248,8 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     before the ``m x m`` block of ``G`` is built.  With ``corr_size = 0``
     nothing after the eigenvalues is built.
     """
-    if chain.edge_fields:
-        raise InvalidSpec("boundary tz fields break the quadratic form; use dense ED")
+    if chain.end_sign:
+        raise InvalidSpec("end tz fields break the quadratic form; use dense ED")
     f, b, L = chain.field, chain.bond, chain.length
 
     if L == 1:
@@ -363,10 +364,7 @@ def _ring_gvec(f: float, b: float, even: RingBlock) -> np.ndarray:
     k = even.k
     z = f - b * np.exp(-1j * k)
     az = np.abs(z)
-    if np.any(az < 1e-15):
-        u = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
-    else:
-        u = z / az
+    u = np.where(az < 1e-15, 1.0, z / np.where(az < 1e-15, 1.0, az))
     if even.pvac == -1:
         u[0] = -u[0]
     base = np.fft.ifft(u)  # index r: (1/L) sum_m e^{2 pi i m r / L} u_m

@@ -40,6 +40,11 @@ class ChainBoundary(Enum):
 
 @dataclass(frozen=True)
 class LatticeSpec:
+    """An ``N x M`` lattice: at least 2x2, and at least 3x3 when periodic, as
+    on a torus two rows (or columns) wide the plaquettes based at ``(0, c)``
+    and ``(1, c)`` (or ``(r, 0)`` and ``(r, 1)``) would cover the same four
+    sites (:class:`~plaqising.errors.DegenerateLattice`)."""
+
     rows: int
     cols: int
     boundary: Boundary
@@ -51,6 +56,9 @@ class LatticeSpec:
             )
         if not isinstance(self.boundary, Boundary):
             raise InvalidSpec(f"boundary must be a Boundary, got {self.boundary!r}")
+        if self.boundary is Boundary.PERIODIC and min(self.rows, self.cols) < 3:
+            raise DegenerateLattice(f"periodic {self.rows}x{self.cols}: two"
+                                    " plaquettes would cover the same four sites")
 
     @property
     def n_sites(self) -> int:
@@ -75,18 +83,9 @@ class LatticeSpec:
 
 
 def enumerate_plaquettes(spec: LatticeSpec) -> list[int]:
-    """Base sites of all plaquettes, ascending.
-
-    Periodic lattices need N, M >= 3: on a torus two rows (or columns) wide
-    the plaquettes based at ``(0, c)`` and ``(1, c)`` (or ``(r, 0)`` and
-    ``(r, 1)``) would cover the same four sites.
-    """
+    """Base sites of all plaquettes, ascending."""
     n, m = spec.rows, spec.cols
     if spec.boundary is Boundary.PERIODIC:
-        if n < 3 or m < 3:
-            raise DegenerateLattice(
-                f"periodic {n}x{m}: two plaquettes would cover the same four sites"
-            )
         return list(range(n * m))
     return [r * m + c for r in range(n - 1) for c in range(m - 1)]
 
@@ -155,23 +154,6 @@ def plaquette_chain_position(spec: LatticeSpec, base: int) -> tuple[int, int]:
     return a, k0 + n * t
 
 
-def expected_chain_count(spec: LatticeSpec) -> dict[str, int]:
-    """The two natural chain-count conventions for this lattice.
-
-    ``plaquette_chains`` counts maximal plaquette chains (what
-    :func:`chain_decompose` returns).  ``site_diagonals`` counts anti-diagonal
-    site lines, which on open lattices exceeds the plaquette count by the two
-    corner diagonals that carry no plaquette at all (their transverse spins
-    decouple); both numbers circulate as "the" chain count, so both are
-    reported.
-    """
-    n, m = spec.rows, spec.cols
-    if spec.boundary is Boundary.PERIODIC:
-        d = math.gcd(n, m)
-        return {"plaquette_chains": d, "site_diagonals": d}
-    return {"plaquette_chains": n + m - 3, "site_diagonals": n + m - 1}
-
-
 def site_adjacent_plaquettes(spec: LatticeSpec, site: int) -> tuple[int, ...]:
     """Base sites of the plaquettes whose operators anticommute with sx(site).
 
@@ -199,7 +181,7 @@ def site_diagonals(spec: LatticeSpec) -> list[tuple[int, ...]]:
     operator and every sx, so these label conserved sectors.
     """
     n, m = spec.rows, spec.cols
-    count = expected_chain_count(spec)["site_diagonals"]
+    count = math.gcd(n, m) if spec.boundary is Boundary.PERIODIC else n + m - 1
     diags: list[list[int]] = [[] for _ in range(count)]
     for r in range(n):
         for c in range(m):

@@ -18,6 +18,7 @@ from plaqising.duality import (
     map_hamiltonian,
     sector_chain_specs,
     _dense_chain_levels,
+    _site_image,
     _tensor_sum,
 )
 from plaqising.ed import (
@@ -28,7 +29,7 @@ from plaqising.ed import (
     ground_spectrum,
     hamiltonian_terms,
 )
-from plaqising.errors import InvalidSpec, NotMappable, TooLarge
+from plaqising.errors import DegenerateLattice, InvalidSpec, NotMappable, TooLarge
 from plaqising.freefermion import (
     TFIMChainSpec,
     chain_terms,
@@ -77,7 +78,7 @@ def test_torus_map_structure(n, m):
     for sp in model.chains:
         assert sp.length == n * m // d
         assert sp.boundary is ChainBoundary.PERIODIC_CHAIN
-        assert sp.edge_fields == ()
+        assert sp.end_sign == 0
         assert (sp.field, sp.bond) == (0.7, 1.3)
     # one ring per decomposition chain, in the same order; ring a is dual to
     # site diagonal a, the diagonal of its plaquette bases
@@ -86,28 +87,39 @@ def test_torus_map_structure(n, m):
     assert [sum(model.lattice.site_rc(b[0])) % d for b in chains] == list(range(d))
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 5)])
+@pytest.mark.parametrize("n,m", list(itertools.product(range(2, 8), repeat=2)))
 def test_open_map_structure(n, m):
+    # the open map's closed form (every chain ends in its two end fields,
+    # end_sign = 1, and sites 0 and n - 1 stay free) against the per-site
+    # rule, _site_image, scanned over every site
     model = map_hamiltonian(open_lat(n, m, 1.0, 0.5))
+    spec = model.lattice
+    chains = chain_decompose(spec)
+    ends: list[list[int]] = [[] for _ in chains]
+    free, bonds = [], 0
+    for s in range(spec.n_sites):
+        image = _site_image(spec, s)
+        if not image:
+            free.append(s)
+        elif len(image) == 1:
+            (ci, k), = image
+            ends[ci].append(k)
+        else:
+            bonds += 1
     assert model.n_diagonals == n + m - 1
     assert len(model.chains) == n + m - 3
     assert sum(sp.length for sp in model.chains) == (n - 1) * (m - 1)
-    for sp in model.chains:
-        assert sp.boundary is ChainBoundary.OPEN_CHAIN
-        assert len(sp.edge_fields) == 2
-        assert all(s == 1.0 for _, s in sp.edge_fields)
+    assert [sp.length for sp in model.chains] == [len(b) for b in chains]
     # the two corners not adjacent to any plaquette Y-corner stay free
-    spec = model.lattice
-    # every chain has two edge sites: sites with a single adjacent plaquette
-    adjacent = [site_adjacent_plaquettes(spec, s) for s in range(spec.n_sites)]
-    edge_chains = [plaquette_chain_position(spec, adj[0])[0]
-                   for adj in adjacent if len(adj) == 1]
-    assert sorted(edge_chains) == sorted(2 * list(range(len(model.chains))))
-    assert model.free_sites == (spec.site_index(0, 0), spec.site_index(n - 1, m - 1))
-    # each 2D site is a bond, an edge field, or a free coordinate
-    bonds = sum(sp.length - 1 for sp in model.chains)
-    edges = sum(len(sp.edge_fields) for sp in model.chains)
-    assert bonds + edges + len(model.free_sites) == n * m
+    assert model.free_sites == tuple(free) == (0, spec.site_index(n - 1, m - 1))
+    for sp, ks in zip(model.chains, ends):
+        assert (sp.boundary, sp.field, sp.bond, sp.end_sign, sp.twist) == (
+            ChainBoundary.OPEN_CHAIN, 1.0, 0.5, 1, 1)
+        # one end site at each end; a one-site chain carries both
+        assert sorted(ks) == [0, sp.length - 1]
+    # each 2D site is a bond, an end field, or a free coordinate
+    assert bonds == sum(sp.length - 1 for sp in model.chains)
+    assert bonds + 2 * len(model.chains) + len(model.free_sites) == n * m
 
 
 def test_open_chain_lengths_3x3():
@@ -263,7 +275,7 @@ def test_open_edge_and_corner_images():
     img = map_operator(model, PauliString(((0, "X"),)))
     assert img.factors == ((free_coord[0], "X"),)
     # an edge site (one adjacent plaquette) maps to the single tz of the
-    # matching edge field on that plaquette's chain
+    # end field at one end of that plaquette's chain
     chains = chain_decompose(hs.lattice)
     edges = 0
     for s in range(hs.lattice.n_sites):
@@ -274,9 +286,9 @@ def test_open_edge_and_corner_images():
         img = map_operator(model, PauliString(((s, "X"),)))
         (pos, ax), = img.factors
         assert ax == "Z"
-        assert pos - offsets[ci] in [k for k, _ in model.chains[ci].edge_fields]
+        assert pos - offsets[ci] in (0, model.chains[ci].length - 1)
         edges += 1
-    assert edges == sum(len(sp.edge_fields) for sp in model.chains)
+    assert edges == 2 * len(model.chains)
 
 
 def test_operator_map_is_a_homomorphism():
@@ -353,8 +365,6 @@ def test_bond_plaquettes_two_positions_apart_are_not_mappable(monkeypatch):
     monkeypatch.setattr(duality, "plaquette_chain_position", _bond_two_apart)
     with pytest.raises(NotMappable, match="not consecutive"):
         map_operator(model, PauliString(((0, "X"),)))
-    with pytest.raises(NotMappable, match="not consecutive"):
-        map_hamiltonian(open_lat(3, 4))
 
 
 def test_unmappable_operators_raise():
@@ -425,9 +435,9 @@ def test_open_sector_flips_edge_signs_and_corner_energy():
     assert parities == (0, 0, 0)
     # free corners sit on diagonals 0 and 4
     assert free_e == pytest.approx(-0.9 * (w[0] + w[4]))
-    for a, sp in enumerate(specs):
-        signs = [s for _, s in sp.edge_fields]
-        assert np.prod(signs) == w[a + 1]
+    # chain a is dual to diagonal a + 1: its first end field takes w[a + 1]
+    assert [sp.end_sign for sp in specs] == list(w[1:-1])
+    assert [sp.length for sp in specs] == [1, 2, 1]
 
 
 def test_sector_ground_energies_cover_2d_spectrum_head():
@@ -448,6 +458,9 @@ def test_sector_ground_energies_cover_2d_spectrum_head():
         torus(4, 3, 1.0, 1.0),  # gcd 1: a single wrapped chain
         open_lat(3, 3, 1.0, 1.0),
         open_lat(2, 3, 1.3, 0.6),
+        open_lat(2, 2),            # one one-site chain carrying both end fields
+        open_lat(3, 4, 1.0, 0.0),  # h = 0: the end fields vanish with the bond
+        open_lat(3, 4, 0.0, 1.0),
     ],
 )
 def test_sector_union_reproduces_full_spectrum(hs):
@@ -603,7 +616,8 @@ def test_non_finite_couplings_are_rejected(entry, bad):
 def test_dual_gap_limits_and_validation():
     assert dual_lattice_gap(5, 3, 2.0, 0.0) == pytest.approx(4.0)
     assert dual_lattice_gap(5, 3, 0.0, 1.0) == pytest.approx(2.0)
-    with pytest.raises(InvalidSpec):
+    # the torus size rule is LatticeSpec's, the one smallest-torus rule
+    with pytest.raises(DegenerateLattice, match="same four sites"):
         dual_lattice_gap(2, 5, 1.0, 1.0)
     with pytest.raises(InvalidSpec):
         dual_lattice_gap(3, 3, 0.0, 0.0)

@@ -253,6 +253,16 @@ def test_basis_is_checked_before_it_compiles(labels, rule):
                             np.array(labels, dtype=np.uint64))
 
 
+@pytest.mark.parametrize("basis,kind", [
+    (np.array([0, 3]), "int64"),   # a negative int64 label would wrap if cast
+    ([0, 3], "list"),
+], ids=["int64", "list"])
+def test_basis_must_be_a_uint64_array(basis, kind):
+    # the labels are closed under the term and ascending: only the type is wrong
+    with pytest.raises(InvalidSpec, match=f"uint64 array, got {kind}"):
+        HamiltonianOperator(2, [(1.0, sigma_x(0) * sigma_x(1))], basis)
+
+
 def test_field_only_spectrum_is_analytic():
     # g = 0: H = -h sum sx, levels -h(n - 2k) with binomial multiplicity
     from math import comb
@@ -486,12 +496,10 @@ def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
     halves = symmetry_blocks(9, terms, (), (), _reversal(9))
     assert _sizes(halves) == [(272, 1), (240, 1)]
     _pieces_hold_the_block(halves, 9, terms)
-    # an open chain whose sector flipped one edge field
-    flipped = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
-                            edge_fields=((0, -1.0), (7, 1.0)))
+    # an open chain whose sector flipped one end field
+    flipped = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, end_sign=-1)
     assert _sizes(symmetry_blocks(8, chain_terms(flipped), (), (), _reversal(8))) == [(256, 1)]
-    mirrored = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0,
-                             edge_fields=((0, 1.0), (7, 1.0)))
+    mirrored = TFIMChainSpec(8, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, end_sign=1)
     halves = symmetry_blocks(8, chain_terms(mirrored), (), (), _reversal(8))
     assert _sizes(halves) == [(136, 1), (120, 1)]
     _pieces_hold_the_block(halves, 8, chain_terms(mirrored))
@@ -589,7 +597,7 @@ _SYMMETRY_CASES = {
     "twisted+": _ring_parity_block(-1, 1),
     "twisted-": _ring_parity_block(-1, -1),
     "open": (10, chain_terms(TFIMChainSpec(
-        10, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, edge_fields=((0, 1.0), (9, 1.0)))),
+        10, ChainBoundary.OPEN_CHAIN, 0.9, 1.0, end_sign=1)),
         (), (), _reversal(10)),
 }
 

@@ -85,13 +85,16 @@ def test_twisted_ring_spectrum_matches_dense(g_I, L):
 
 
 def test_edge_field_chains_are_dense_only():
-    # boundary tz terms break the quadratic form; the solver must say so
+    # end tz terms break the quadratic form; the solver must say so
     # rather than silently drop them
-    spec = TFIMChainSpec(5, OPEN, 0.8 * 1.1, bond=1.1,
-                         edge_fields=((0, 1.0), (4, -1.0)))
+    spec = TFIMChainSpec(5, OPEN, 0.8 * 1.1, bond=1.1, end_sign=-1)
     with pytest.raises(InvalidSpec):
         bdg_solve(spec)
-    assert len(chain_terms(spec)) == 5 + 4 + 2
+    terms = chain_terms(spec)
+    assert len(terms) == 5 + 4 + 2
+    # the two end fields come last, site 0 (carrying end_sign) before L - 1
+    assert [(c, ps.factors) for c, ps in terms[-2:]] == [
+        (1.1, ((0, "Z"),)), (-1.1, ((4, "Z"),))]
 
 
 @pytest.mark.parametrize("twist", [1, -1])
@@ -642,13 +645,13 @@ def test_chain_spec_validation():
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(3, OPEN, -0.5, 1.0)
     with pytest.raises(InvalidSpec):
-        TFIMChainSpec(3, RING, 1.0, 1.0, edge_fields=((0, 1.0),))
+        TFIMChainSpec(3, RING, 1.0, 1.0, end_sign=1)
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(3, RING, 1.0, 1.0, twist=2)
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(3, OPEN, 1.0, 1.0, twist=-1)
     with pytest.raises(InvalidSpec):
-        TFIMChainSpec(4, OPEN, 1.0, 1.0, edge_fields=((4, 1.0),))
+        TFIMChainSpec(4, OPEN, 1.0, 1.0, end_sign=2)
     with pytest.raises(InvalidSpec):
         TFIMChainSpec(3, OPEN, 1.0, -0.5)
     with pytest.raises(InvalidSpec):
