@@ -154,9 +154,9 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     """
     if len(w) != model.n_diagonals or any(x not in (1, -1) for x in w):
         raise InvalidSpec(f"sector label must be +-1^{model.n_diagonals}")
-    specs: list[TFIMChainSpec] = []
-    parities: list[int] = []
     if model.lattice.boundary is Boundary.PERIODIC:
+        specs: list[TFIMChainSpec] = []
+        parities: list[int] = []
         d = model.n_diagonals
         for a, sp in enumerate(model.chains):
             twist, parity = _ring_sector(w[a], w[(a + 1) % d], w[(a + 2) % d])
