@@ -7,7 +7,7 @@ Ising bond ``tz tz`` between their (consecutive) chain positions.  On an open
 lattice the two boundary sites of each diagonal that touch one plaquette
 each become a single-``tz`` end field, at the chain's two ends, and the two
 corner sites with no adjacent plaquette (sites ``0`` and ``n - 1``) stay
-unmapped.
+unmapped.  A :class:`DualModel` holds only the chains of this map.
 
 The map is one dual copy per symmetry sector.  The conserved diagonal
 ``prod sx`` loops ``W_b`` (one per site diagonal) have eigenvalues
@@ -49,6 +49,7 @@ from .lattice import (
     chain_decompose,
     plaquette_chain_position,
     site_adjacent_plaquettes,
+    site_diagonals,
 )
 
 __all__ = [
@@ -63,8 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualModel:
-    """The dual chains of one 2D model, plus the free corner sites of an
-    open lattice.
+    """The dual chains of one 2D model.
 
     ``chains[a]`` is the spec of the chain on the plaquettes
     ``chain_decompose(lattice)[a]``, and
@@ -72,19 +72,20 @@ class DualModel:
     chain and position.  Chain ``a`` is dual to site diagonal ``a`` on a
     torus (``(r + c) mod d`` of its plaquette bases) and to site diagonal
     ``a + 1`` on an open lattice (``r + c`` of its bond and edge sites).
+    Everything else is the lattice's: a sector label has one entry per
+    site diagonal (``len(site_diagonals(lattice))``), and the free sites
+    are the two corners ``0`` and ``n - 1`` of an open lattice.
     """
 
     lattice: LatticeSpec
     g: float
     h: float
     chains: tuple[TFIMChainSpec, ...]
-    free_sites: tuple[int, ...]
-    n_diagonals: int
 
     def at(self, g: float, h: float) -> DualModel:
-        """The same map at the couplings ``(g, h)``: the lattice, free sites
-        and end signs depend on the lattice only, so each chain keeps them
-        and takes ``field = g`` and ``bond = h``.  Equal to
+        """The same map at the couplings ``(g, h)``: the chain lengths,
+        boundaries and end signs depend on the lattice only, so each chain
+        keeps them and takes ``field = g`` and ``bond = h``.  Equal to
         ``map_hamiltonian`` of that lattice at ``(g, h)``; each chain spec
         checks the couplings."""
         # a torus repeats one ring spec d times: each distinct spec once
@@ -126,12 +127,11 @@ def map_hamiltonian(hs: HamiltonianSpec) -> DualModel:
         if [sum(spec.site_rc(bases[0])) % d for bases in chains] != list(range(d)):
             raise InvalidSpec("chain/diagonal labelling is inconsistent")
         ring = TFIMChainSpec(len(chains[0]), ChainBoundary.PERIODIC_CHAIN, hs.g, hs.h)
-        return DualModel(spec, hs.g, hs.h, (ring,) * d, (), d)
+        return DualModel(spec, hs.g, hs.h, (ring,) * d)
 
     specs = tuple(TFIMChainSpec(len(bases), ChainBoundary.OPEN_CHAIN, hs.g, hs.h,
                                 end_sign=1) for bases in chains)
-    return DualModel(spec, hs.g, hs.h, specs, (0, spec.n_sites - 1),
-                     spec.rows + spec.cols - 1)
+    return DualModel(spec, hs.g, hs.h, specs)
 
 
 # ----------------------------------------------------------------------
@@ -152,12 +152,12 @@ def sector_chain_specs(model: DualModel, w: tuple[int, ...]):
     (open lattice) applied, the per-chain spin-parity restriction (``0`` for
     none), and the additive energy of the free corner sites.
     """
-    if len(w) != model.n_diagonals or any(x not in (1, -1) for x in w):
-        raise InvalidSpec(f"sector label must be +-1^{model.n_diagonals}")
+    d = len(site_diagonals(model.lattice))
+    if len(w) != d or any(x not in (1, -1) for x in w):
+        raise InvalidSpec(f"sector label must be +-1^{d}")
     if model.lattice.boundary is Boundary.PERIODIC:
         specs: list[TFIMChainSpec] = []
         parities: list[int] = []
-        d = model.n_diagonals
         for a, sp in enumerate(model.chains):
             twist, parity = _ring_sector(w[a], w[(a + 1) % d], w[(a + 2) % d])
             specs.append(replace(sp, twist=twist))
@@ -212,7 +212,7 @@ def assemble_sector_spectrum(model: DualModel, w: tuple[int, ...]) -> np.ndarray
 
 def full_dual_spectrum(model: DualModel) -> np.ndarray:
     """Union of all sector spectra: the exact 2D spectrum with multiplicity."""
-    labels = list(iproduct((1, -1), repeat=model.n_diagonals))
+    labels = list(iproduct((1, -1), repeat=len(site_diagonals(model.lattice))))
     return np.sort(np.concatenate([assemble_sector_spectrum(model, w)
                                    for w in labels]))
 
@@ -271,7 +271,8 @@ def duality_spectrum_check(
         notes = ""
     else:
         parts = [_dense_chain_levels(sp) for sp in model.chains]
-        parts += [np.array([-hs.h, hs.h])] * len(model.free_sites)
+        if hs.lattice.boundary is Boundary.OPEN:  # the two free corners
+            parts += [np.array([-hs.h, hs.h])] * 2
         dual = np.sort(_tensor_sum(parts))
         ours, theirs = _distinct(levels_2d, 0.5 * tol), _distinct(dual, 0.5 * tol)
         notes = (

@@ -467,9 +467,9 @@ def full_spectrum(hs: HamiltonianSpec) -> SpectrumResult:
     ``"sizes"`` of the blocks it solved, each once per multiplicity, so they
     sum to the sector's states."""
     terms, masks = hamiltonian_terms(hs), _loop_masks(hs.lattice)
-    n, rows, cols = hs.n_spins, hs.lattice.rows, hs.lattice.cols
-    if hs.lattice.boundary is Boundary.PERIODIC:
-        step = [(s // cols - 1) % rows * cols + (s + 1) % cols for s in range(n)]
+    n, spec = hs.n_spins, hs.lattice
+    if spec.boundary is Boundary.PERIODIC:
+        step = [spec.site_index(r - 1, c + 1) for r, c in map(spec.site_rc, range(n))]
     else:
         step = [n - 1 - s for s in range(n)]
     levels, blocks = [], []

@@ -250,6 +250,8 @@ def bdg_solve(chain: TFIMChainSpec, corr_size: int | None = None) -> BdGSolution
     """
     if chain.end_sign:
         raise InvalidSpec("end tz fields break the quadratic form; use dense ED")
+    if corr_size is not None and corr_size < 0:
+        raise InvalidSpec(f"corr_size must be nonnegative, got {corr_size}")
     f, b, L = chain.field, chain.bond, chain.length
 
     if L == 1:
@@ -340,6 +342,8 @@ def ring_block(chain: TFIMChainSpec, spin_parity: int) -> RingBlock:
     """
     if chain.boundary is not ChainBoundary.PERIODIC_CHAIN:
         raise InvalidSpec("spin-parity blocks are defined for ring chains")
+    if spin_parity not in (1, -1):
+        raise InvalidSpec(f"spin_parity must be +1 or -1, got {spin_parity!r}")
     f, b, L = chain.field, chain.bond, chain.length
     periodic = (spin_parity == 1) == (chain.twist == -1)
     k = np.pi * (2 * np.arange(L) + (0 if periodic else 1)) / L

@@ -65,11 +65,13 @@ class LatticeSpec:
         return self.rows * self.cols
 
     def site_index(self, r: int, c: int) -> int:
-        """Row-major site index; coordinates are wrapped when periodic."""
+        """Row-major site index, the one coordinate rule: a torus wraps
+        ``(r, c)``, and an open lattice refuses it off the lattice with
+        :class:`~plaqising.errors.SiteOutOfRange`."""
         if self.boundary is Boundary.PERIODIC:
-            return (r % self.rows) * self.cols + (c % self.cols)
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise InvalidSpec(f"site ({r},{c}) outside open {self.rows}x{self.cols}")
+            r, c = r % self.rows, c % self.cols
+        elif not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise SiteOutOfRange(f"site ({r},{c}) outside open {self.rows}x{self.cols}")
         return r * self.cols + c
 
     def site_rc(self, i: int) -> tuple[int, int]:
@@ -144,7 +146,7 @@ def plaquette_chain_position(spec: LatticeSpec, base: int) -> tuple[int, int]:
     """
     r, c = spec.site_rc(base)
     if not spec.plaquette_base_exists(r, c):
-        raise InvalidSpec(f"no plaquette based at site {base}")
+        raise SiteOutOfRange(f"no plaquette based at site {base}")
     n, m = spec.rows, spec.cols
     if spec.boundary is Boundary.OPEN:
         return r + c, min(r + c, n - 2) - r
@@ -160,16 +162,13 @@ def site_adjacent_plaquettes(spec: LatticeSpec, site: int) -> tuple[int, ...]:
     The plaquette operator based at ``p`` carries Y factors at ``p + e_x``
     and ``p + e_y``, so ``sx(j)`` anticommutes with it iff ``j`` is one of
     those two corners; equivalently the plaquettes are based at ``j - e_x``
-    and ``j - e_y`` where those bases exist.
+    and ``j - e_y`` where those bases exist: always on a torus, where
+    :meth:`LatticeSpec.site_index` wraps them.
     """
     r, c = spec.site_rc(site)
-    out = []
-    for rr, cc in ((r, c - 1), (r - 1, c)):
-        if spec.boundary is Boundary.PERIODIC:
-            rr, cc = rr % spec.rows, cc % spec.cols
-        if spec.plaquette_base_exists(rr, cc):
-            out.append(spec.site_index(rr, cc))
-    return tuple(out)
+    periodic = spec.boundary is Boundary.PERIODIC
+    return tuple(spec.site_index(rr, cc) for rr, cc in ((r, c - 1), (r - 1, c))
+                 if periodic or spec.plaquette_base_exists(rr, cc))
 
 
 def site_diagonals(spec: LatticeSpec) -> list[tuple[int, ...]]:

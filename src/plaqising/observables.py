@@ -9,6 +9,11 @@ Two families of strings live on the anti-diagonals:
 * plaquette strings: ``prod F_p`` over consecutive plaquettes of one chain,
   which maps to ``prod tx`` - the dual disorder parameter.
 
+The two share one walk: :func:`segment_sites` steps through
+:meth:`~plaqising.lattice.LatticeSpec.site_index` (wrapped on a torus,
+``SiteOutOfRange`` off an open lattice), and a plaquette string reads the
+sites of its walk as plaquette bases.
+
 Both can be evaluated directly on a 2D eigenstate (small lattices) or through
 the free-fermion solution of the dual chain (any size, torus only: dual
 strings on an open lattice are not implemented and raise ``NotMappable``).
@@ -42,7 +47,7 @@ from .ed import (
     operator_ground_spectrum,
     sector_operator,
 )
-from .errors import InvalidSpec, NotMappable, SiteOutOfRange
+from .errors import InvalidSpec, NotMappable
 from .freefermion import (
     BdGSolution,
     bdg_solve,
@@ -86,17 +91,11 @@ class DiagonalSegment:
 
 
 def segment_sites(spec: LatticeSpec, seg: DiagonalSegment) -> tuple[int, ...]:
-    """Site indices of the segment (wrapped on a torus)."""
-    r, c = seg.start_row, seg.start_col
-    out = []
-    for _ in range(seg.n_steps + 1):
-        if spec.boundary is Boundary.OPEN and not (
-            0 <= r < spec.rows and 0 <= c < spec.cols
-        ):
-            raise SiteOutOfRange(f"segment leaves the open lattice at ({r},{c})")
-        out.append(spec.site_index(r, c))
-        r, c = r - 1, c + 1
-    return tuple(out)
+    """Site indices of the segment, each through
+    :meth:`~plaqising.lattice.LatticeSpec.site_index`: wrapped on a torus,
+    :class:`SiteOutOfRange` where it leaves an open lattice."""
+    return tuple(spec.site_index(seg.start_row - k, seg.start_col + k)
+                 for k in range(seg.n_steps + 1))
 
 
 def sx_string(spec: LatticeSpec, seg: DiagonalSegment) -> PauliString:
@@ -107,19 +106,14 @@ def sx_string(spec: LatticeSpec, seg: DiagonalSegment) -> PauliString:
 def plaquette_string(
     spec: LatticeSpec, start_row: int, start_col: int, r: int
 ) -> PauliString:
-    """``prod F_p`` over ``r`` consecutive plaquettes along ``+x - y``."""
+    """``prod F_p`` over ``r`` consecutive plaquettes along ``+x - y``: the
+    bases are the sites of the segment of ``r - 1`` steps from
+    ``(start_row, start_col)``, and a site that bases no plaquette raises
+    :class:`SiteOutOfRange` (:func:`~plaqising.lattice.plaquette_operator`)."""
     if r < 1:
         raise InvalidSpec("need at least one plaquette")
-    ps = PauliString(())
-    rr, cc = start_row, start_col
-    for _ in range(r):
-        if spec.boundary is Boundary.PERIODIC:
-            rr, cc = rr % spec.rows, cc % spec.cols
-        if not spec.plaquette_base_exists(rr, cc):
-            raise SiteOutOfRange(f"no plaquette based at ({rr},{cc})")
-        ps = ps * plaquette_operator(spec, rr * spec.cols + cc)
-        rr, cc = rr - 1, cc + 1
-    return ps
+    bases = segment_sites(spec, DiagonalSegment(start_row, start_col, r - 1))
+    return math.prod((plaquette_operator(spec, b) for b in bases), start=PauliString(()))
 
 
 def _check_wrap(spec: LatticeSpec, r: int, what: str) -> None:

@@ -1,6 +1,7 @@
 """Oracles that only the tests call: the Pauli commutation test, a Pauli
 string applied on the full space, the loop operators, the operator image under
-the duality and the many-body level lists of a free-fermion chain.
+the duality, the many-body level lists of a free-fermion chain and its dense
+levels and ground-state expectation values.
 
 No run of the package needs them; each one checks a package result against
 an independent reading of the same physics.
@@ -17,10 +18,11 @@ from plaqising.ed import (
     DEGENERACY_TOL,
     LANCZOS_MAX_SPINS,
     _pauli_kernel,
+    dense_matrix_from_terms,
     gap_from_levels,
 )
 from plaqising.errors import InvalidSpec, NotMappable, TooLarge
-from plaqising.freefermion import TFIMChainSpec, bdg_solve, ring_block
+from plaqising.freefermion import TFIMChainSpec, bdg_solve, chain_terms, ring_block
 from plaqising.lattice import (
     ChainBoundary,
     LatticeSpec,
@@ -86,9 +88,12 @@ def _xor_solve(vectors: list[int], target: int) -> list[int] | None:
 
 def dual_site_offsets(model: DualModel) -> tuple[list[int], dict[int, int]]:
     """Chain position offsets in the concatenated dual register, and the
-    coordinate assigned to each free 2D site (appended after all chains)."""
+    coordinate assigned to each free 2D site, a site whose ``sx`` touches no
+    plaquette (empty :func:`_site_image`), appended after all chains."""
     *offsets, end = accumulate((sp.length for sp in model.chains), initial=0)
-    return offsets, {s: end + i for i, s in enumerate(model.free_sites)}
+    spec = model.lattice
+    free = [s for s in range(spec.n_sites) if not _site_image(spec, s)]
+    return offsets, {s: end + i for i, s in enumerate(free)}
 
 
 def map_operator(model: DualModel, ps) -> "PauliString":
@@ -214,3 +219,21 @@ def manybody_gap(chain: TFIMChainSpec) -> float:
         even_s, odd_s = _sums_by_count_parity(block.eps[:8])
         levels.append(block.evac + np.sort(even_s if block.pvac == parity else odd_s)[:8])
     return gap_from_levels(np.concatenate(levels))
+
+
+# ----------------------------------------------------------------------
+# dense references for one chain
+# ----------------------------------------------------------------------
+def dense_levels(spec: TFIMChainSpec) -> np.ndarray:
+    """Every level of the chain, from its dense ``2^L`` matrix."""
+    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
+    return np.linalg.eigvalsh(H)
+
+
+def dense_gs_expect(spec: TFIMChainSpec, ps: PauliString) -> float:
+    """``<ps>`` in the lowest eigenvector of the chain's dense matrix."""
+    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
+    _, vecs = np.linalg.eigh(H)
+    gs = vecs[:, 0]
+    M = dense_matrix_from_terms(spec.length, [(1.0, ps)])
+    return float(gs @ M @ gs)

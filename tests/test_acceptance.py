@@ -44,7 +44,6 @@ from plaqising.ed import (
     dense_matrix_from_terms,
     hamiltonian_terms,
 )
-from plaqising.freefermion import chain_terms
 from plaqising.lattice import site_diagonals
 from plaqising.observables import (
     ground_state_for_measurement,
@@ -66,6 +65,8 @@ from plaqising.sweep import (
 
 from oracles import (
     commutes_with,
+    dense_gs_expect,
+    dense_levels,
     diagonal_loop_operator,
     manybody_gap,
     manybody_levels,
@@ -228,19 +229,6 @@ def test_string_order_sweep_is_monotone_with_exact_endpoints():
 # ----------------------------------------------------------------------
 # 7. solver cross-checks (compact rerun of the per-module oracle suites)
 # ----------------------------------------------------------------------
-def _dense_chain_levels(spec: TFIMChainSpec) -> np.ndarray:
-    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
-    return np.linalg.eigvalsh(H)
-
-
-def _dense_chain_gs_expect(spec: TFIMChainSpec, ps: PauliString) -> float:
-    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
-    _, vecs = np.linalg.eigh(H)
-    gs = vecs[:, 0]
-    M = dense_matrix_from_terms(spec.length, [(1.0, ps)])
-    return float(gs @ M @ gs)
-
-
 def test_solver_cross_checks():
     t0 = time.perf_counter()
 
@@ -250,7 +238,7 @@ def test_solver_cross_checks():
         for g_I in (0.5, 1.0, 1.7):
             spec = TFIMChainSpec(8, boundary, g_I, 1.0)
             dev = float(np.abs(
-                manybody_levels(spec) - _dense_chain_levels(spec)
+                manybody_levels(spec) - dense_levels(spec)
             ).max())
             ff_dev = max(ff_dev, dev)
     # correlators on the same footing (dense ground state is unique here)
@@ -259,17 +247,17 @@ def test_solver_cross_checks():
         sol = bdg_solve(spec)
         ff_dev = max(ff_dev, abs(
             magnetization_x(sol, 2)
-            - _dense_chain_gs_expect(spec, PauliString(((1, "X"),)))))
+            - dense_gs_expect(spec, PauliString(((1, "X"),)))))
         ff_dev = max(ff_dev, abs(
             zz_correlator(sol, 2, 5)
-            - _dense_chain_gs_expect(spec, PauliString(((1, "Z"), (4, "Z"))))))
+            - dense_gs_expect(spec, PauliString(((1, "Z"), (4, "Z"))))))
         ff_dev = max(ff_dev, abs(
             xx_correlator(sol, 1, 4)
-            - _dense_chain_gs_expect(spec, PauliString(((0, "X"), (3, "X"))))))
+            - dense_gs_expect(spec, PauliString(((0, "X"), (3, "X"))))))
         if boundary is OPEN:
             ff_dev = max(ff_dev, abs(
                 disorder_parameter(sol, 4)
-                - _dense_chain_gs_expect(
+                - dense_gs_expect(
                     spec, PauliString(tuple((k, "X") for k in range(4))))))
     ff_ok = ff_dev < 1e-8
 

@@ -29,7 +29,13 @@ from plaqising.ed import (
     ground_spectrum,
     hamiltonian_terms,
 )
-from plaqising.errors import DegenerateLattice, InvalidSpec, NotMappable, TooLarge
+from plaqising.errors import (
+    DegenerateLattice,
+    InvalidSpec,
+    NotMappable,
+    SiteOutOfRange,
+    TooLarge,
+)
 from plaqising.freefermion import (
     TFIMChainSpec,
     chain_terms,
@@ -44,6 +50,7 @@ from plaqising.lattice import (
     plaquette_chain_position,
     plaquette_operator,
     site_adjacent_plaquettes,
+    site_diagonals,
 )
 from plaqising.pauli import PauliString
 from plaqising.sweep import _ed_torus_spectrum
@@ -72,9 +79,10 @@ def open_lat(n, m, g=1.0, h=1.0):
 def test_torus_map_structure(n, m):
     model = map_hamiltonian(torus(n, m, 0.7, 1.3))
     d = math.gcd(n, m)
-    assert model.n_diagonals == d
+    spec = model.lattice
+    assert len(site_diagonals(spec)) == d
     assert len(model.chains) == d
-    assert model.free_sites == ()
+    assert dual_site_offsets(model)[1] == {}  # no free site on a torus
     for sp in model.chains:
         assert sp.length == n * m // d
         assert sp.boundary is ChainBoundary.PERIODIC_CHAIN
@@ -106,12 +114,13 @@ def test_open_map_structure(n, m):
             ends[ci].append(k)
         else:
             bonds += 1
-    assert model.n_diagonals == n + m - 1
+    assert len(site_diagonals(spec)) == n + m - 1
     assert len(model.chains) == n + m - 3
     assert sum(sp.length for sp in model.chains) == (n - 1) * (m - 1)
     assert [sp.length for sp in model.chains] == [len(b) for b in chains]
     # the two corners not adjacent to any plaquette Y-corner stay free
-    assert model.free_sites == tuple(free) == (0, spec.site_index(n - 1, m - 1))
+    assert tuple(free) == (0, spec.site_index(n - 1, m - 1))
+    assert list(dual_site_offsets(model)[1]) == free
     for sp, ks in zip(model.chains, ends):
         assert (sp.boundary, sp.field, sp.bond, sp.end_sign, sp.twist) == (
             ChainBoundary.OPEN_CHAIN, 1.0, 0.5, 1, 1)
@@ -119,7 +128,7 @@ def test_open_map_structure(n, m):
         assert sorted(ks) == [0, sp.length - 1]
     # each 2D site is a bond, an end field, or a free coordinate
     assert bonds == sum(sp.length - 1 for sp in model.chains)
-    assert bonds + 2 * len(model.chains) + len(model.free_sites) == n * m
+    assert bonds + 2 * len(model.chains) + len(free) == n * m
 
 
 def test_open_chain_lengths_3x3():
@@ -159,7 +168,7 @@ def test_chain_of_plaquette_rejects_a_non_base_site():
     for lattice, site in [(spec, spec.site_index(1, 4)),   # last column
                           (spec, spec.site_index(3, 2)),   # last row
                           (tor, -1), (tor, tor.n_sites)]:
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(SiteOutOfRange):
             plaquette_chain_position(lattice, site)
 
 
@@ -186,7 +195,7 @@ def test_reweighted_model_equals_a_fresh_map(hs, g, h):
 # operator mapping
 # ----------------------------------------------------------------------
 def dual_register_size(model: DualModel) -> int:
-    return sum(sp.length for sp in model.chains) + len(model.free_sites)
+    return sum(sp.length for sp in model.chains) + len(dual_site_offsets(model)[1])
 
 
 @pytest.mark.parametrize("hs", [torus(3, 3, 0.8, 1.1), open_lat(3, 3, 0.8, 1.1),
@@ -199,7 +208,7 @@ def test_dual_register_spectrum_matches_chain_tensor_sum(hs):
     terms = [(coef, map_operator(model, ps)) for coef, ps in hamiltonian_terms(hs)]
     H = dense_matrix_from_terms(n_dual, terms)
     parts = [_dense_chain_levels(sp) for sp in model.chains]
-    for _ in model.free_sites:
+    for _ in dual_site_offsets(model)[1]:
         parts.append(np.array([-hs.h, hs.h]))
     np.testing.assert_allclose(
         np.linalg.eigvalsh(H), np.sort(_tensor_sum(parts)), atol=1e-12
@@ -313,11 +322,12 @@ def test_operator_map_is_a_homomorphism():
 @pytest.mark.parametrize("hs", [torus(3, 3), open_lat(3, 4)])
 def test_conserved_loops_map_to_identity(hs):
     model = map_hamiltonian(hs)
-    for b in range(model.n_diagonals):
+    free = dual_site_offsets(model)[1]
+    for b in range(len(site_diagonals(hs.lattice))):
         w = diagonal_loop_operator(hs.lattice, b)
         img = map_operator(model, w)
         if hs.lattice.boundary is Boundary.OPEN and any(
-            s in model.free_sites for s, _ in w.factors
+            s in free for s, _ in w.factors
         ):
             # loops through a free corner keep that single free X factor
             assert all(s >= dual_register_size(model) - 2 for s, _ in img.factors)
@@ -540,10 +550,11 @@ def test_dual_gap_is_the_brute_force_sector_minimum(n, m):
     for g, h in ((0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (1.3, 1.0), (2.0, 0.7)):
         model = map_hamiltonian(torus(n, m, g, h))
         e0 = {}
-        for w in itertools.product((1, -1), repeat=model.n_diagonals):
+        d = len(site_diagonals(model.lattice))
+        for w in itertools.product((1, -1), repeat=d):
             specs, parities, _ = sector_chain_specs(model, w)
             e0[w] = sum(ring_sector_levels(sp, p)[0] for sp, p in zip(specs, parities))
-        plus = (1,) * model.n_diagonals
+        plus = (1,) * d
         switch = min(e - e0[plus] for w, e in e0.items() if w != plus)
         levels = ring_sector_levels(model.chains[0], 1)
         brute = min(switch, levels[1] - levels[0])

@@ -34,21 +34,16 @@ from plaqising.freefermion import (
 )
 from plaqising.pauli import PauliString
 
-from oracles import manybody_gap, manybody_levels, ring_sector_levels
+from oracles import (
+    dense_gs_expect,
+    dense_levels,
+    manybody_gap,
+    manybody_levels,
+    ring_sector_levels,
+)
 
 OPEN = ChainBoundary.OPEN_CHAIN
 RING = ChainBoundary.PERIODIC_CHAIN
-
-
-def dense_levels(spec: TFIMChainSpec) -> np.ndarray:
-    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
-    return np.linalg.eigvalsh(H)
-
-
-def dense_ground(spec: TFIMChainSpec):
-    H = dense_matrix_from_terms(spec.length, chain_terms(spec))
-    vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
 
 
 def parity_blocks(spec: TFIMChainSpec) -> dict[int, np.ndarray]:
@@ -198,6 +193,32 @@ def test_ring_energies_only_solve(twist):
     assert abs(bdg_solve(spec).ground_energy - dense_levels(spec)[0]) < 1e-10
 
 
+@pytest.mark.parametrize("parity", [0, 2, -2])
+def test_ring_block_refuses_a_parity_other_than_plus_minus_one(parity):
+    # parity 0 or 2 took the odd grid and gave a level of neither block:
+    # -6.1374 on this ring, whose blocks' lowest levels are -6.7828 and -6.7374
+    spec = TFIMChainSpec(6, RING, 0.7, bond=1.0)
+    with pytest.raises(InvalidSpec, match=f"spin_parity must be .*got {parity}"):
+        ring_block(spec, parity)
+
+
+@pytest.mark.parametrize("boundary", [OPEN, RING])
+def test_bdg_solve_refuses_a_negative_corr_size_before_any_solve(monkeypatch, boundary):
+    # corr_size = -3 on this open chain built a 5x5 block without its
+    # [i + j = L - 1] entries: disorder_parameter read -1.9e-16, not 0.8727
+    spec = TFIMChainSpec(8, boundary, 1.2, bond=1.0)
+    if boundary is OPEN:
+        assert disorder_parameter(bdg_solve(spec, 8), 5) == pytest.approx(0.8727, abs=1e-4)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the corr_size check")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_solve)
+    monkeypatch.setattr(freefermion, "ring_block", no_solve)
+    with pytest.raises(InvalidSpec, match="corr_size must be nonnegative, got -3"):
+        bdg_solve(spec, corr_size=-3)
+
+
 def test_single_site_chain():
     spec = TFIMChainSpec(1, OPEN, 2.0, bond=1.0)
     sol = bdg_solve(spec)
@@ -209,13 +230,6 @@ def test_single_site_chain():
 # ----------------------------------------------------------------------
 # ground-state correlators vs dense expectation values
 # ----------------------------------------------------------------------
-def dense_gs_expect(spec: TFIMChainSpec, ps: PauliString) -> float:
-    vals, vecs = dense_ground(spec)
-    gs = vecs[:, 0]
-    M = dense_matrix_from_terms(spec.length, [(1.0, ps)])
-    return float(gs @ M @ gs)
-
-
 @pytest.mark.parametrize(
     "boundary,g_I",
     [(OPEN, 0.5), (OPEN, 1.0), (OPEN, 1.9), (RING, 1.0), (RING, 1.9)],

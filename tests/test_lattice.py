@@ -8,12 +8,16 @@ from hypothesis import assume, example, given, strategies as st
 from plaqising import (
     Boundary,
     DegenerateLattice,
+    DiagonalSegment,
     InvalidSpec,
     LatticeSpec,
     SiteOutOfRange,
     chain_decompose,
     enumerate_plaquettes,
+    plaquette_chain_position,
     plaquette_operator,
+    plaquette_string,
+    segment_sites,
     site_adjacent_plaquettes,
     site_diagonals,
 )
@@ -37,8 +41,21 @@ def test_site_index_wraps_only_when_periodic():
     torus = LatticeSpec(3, 4, Boundary.PERIODIC)
     assert torus.site_index(-1, 4) == torus.site_index(2, 0)
     plane = LatticeSpec(3, 4, Boundary.OPEN)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(SiteOutOfRange):
         plane.site_index(3, 0)
+
+
+@pytest.mark.parametrize("r,c", [(3, 1), (-1, 2)])
+@pytest.mark.parametrize("walk", [
+    lambda spec, r, c: spec.site_index(r, c),
+    lambda spec, r, c: segment_sites(spec, DiagonalSegment(r, c, 0)),
+    lambda spec, r, c: plaquette_string(spec, r, c, 1),
+    lambda spec, r, c: plaquette_chain_position(spec, r * spec.cols + c),
+], ids=["site_index", "segment_sites", "plaquette_string", "plaquette_chain_position"])
+def test_off_lattice_coordinate_is_site_out_of_range(walk, r, c):
+    # one rule for every diagonal walk: off an open lattice is SiteOutOfRange
+    with pytest.raises(SiteOutOfRange):
+        walk(LatticeSpec(3, 4, Boundary.OPEN), r, c)
 
 
 def test_too_small_lattice_rejected():

@@ -6,9 +6,11 @@ verdict flags, file layout, determinism, and exit codes.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -759,6 +761,31 @@ def test_cli_option_strings_per_subcommand():
     for command, parser in subparsers.items():
         flags = {s for action in parser._actions for s in action.option_strings}
         assert flags == common | expected[command], command
+
+
+def test_readme_flag_table_matches_the_cli():
+    # README's "flag → INI key" table lists every flag of cli._FLAGS with its
+    # key (and a switch's value), and its "Fields without a flag" sentence
+    # names every config field that no flag sets
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| subcommand      | flag → INI key"):]
+    listed = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        command, cell = (part.strip() for part in line.strip("|").split("|"))
+        listed[command.strip("`")] = re.findall(r"`(--[\w-]+)` → `([\w-]+)(?: = (\w+))?`",
+                                                cell)
+    assert listed == {
+        command: [(flag, name.replace("_", "-"), cli._SWITCHES.get(flag, ""))
+                  for flag, name in flags.items()]
+        for command, (_, flags) in cli._FLAGS.items()}
+    sentence = re.search(r"Fields without a flag \(([^)]*)\)", readme).group(1)
+    assert set(re.findall(r"`([\w-]+)`", sentence)) == {
+        field.name.replace("_", "-")
+        for command, (cfg_cls, _) in cli._COMMANDS.items()
+        for field in dataclasses.fields(cfg_cls)
+        if field.name not in cli._FLAGS[command][1].values()}
 
 
 # a text each flag can take that differs from its field's default
