@@ -484,6 +484,16 @@ def test_mirror_blocks_split_the_4x3_loop_sectors():
     assert sizes == [_EVEN_MOMENTA, _ODD_SECTOR]
 
 
+def test_full_spectrum_splits_the_4x3_loop_sectors_by_its_diagonal_step():
+    # full_spectrum builds its own torus step from LatticeSpec.site_index; a
+    # step that is no symmetry would leave both sectors whole, with the same
+    # levels, so the block sizes pin it
+    res = full_spectrum(HamiltonianSpec(LatticeSpec(4, 3, Boundary.PERIODIC), 0.9, 1.1))
+    assert [b["sizes"] for b in res.info["blocks"]] == [
+        [size for size, k in pieces for _ in range(k)]
+        for pieces in (_EVEN_MOMENTA, _ODD_SECTOR)]
+
+
 def test_mirror_blocks_keep_a_block_whole_without_the_symmetry():
     # 3x3 torus: reversal sends loop b to (1 - b) mod 3, so w0 != w1 breaks it
     hs = torus33(0.8, 1.2)
