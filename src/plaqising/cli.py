@@ -140,12 +140,16 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidSpec(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per ``_FLAGS`` entry; every flag value stays text."""
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
+    """One subparser per ``_FLAGS`` entry, of which only the ``invoked``
+    one gets its options (the others are never parsed); every flag value
+    stays text."""
     top = _Parser(prog="plaqising", description="plaquette-Ising duality laboratory")
     sub = top.add_subparsers(dest="command", required=True)
     for command, (help_line, flags) in _FLAGS.items():
         p = sub.add_parser(command, help=help_line)
+        if command != invoked:
+            continue
         p.add_argument("--config",
                        help="INI file; the section named after the subcommand "
                             "supplies defaults")
@@ -291,8 +295,12 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first top-level word that is no option as the
+    # subcommand; where it would take another, it fails on that word first
+    invoked = next((a for a in argv if not a.startswith("-")), None)
     try:
-        return run_command(_build_parser().parse_args(argv))
+        return run_command(_build_parser(invoked).parse_args(argv))
     except (NotConverged, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -31,12 +31,13 @@ Operator application is matrix-free: a Pauli string acts on the basis-state
 integer labels by an XOR flip mask plus a popcount sign, vectorized over the
 whole block.  Terms with one flip mask are merged when the operator compiles
 (in the Hadamard frame every ``sx`` is diagonal), so a matvec is one diagonal
-product plus one gather per distinct mask.  A flip's gather rows depend on
-the block's labels only: the operators of one block may share its labels
-and row maps (:func:`parity_block`'s ``blocks``), so a coupling sweep finds
-them once and compiles only each point's weights.  Lanczos solves every
-ground-state block: a recursion with full reorthogonalization and a
-deterministic start vector.
+product plus one gather per distinct mask.  A flip's gather rows and a
+term's signs depend on the block's labels only: the operators of one block
+may share its labels, row maps and sign patterns (:func:`parity_block`'s
+``blocks``), so a coupling sweep finds them once and compiles only each
+point's weights.  Lanczos solves every ground-state block: a recursion
+with full reorthogonalization, one Gram-Schmidt pass against the whole
+Krylov basis per step, and a deterministic start vector.
 """
 
 from __future__ import annotations
@@ -148,14 +149,17 @@ class HamiltonianOperator:
     ``2^n``, raises ``InvalidSpec`` before anything compiles.
 
     ``rows`` maps a flip mask to the row reached from each row of
-    ``basis``.  The operators of one block may share it (see
-    :func:`parity_block`): a flip's rows depend on the labels only, so each
-    is computed, and checked to stay in the block, once, the first time a
-    term with that flip compiles.
+    ``basis``, and ``signs`` a term's ``z`` mask to its sign on each row,
+    ``+-1`` as ``int8``.  The operators of one block may share both (see
+    :func:`parity_block`): they depend on the labels only, so a flip's rows
+    are computed, and checked to stay in the block, once, the first time a
+    term with that flip compiles, and so is each term's sign pattern; a
+    compile then only weights the cached signs by the coefficients.
     """
 
     def __init__(self, n: int, terms, basis: np.ndarray | None = None,
-                 rows: dict[int, np.ndarray] | None = None):
+                 rows: dict[int, np.ndarray] | None = None,
+                 signs: dict[int, np.ndarray] | None = None):
         if basis is None:
             if n > LANCZOS_MAX_SPINS:
                 raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
@@ -169,30 +173,35 @@ class HamiltonianOperator:
             raise InvalidSpec(f"basis label {int(basis[-1])} is not below 2^{n}")
         self.basis = basis
         self._rows = {} if rows is None else rows
+        self._signs = {} if signs is None else signs
         self._compile(n, terms)
 
     def _compile(self, n: int, terms: list[tuple[float, PauliString]]) -> None:
         """Merge the terms on ``n`` spins over the rows of ``self.basis``."""
-        ids, rows = self.basis, self._rows
+        ids, rows, signs = self.basis, self._rows, self._signs
         self.dim = len(ids)
         weights: dict[int, np.ndarray] = {}  # flip mask -> summed weight of each row
         for coeff, ps in terms:
             if (ps.x | ps.z) >> n:
                 raise SiteOutOfRange(f"a term touches site {(ps.x | ps.z).bit_length() - 1}"
                                      f" of an operator on {n} spins")
-            perm, signs, pref = _pauli_kernel(ids, ps)
+            flip, z, pref = ps.masks()
             if pref.imag != 0.0:
                 raise InvalidSpec("model terms must be real in the z basis")
-            flip = ps.x
+            new_flip = flip and flip not in rows  # flip 0 keeps every row
+            if new_flip or z not in signs:
+                perm, sign, _ = _pauli_kernel(ids, ps)
+                signs[z] = sign.astype(np.int8)
+                if new_flip:
+                    row = np.searchsorted(ids, perm)
+                    if np.any(np.take(ids, row, mode="clip") != perm):
+                        raise InvalidSpec("a term maps a basis label outside the basis")
+                    rows[flip] = row
+            weight = coeff * pref.real * signs[z]
             if flip in weights:
-                weights[flip] += coeff * pref.real * signs
-                continue
-            if flip and flip not in rows:  # flip 0 keeps every row
-                row = np.searchsorted(ids, perm)
-                if np.any(np.take(ids, row, mode="clip") != perm):
-                    raise InvalidSpec("a term maps a basis label outside the basis")
-                rows[flip] = row
-            weights[flip] = coeff * pref.real * signs
+                weights[flip] += weight
+            else:
+                weights[flip] = weight
         self._diag = weights.pop(0, np.zeros(self.dim))
         self._gathers = [(rows[f], w[rows[f]]) for f, w in weights.items()]
 
@@ -237,11 +246,13 @@ def parity_block(n: int, terms, masks, signs,
     a mask outside the ``n`` sites or a term that breaks a block raises
     ``InvalidSpec``.
 
-    ``blocks`` keeps, per ``(n, masks, signs)``, the block's labels and the
-    row map of each flip it has compiled.  Every operator built through the
-    same dict shares them, so a coupling sweep finds its labels once and
-    only re-weights the terms; the weights are each operator's own, summed
-    exactly as in a fresh compile."""
+    ``blocks`` keeps, per ``(n, masks, signs)``, the block's labels, the
+    row map of each flip it has compiled and the sign pattern of each
+    rotated term, one ``int8`` per label keyed by the term's ``z`` mask.
+    Every operator built through the same dict shares them, so a coupling
+    sweep finds its labels once, each flip's rows and each term's signs
+    once, and only re-weights the signs; the weights are each operator's
+    own, summed exactly as in a fresh compile."""
     if n > LANCZOS_MAX_SPINS:
         raise TooLarge(f"{n} spins exceeds the {LANCZOS_MAX_SPINS}-spin budget")
     if len(signs) != len(masks) or any(s not in (1, -1) for s in signs):
@@ -251,9 +262,10 @@ def parity_block(n: int, terms, masks, signs,
     blocks = {} if blocks is None else blocks
     key = (n, tuple(masks), tuple(signs))
     if key not in blocks:
-        blocks[key] = (_parity_labels(n, masks, signs), {})
-    labels, rows = blocks[key]
-    return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels, rows)
+        blocks[key] = (_parity_labels(n, masks, signs), {}, {})
+    labels, rows, patterns = blocks[key]
+    return HamiltonianOperator(n, [(c, ps.hadamard()) for c, ps in terms], labels, rows,
+                               patterns)
 
 
 def _loop_masks(spec: LatticeSpec) -> list[int]:
@@ -328,19 +340,20 @@ def _lanczos_seed(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _orthogonalized(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``w`` with its components along the orthonormal rows of ``basis``
-    removed in place: Gram-Schmidt twice, for float safety."""
-    for _ in range(2):
-        w -= basis.T @ (basis @ w)
-    return w
-
-
 def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
              max_iter: int | None = None):
     """The ``k`` lowest converged Ritz pairs of ``op``: Lanczos with full
     reorthogonalization from :func:`_lanczos_seed`; a degenerate level comes
     back once per copy that rounding let the Krylov space find.
+
+    Each step projects the new vector against the whole basis once, after
+    the three-term subtraction: that subtraction has already removed its
+    large components, so what is left along the basis is rounding, and one
+    classical Gram-Schmidt pass takes it to rounding of the vector's norm.
+    A fresh direction (below) is a unit vector that may lie almost inside
+    the basis, so most of it cancels and one pass could leave it far from
+    orthogonal; it gets a second pass (Kahan's "twice is enough", in
+    Parlett, *The Symmetric Eigenvalue Problem*).
 
     The one Ritz check (tridiagonal eigensolve plus the residual bound
     ``beta_m |s_mi|``) runs at ``m = k, k + _RITZ_EVERY, ...`` iterations,
@@ -375,7 +388,7 @@ def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
             w -= betas[-1] * V[j - 1]
         alphas.append(float(V[j] @ w))
         w -= alphas[-1] * V[j]
-        w = _orthogonalized(w, V[:m])
+        w -= V[:m].T @ (V[:m] @ w)
         beta = norm = float(np.linalg.norm(w))
         exhausted = beta < 1e-13
         last = m == max_iter
@@ -385,7 +398,8 @@ def _lanczos(op: HamiltonianOperator, k: int, want_vectors: bool,
             inject += 1
             w = np.zeros(dim)
             w[(2654435761 * (j + inject)) % dim] = 1.0
-            w = _orthogonalized(w, V[:m])
+            for _ in range(2):  # a unit vector may lie almost inside the basis
+                w -= V[:m].T @ (V[:m] @ w)
             beta, norm = 0.0, float(np.linalg.norm(w))
             last = last or norm < 1e-8  # the space is spent
         if last or (m >= k and ((m - k) % _RITZ_EVERY == 0 or exhausted)):

@@ -22,7 +22,7 @@ reader of :mod:`plaqising.freefermion` (a whole loop gives its label, exactly
 +1).  Both routes check a string's length before any solve.  A dual cache
 holds one point: a model cached at other couplings or on another lattice
 raises ``InvalidSpec``.  On the direct route a sweep shares one loop-sector
-block (labels and flip row maps) between its points through
+block (labels, flip row maps and sign patterns) between its points through
 :func:`ground_state_for_measurement`'s ``_cache``.
 The direct route measures in one loop sector: the Hamiltonian is solved
 only on the states with a fixed eigenvalue of every conserved diagonal loop
@@ -145,9 +145,10 @@ def ground_state_for_measurement(
     Where sectors are degenerate (topological multiplets at ``h = 0``, free
     spins at ``g = 0``) the label alone picks the state.
 
-    ``_cache`` (one per sweep) keeps the sector's labels and flip row maps
-    between calls, as ``blocks`` of :func:`~plaqising.ed.parity_block`; each
-    call compiles its own weights, and its operator is freed on return.
+    ``_cache`` (one per sweep) keeps the sector's labels, flip row maps and
+    term sign patterns between calls, as ``blocks`` of
+    :func:`~plaqising.ed.parity_block`; each call compiles its own weights,
+    and its operator is freed on return.
     """
     if sector is None:
         sector = (1,) * len(site_diagonals(hs.lattice))

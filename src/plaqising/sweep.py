@@ -7,9 +7,9 @@ parameters).  Output files never embed timestamps - those live in the
 ``.meta.json`` sidecar - so reruns are byte-identical.
 
 A coupling sweep builds its lattice's structure once and re-weights it at
-each point: one dual map on the dual route, one loop-sector block (labels
-and flip row maps) on the ED route.  Each row is bitwise the row its point
-gives alone.
+each point: one dual map on the dual route, one loop-sector block (labels,
+flip row maps and sign patterns) on the ED route.  Each row is bitwise the
+row its point gives alone.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import numpy as np
 from .duality import dual_lattice_gap, duality_spectrum_check, map_hamiltonian
 from .ed import (
     DENSE_MAX_SPINS,
+    LANCZOS_MAX_SPINS,
     HamiltonianSpec,
     SpectrumResult,
     full_spectrum,
     ground_spectrum,
 )
-from .errors import InvalidSpec
+from .errors import InvalidSpec, TooLarge
 from .freefermion import (
     TFIMChainSpec,
     bdg_solve,
@@ -142,9 +143,10 @@ def run_coupling_sweep(cfg: CouplingSweepConfig) -> tuple[list[dict], dict]:
     The lattice's structure is built once per sweep, and each point only
     re-weights it with its couplings: the dual route maps the lattice once
     and takes each point's model from :meth:`DualModel.at`; the ED route
-    finds the loop sector's labels, and each flip's row map, once
-    (:func:`~plaqising.ed.parity_block`), and compiles each point's weights
-    afresh.  Every number is the one a point computed alone gives.
+    finds the loop sector's labels, and each flip's row map and each term's
+    signs, once (:func:`~plaqising.ed.parity_block`), and compiles each
+    point's weights afresh.  Every number is the one a point computed alone
+    gives.
     """
     if cfg.steps < 2:
         raise InvalidSpec("a sweep needs at least two points")
@@ -211,6 +213,10 @@ def _ed_torus_spectrum(n: int, g: float, h: float) -> SpectrumResult:
 def run_gap_scaling(cfg: GapScalingConfig) -> tuple[list[dict], dict]:
     if any(n < 3 for n in cfg.sizes + cfg.ed_sizes):
         raise InvalidSpec("torus sizes start at 3")
+    big = [n * n for n in cfg.ed_sizes if n * n > LANCZOS_MAX_SPINS]
+    if big:
+        raise TooLarge(f"ed_sizes = {cfg.ed_sizes}: {big[0]} spins exceeds the"
+                       f" {LANCZOS_MAX_SPINS}-spin budget")
     if len(set(cfg.sizes)) < 2:
         raise InvalidSpec(f"sizes = {cfg.sizes} needs at least two distinct values"
                           " for the power-law fit")

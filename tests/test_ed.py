@@ -210,16 +210,17 @@ def test_sector_operator_merges_the_field_into_one_diagonal():
 @pytest.mark.parametrize("n,m", [(4, 4), (3, 4), (3, 3)])
 def test_reweighted_operators_equal_fresh_compiles(n, m):
     # one block dict across a sweep's couplings: the labels are found once,
-    # each flip's rows once (the plaquette flips at the first g > 0), and
-    # every operator's diagonal and gathers equal a fresh compile's bitwise
+    # each flip's rows and each term's signs once (the plaquettes' at the
+    # first g > 0), and every operator's diagonal and gathers equal a fresh
+    # compile's bitwise
     lattice = LatticeSpec(n, m, Boundary.PERIODIC)
     sector = (1,) * len(site_diagonals(lattice))
     blocks, first = {}, None
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
         hs = HamiltonianSpec(lattice, g, 1.0 - g)
         op, fresh = sector_operator(hs, sector, blocks), sector_operator(hs, sector)
-        (labels, rows), = blocks.values()
-        assert op.basis is labels and op._rows is rows
+        (labels, rows, signs), = blocks.values()
+        assert op.basis is labels and op._rows is rows and op._signs is signs
         if g:  # the same row arrays at every point: each flip's rows are found once
             first = first or [perm for perm, _ in op._gathers]
             assert all(perm is row for (perm, _), row in zip(op._gathers, first))
@@ -228,6 +229,9 @@ def test_reweighted_operators_equal_fresh_compiles(n, m):
         for (perm, wp), (fperm, fwp) in zip(op._gathers, fresh._gathers):
             assert perm.tobytes() == fperm.tobytes() and wp.tobytes() == fwp.tobytes()
     assert len(rows) == n * m
+    # one pattern per rotated term (n * m plaquettes, n * m fields), a byte a label
+    assert len(signs) == 2 * n * m
+    assert all(s.dtype == np.int8 and s.shape == labels.shape for s in signs.values())
 
 
 def test_parity_blocks_are_kept_apart_by_their_labels():
@@ -808,19 +812,40 @@ def test_full_spectrum_is_the_per_sector_dense_union():
     np.testing.assert_allclose(res.eigenvalues, brute, rtol=0, atol=1e-12)
 
 
-def test_lanczos_levels_are_levels_but_not_distinct():
-    # 4x4 at g = h = 0.93: the lowest level of sector (1, -1, -1, 1) is
-    # fourfold; a Lanczos run may return it more than once, so every
-    # returned value must be a level of the block, not a distinct one
-    hs = HamiltonianSpec(LatticeSpec(4, 4, Boundary.PERIODIC), 0.93, 0.93)
-    op = sector_operator(hs, (1, -1, -1, 1))
-    vals = operator_ground_spectrum(op, 2).eigenvalues
-    dense = scipy.linalg.eigh(op.dense(), subset_by_index=[0, 7], eigvals_only=True,
-                              overwrite_a=True)
-    assert np.all(np.abs(dense[:4] - dense[0]) < 1e-9)
-    assert abs(vals[0] - dense[0]) < 1e-9
-    for v in vals:
-        assert np.min(np.abs(dense - v)) < 1e-9
+def test_lanczos_levels_are_levels_but_not_distinct(monkeypatch):
+    # every 4x4 orbit block at g = h = 0.93 and 1.1: a Lanczos run may
+    # return a degenerate level more than once (the lowest level of sector
+    # (1, 1, -1, -1) is fourfold), and which level a block's second Ritz
+    # value lands on is left to rounding, so each returned value must be a
+    # level of its block, not a distinct one; the lowest and the gap are
+    # exact.  The dense levels are the lowest of each momentum block under
+    # the diagonal step, never the 4096-state block whole, solved once at
+    # g = h = 1: H(s, s) = s H(1, 1).
+    import plaqising.ed as ed
+
+    monkeypatch.setattr(ed, "DENSE_MAX_SPINS", 16)
+    spec = LatticeSpec(4, 4, Boundary.PERIODIC)
+    unit = HamiltonianSpec(spec, 1.0, 1.0)
+    terms, masks = hamiltonian_terms(unit), _loop_masks(spec)
+    dense = {}
+    for w, _ in _sector_orbits(unit):
+        pieces = symmetry_blocks(unit.n_spins, terms, masks, w, _diagonal_step(4, 4))
+        assert sum(len(H) * k for H, k in pieces) == 4096
+        dense[w] = np.sort(np.concatenate([
+            np.tile(scipy.linalg.eigh(H, subset_by_index=[0, 7], eigvals_only=True), k)
+            for H, k in pieces]))
+    assert np.all(np.abs(dense[1, 1, -1, -1][:4] - dense[1, 1, -1, -1][0]) < 1e-9)
+    for s in (0.93, 1.1):
+        hs, union = HamiltonianSpec(spec, s, s), []
+        for w, mult in _sector_orbits(hs):
+            levels = s * dense[w]
+            vals = operator_ground_spectrum(sector_operator(hs, w), 2).eigenvalues
+            assert abs(vals[0] - levels[0]) <= 1e-10, (s, w)
+            for v in vals:
+                assert np.min(np.abs(levels - v)) <= 1e-9, (s, w)
+            union.append(np.tile(levels, mult))
+        assert abs(ground_spectrum(hs, 2).gap
+                   - gap_from_levels(np.concatenate(union))) <= 1e-10, s
 
 
 def test_budget_guards(monkeypatch):

@@ -405,10 +405,35 @@ def test_ed_sweep_finds_its_sector_labels_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_ed_sweep_finds_each_terms_signs_once(monkeypatch):
+    # the bit kernel runs once per distinct rotated term of a default sweep
+    # (16 fields at g = 0, 16 plaquettes at the first g > 0); every later
+    # point re-weights the cached sign patterns
+    import plaqising.ed as ed
+    from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
+
+    labels, compiled, kernel = [], [], ed._pauli_kernel
+
+    def finding(*args):
+        labels.append(_parity_labels(*args))
+        return labels[-1]
+
+    def counting(ids, ps):
+        if ids is labels[0]:  # a compile; expectation passes the state's labels
+            compiled.append(ps)
+        return kernel(ids, ps)
+
+    monkeypatch.setattr(ed, "_parity_labels", finding)
+    monkeypatch.setattr(ed, "_pauli_kernel", counting)
+    run_coupling_sweep(CouplingSweepConfig())
+    terms = {ps.hadamard() for _, ps in hamiltonian_terms(torus(4, 4, 0.5, 0.5))}
+    assert len(compiled) == len(terms) == 32 and set(compiled) == terms
+
+
 def test_ed_sweep_holds_one_operator_at_a_time():
-    # the shared block is labels and row maps only: the sweep's traced peak
-    # stays at one measurement's, so no earlier point's operator, weights or
-    # state is alive while the next is built
+    # the shared block is labels, row maps and sign patterns only: the
+    # sweep's traced peak stays at one measurement's, so no earlier point's
+    # operator, weights or state is alive while the next is built
     from plaqising.sweep import CouplingSweepConfig, run_coupling_sweep
 
     hs = torus(4, 4, 0.5, 0.5)
@@ -426,7 +451,8 @@ def test_ed_sweep_holds_one_operator_at_a_time():
     sweep = peak(lambda: run_coupling_sweep(CouplingSweepConfig()))
     assert sweep <= 1.05 * one, (sweep, one)
     # between points the cache holds the block's one copy of the labels and
-    # row maps (32 KiB each on 4x4) and nothing else: no operator or state
+    # row maps (32 KiB each on 4x4) and of the terms' sign patterns (4 KiB
+    # each) and nothing else: no operator, weight vector or state
     cache = {}
     tracemalloc.start()
     try:
@@ -435,8 +461,9 @@ def test_ed_sweep_holds_one_operator_at_a_time():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    (labels, rows), = cache.values()
-    assert held <= labels.nbytes + sum(r.nbytes for r in rows.values()) + 32 * 1024
+    (labels, rows, signs), = cache.values()
+    assert held <= (labels.nbytes + sum(r.nbytes for r in rows.values())
+                    + sum(s.nbytes for s in signs.values()) + 32 * 1024)
 
 
 def _alone(cfg, t):

@@ -272,6 +272,24 @@ def test_cli_gap_scaling_checks_sizes_before_any_solve(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ed_sizes", [["5"], ["3", "5"], ["4", "6"]],
+                         ids=["alone", "after-a-dense-torus", "after-a-lanczos-torus"])
+def test_cli_gap_scaling_checks_ed_sizes_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          ed_sizes):
+    # a 5x5 torus has 25 spins, over the Lanczos budget: refused before the
+    # dual gaps, the fit or a smaller ED torus is solved
+    def never(*args, **kwargs):
+        raise AssertionError("a gap or spectrum was solved")
+
+    for solver in ("dual_lattice_gap", "fit_powerlaw", "full_spectrum", "ground_spectrum"):
+        monkeypatch.setattr(plaqising.sweep, solver, never)
+    out = tmp_path / "out"
+    assert main(["gap-scaling", "--ed-sizes", *ed_sizes, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ed_sizes = ") and "-spin budget" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # command line: exit codes and file layout
 # ----------------------------------------------------------------------
@@ -716,7 +734,7 @@ def test_cli_ini_default_section_is_bad_input(tmp_path, capsys, command, ini):
 def test_cli_empty_ini_default_section_is_allowed(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[DEFAULT]\n[crit-corr]\nlength = 64\n")
-    args = cli._build_parser().parse_args(["crit-corr", "--config", str(ini)])
+    args = cli._build_parser("crit-corr").parse_args(["crit-corr", "--config", str(ini)])
     assert cli._resolve_config(args)[0].length == 64
 
 
@@ -739,7 +757,7 @@ def test_cli_unreadable_value_names_its_field(tmp_path, capsys, argv, ini, field
 def test_cli_unknown_ini_key_is_invalid_spec(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[crit-corr]\nlenght = 512\n")
-    args = cli._build_parser().parse_args(["crit-corr", "--config", str(ini)])
+    args = cli._build_parser("crit-corr").parse_args(["crit-corr", "--config", str(ini)])
     with pytest.raises(InvalidSpec, match="lenght"):
         cli._resolve_config(args)
 
@@ -755,12 +773,15 @@ def test_cli_option_strings_per_subcommand():
         "duality-check": {"--rows", "--cols", "--g", "--h", "--boundary",
                           "--literal", "--tol"},
     }
-    subparsers = next(a for a in cli._build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(subparsers) == set(expected)
-    for command, parser in subparsers.items():
-        flags = {s for action in parser._actions for s in action.option_strings}
-        assert flags == common | expected[command], command
+    # every subcommand is registered, and only the invoked one gets options
+    for invoked in expected:
+        subparsers = next(a for a in cli._build_parser(invoked)._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(subparsers) == set(expected)
+        for command, parser in subparsers.items():
+            flags = {s for action in parser._actions for s in action.option_strings}
+            want = common | expected[command] if command == invoked else {"-h", "--help"}
+            assert flags == want, (invoked, command)
 
 
 def test_readme_flag_table_matches_the_cli():
@@ -805,7 +826,7 @@ def test_cli_flag_and_ini_key_give_the_same_config(tmp_path, command, flag):
         argv, text = [flag, *words], ", ".join(words)
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{command}]\n{name.replace('_', '-')} = {text}\n")
-    parse = cli._build_parser().parse_args
+    parse = cli._build_parser(command).parse_args
     from_flag, _ = cli._resolve_config(parse([command, *argv]))
     from_ini, _ = cli._resolve_config(parse([command, "--config", str(ini)]))
     default, _ = cli._resolve_config(parse([command]))
